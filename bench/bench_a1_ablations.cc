@@ -38,7 +38,7 @@ onePortTweak(SimConfig &c)
 }
 
 void
-render(Runner &runner)
+render(const Sweep &sweep)
 {
     // (a) + (b) + (d): per-workload gmean table.
     AsciiTable t({"variant", "gmean speedup", "mean L2-bus util"});
@@ -47,30 +47,26 @@ render(Runner &runner)
     {
         const char *label;
         PrefetchScheme scheme;
-        Runner::Tweak tweak;
         const char *key;
     };
 
     std::vector<Variant> variants = {
         {"FDP -> prefetch buffer (default)", PrefetchScheme::FdpRemove,
-         nullptr, ""},
+         ""},
         {"FDP -> straight into L1-I", PrefetchScheme::FdpRemove,
-         l1fillTweak, "l1fill"},
+         "l1fill"},
         {"FDP, prefetch may queue on bus", PrefetchScheme::FdpRemove,
-         busqTweak, "busq"},
+         "busq"},
         {"FDP no-filter, may queue on bus", PrefetchScheme::FdpNone,
-         busqTweak, "busq"},
-        {"oracle (perfect addresses)", PrefetchScheme::Oracle,
-         nullptr, ""},
+         "busq"},
+        {"oracle (perfect addresses)", PrefetchScheme::Oracle, ""},
     };
 
     for (const auto &v : variants) {
         std::vector<double> speedups, utils;
         for (const auto &name : largeFootprintNames()) {
-            speedups.push_back(
-                runner.speedup(name, v.scheme, v.key, v.tweak));
-            const SimResults &r = runner.run(name, v.scheme, v.key,
-                                             v.tweak);
+            speedups.push_back(sweep.speedup(name, v.scheme, v.key));
+            const SimResults &r = sweep.run(name, v.scheme, v.key);
             utils.push_back(r.l2BusUtil);
         }
         t.addRow({v.label, AsciiTable::pct(gmeanSpeedup(speedups)),
@@ -89,8 +85,7 @@ render(Runner &runner)
               PrefetchScheme::FdpEnqueueAggressive}}) {
         std::vector<double> speedups;
         for (const auto &name : largeFootprintNames()) {
-            speedups.push_back(runner.speedup(
-                name, scheme, "1port", onePortTweak));
+            speedups.push_back(sweep.speedup(name, scheme, "1port"));
         }
         p.addRow({label, AsciiTable::pct(gmeanSpeedup(speedups))});
     }

@@ -44,22 +44,21 @@ replVariants()
 }
 
 void
-render(Runner &runner)
+render(const Sweep &sweep)
 {
     AsciiTable t({"policy", "gmean base IPC", "mean base MPKI",
                   "gmean FDP speedup"});
 
     for (ReplPolicy policy : kPolicies) {
-        auto tweak = replTweak(policy);
         std::string key = replKey(policy);
         std::vector<double> ipcs, mpkis, speedups;
         for (const auto &name : largeFootprintNames()) {
-            const SimResults &base = runner.run(
-                name, PrefetchScheme::None, key, tweak);
+            const SimResults &base =
+                sweep.run(name, PrefetchScheme::None, key);
             ipcs.push_back(base.ipc);
             mpkis.push_back(base.mpki);
-            speedups.push_back(runner.speedup(
-                name, PrefetchScheme::FdpRemove, key, tweak));
+            speedups.push_back(
+                sweep.speedup(name, PrefetchScheme::FdpRemove, key));
         }
         double log_ipc = 0;
         for (double v : ipcs)

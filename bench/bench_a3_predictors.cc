@@ -77,22 +77,21 @@ vcVariants()
 }
 
 void
-render(Runner &runner)
+render(const Sweep &sweep)
 {
     AsciiTable t({"predictor", "gmean base IPC", "cond misp/KI",
                   "gmean FDP speedup"});
 
     for (PredictorKind kind : kPredictors) {
-        auto tweak = predTweak(kind);
         std::string key = predKey(kind);
         std::vector<double> ipcs, misps, speedups;
         for (const auto &name : largeFootprintNames()) {
-            const SimResults &base = runner.run(
-                name, PrefetchScheme::None, key, tweak);
+            const SimResults &base =
+                sweep.run(name, PrefetchScheme::None, key);
             ipcs.push_back(base.ipc);
             misps.push_back(base.condMispredictPerKilo);
-            speedups.push_back(runner.speedup(
-                name, PrefetchScheme::FdpRemove, key, tweak));
+            speedups.push_back(
+                sweep.speedup(name, PrefetchScheme::FdpRemove, key));
         }
         double log_ipc = 0;
         for (double v : ipcs)
@@ -111,15 +110,14 @@ render(Runner &runner)
          {std::pair<const char *, unsigned>{"no victim cache", 0u},
           std::pair<const char *, unsigned>{"16-entry victim cache",
                                             16u}}) {
-        auto tweak = vcTweak(entries);
         std::string key = vcKey(entries);
         std::vector<double> ipcs, speedups;
         for (const auto &name : largeFootprintNames()) {
-            const SimResults &base = runner.run(
-                name, PrefetchScheme::None, key, tweak);
+            const SimResults &base =
+                sweep.run(name, PrefetchScheme::None, key);
             ipcs.push_back(base.ipc);
-            speedups.push_back(runner.speedup(
-                name, PrefetchScheme::FdpRemove, key, tweak));
+            speedups.push_back(
+                sweep.speedup(name, PrefetchScheme::FdpRemove, key));
         }
         double log_ipc = 0;
         for (double x : ipcs)

@@ -41,22 +41,21 @@ l1iVariants()
 }
 
 void
-render(Runner &runner)
+render(const Sweep &sweep)
 {
     AsciiTable t({"L1-I KB", "gmean base IPC", "mean base MPKI",
                   "gmean FDP speedup"});
 
     for (unsigned kb : kL1SizesKB) {
-        auto tweak = l1iTweak(kb);
         std::string key = l1iKey(kb);
         std::vector<double> ipcs, mpkis, speedups;
         for (const auto &name : allWorkloadNames()) {
-            const SimResults &base = runner.run(
-                name, PrefetchScheme::None, key, tweak);
+            const SimResults &base =
+                sweep.run(name, PrefetchScheme::None, key);
             ipcs.push_back(base.ipc);
             mpkis.push_back(base.mpki);
-            speedups.push_back(runner.speedup(
-                name, PrefetchScheme::FdpRemove, key, tweak));
+            speedups.push_back(
+                sweep.speedup(name, PrefetchScheme::FdpRemove, key));
         }
         double log_ipc = 0;
         for (double v : ipcs)

@@ -53,21 +53,20 @@ latVariants()
 }
 
 void
-render(Runner &runner)
+render(const Sweep &sweep)
 {
     AsciiTable t({"L2 lat", "DRAM lat", "gmean base IPC",
                   "gmean FDP speedup"});
 
     for (LatencyPoint p : kLatencies) {
-        auto tweak = latTweak(p);
         std::string key = latKey(p);
         std::vector<double> ipcs, speedups;
         for (const auto &name : largeFootprintNames()) {
-            const SimResults &base = runner.run(
-                name, PrefetchScheme::None, key, tweak);
+            const SimResults &base =
+                sweep.run(name, PrefetchScheme::None, key);
             ipcs.push_back(base.ipc);
-            speedups.push_back(runner.speedup(
-                name, PrefetchScheme::FdpRemove, key, tweak));
+            speedups.push_back(
+                sweep.speedup(name, PrefetchScheme::FdpRemove, key));
         }
         double log_ipc = 0;
         for (double v : ipcs)

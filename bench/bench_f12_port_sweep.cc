@@ -41,22 +41,21 @@ portVariants()
 }
 
 void
-render(Runner &runner)
+render(const Sweep &sweep)
 {
     AsciiTable t({"tag ports", "FDP enqueue", "FDP remove",
                   "FDP ideal"});
 
     for (unsigned ports : kPortCounts) {
-        auto tweak = portTweak(ports);
         std::string key = portKey(ports);
         std::vector<double> enq, rem, ideal;
         for (const auto &name : largeFootprintNames()) {
-            enq.push_back(runner.speedup(
-                name, PrefetchScheme::FdpEnqueue, key, tweak));
-            rem.push_back(runner.speedup(
-                name, PrefetchScheme::FdpRemove, key, tweak));
-            ideal.push_back(runner.speedup(
-                name, PrefetchScheme::FdpIdeal, key, tweak));
+            enq.push_back(
+                sweep.speedup(name, PrefetchScheme::FdpEnqueue, key));
+            rem.push_back(
+                sweep.speedup(name, PrefetchScheme::FdpRemove, key));
+            ideal.push_back(
+                sweep.speedup(name, PrefetchScheme::FdpIdeal, key));
         }
         t.addRow({AsciiTable::integer(ports),
                   AsciiTable::pct(gmeanSpeedup(enq)),

@@ -14,13 +14,13 @@ namespace
 {
 
 void
-render(Runner &runner)
+render(const Sweep &sweep)
 {
     AsciiTable t({"workload", "mean occ", "% empty", "% full",
                   "p50", "p90"});
 
     for (const auto &name : allWorkloadNames()) {
-        const SimResults &r = runner.run(name, PrefetchScheme::None);
+        const SimResults &r = sweep.run(name, PrefetchScheme::None);
         const Histogram &h = r.ftqOccupancy;
         t.addRow({name,
                   AsciiTable::num(h.mean(), 1),
@@ -33,7 +33,7 @@ render(Runner &runner)
     print(t.render());
 
     // One full rendered distribution for a representative workload.
-    const SimResults &gcc = runner.run("gcc", PrefetchScheme::None);
+    const SimResults &gcc = sweep.run("gcc", PrefetchScheme::None);
     print("\n" + gcc.ftqOccupancy.render("gcc FTQ occupancy"));
 }
 

@@ -44,7 +44,7 @@ sbVariants()
 }
 
 void
-render(Runner &runner)
+render(const Sweep &sweep)
 {
     AsciiTable t({"workload", "NLP", "SB x1", "SB x2", "SB x4",
                   "SB x8"});
@@ -52,15 +52,12 @@ render(Runner &runner)
     std::vector<double> nlp_s, sb1_s, sb2_s, sb4_s, sb8_s;
 
     for (const auto &name : allWorkloadNames()) {
-        double nlp = runner.speedup(name, PrefetchScheme::Nlp);
-        double sb1 = runner.speedup(name, PrefetchScheme::StreamBuffer,
-                                    sbKey(1), sbTweak(1));
-        double sb2 = runner.speedup(name, PrefetchScheme::StreamBuffer,
-                                    sbKey(2), sbTweak(2));
-        double sb4 = runner.speedup(name, PrefetchScheme::StreamBuffer,
-                                    sbKey(4), sbTweak(4));
-        double sb8 = runner.speedup(name, PrefetchScheme::StreamBuffer,
-                                    sbKey(8), sbTweak(8));
+        auto sb = [&sweep, &name](unsigned n) {
+            return sweep.speedup(name, PrefetchScheme::StreamBuffer,
+                                 sbKey(n));
+        };
+        double nlp = sweep.speedup(name, PrefetchScheme::Nlp);
+        double sb1 = sb(1), sb2 = sb(2), sb4 = sb(4), sb8 = sb(8);
         nlp_s.push_back(nlp);
         sb1_s.push_back(sb1);
         sb2_s.push_back(sb2);

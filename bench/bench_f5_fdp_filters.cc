@@ -14,7 +14,7 @@ namespace
 {
 
 void
-render(Runner &runner)
+render(const Sweep &sweep)
 {
     AsciiTable t({"workload", "NLP", "FDP nofilter", "FDP enqueue",
                   "FDP remove", "FDP ideal"});
@@ -22,11 +22,11 @@ render(Runner &runner)
     std::vector<std::vector<double>> cols(5);
     for (const auto &name : allWorkloadNames()) {
         std::vector<double> s;
-        s.push_back(runner.speedup(name, PrefetchScheme::Nlp));
-        s.push_back(runner.speedup(name, PrefetchScheme::FdpNone));
-        s.push_back(runner.speedup(name, PrefetchScheme::FdpEnqueue));
-        s.push_back(runner.speedup(name, PrefetchScheme::FdpRemove));
-        s.push_back(runner.speedup(name, PrefetchScheme::FdpIdeal));
+        s.push_back(sweep.speedup(name, PrefetchScheme::Nlp));
+        s.push_back(sweep.speedup(name, PrefetchScheme::FdpNone));
+        s.push_back(sweep.speedup(name, PrefetchScheme::FdpEnqueue));
+        s.push_back(sweep.speedup(name, PrefetchScheme::FdpRemove));
+        s.push_back(sweep.speedup(name, PrefetchScheme::FdpIdeal));
         for (int i = 0; i < 5; ++i)
             cols[i].push_back(s[i]);
         t.addRow({name, AsciiTable::pct(s[0]), AsciiTable::pct(s[1]),

@@ -23,7 +23,7 @@ f6Schemes()
 }
 
 void
-render(Runner &runner)
+render(const Sweep &sweep)
 {
     AsciiTable t({"workload", "none", "NLP", "SB", "FDP nofil",
                   "FDP enq", "FDP rem", "FDP ideal"});
@@ -34,7 +34,7 @@ render(Runner &runner)
     for (const auto &name : allWorkloadNames()) {
         std::vector<std::string> row{name};
         for (std::size_t i = 0; i < schemes.size(); ++i) {
-            const SimResults &r = runner.run(name, schemes[i]);
+            const SimResults &r = sweep.run(name, schemes[i]);
             cols[i].push_back(r.l2BusUtil);
             row.push_back(AsciiTable::pct(r.l2BusUtil));
         }

@@ -16,14 +16,14 @@ namespace
 {
 
 void
-render(Runner &runner)
+render(const Sweep &sweep)
 {
     AsciiTable t({"workload", "scheme", "accuracy", "coverage",
                   "timely", "late", "pollution", "issued/KI"});
 
     for (const auto &name : allWorkloadNames()) {
         for (auto scheme : allSchemes()) {
-            const SimResults &r = runner.run(name, scheme);
+            const SimResults &r = sweep.run(name, scheme);
             double issued_ki =
                 r.stats.value("mem.prefetches_issued") /
                 (static_cast<double>(r.instructions) / 1000.0);

@@ -42,20 +42,19 @@ pfbufVariants()
 }
 
 void
-render(Runner &runner)
+render(const Sweep &sweep)
 {
     AsciiTable t({"entries", "gmean speedup", "gmean accuracy",
                   "unused evictions/KI"});
 
     for (unsigned entries : kBufferSizes) {
-        auto tweak = pfbufTweak(entries);
         std::string key = pfbufKey(entries);
         std::vector<double> speedups, accs, evics;
         for (const auto &name : largeFootprintNames()) {
-            speedups.push_back(runner.speedup(
-                name, PrefetchScheme::FdpRemove, key, tweak));
-            const SimResults &r = runner.run(
-                name, PrefetchScheme::FdpRemove, key, tweak);
+            speedups.push_back(
+                sweep.speedup(name, PrefetchScheme::FdpRemove, key));
+            const SimResults &r =
+                sweep.run(name, PrefetchScheme::FdpRemove, key);
             accs.push_back(r.prefetchAccuracy);
             evics.push_back(r.stats.value("pfbuf.unused_evictions") /
                             (double(r.instructions) / 1000.0));

@@ -42,20 +42,19 @@ ftqVariants()
 }
 
 void
-render(Runner &runner)
+render(const Sweep &sweep)
 {
     AsciiTable t({"ftq entries", "gmean FDP speedup",
                   "gmean prefetch coverage", "mean occupancy"});
 
     for (unsigned entries : kFtqSizes) {
-        auto tweak = ftqTweak(entries);
         std::string key = ftqKey(entries);
         std::vector<double> speedups, covs, occs;
         for (const auto &name : largeFootprintNames()) {
-            speedups.push_back(runner.speedup(
-                name, PrefetchScheme::FdpRemove, key, tweak));
-            const SimResults &r = runner.run(
-                name, PrefetchScheme::FdpRemove, key, tweak);
+            speedups.push_back(
+                sweep.speedup(name, PrefetchScheme::FdpRemove, key));
+            const SimResults &r =
+                sweep.run(name, PrefetchScheme::FdpRemove, key);
             covs.push_back(r.prefetchCoverage);
             occs.push_back(r.ftqOccupancy.mean());
         }

@@ -16,14 +16,14 @@ namespace
 {
 
 void
-render(Runner &runner)
+render(const Sweep &sweep)
 {
     AsciiTable t({"workload", "code KB", "dyn branch%", "base IPC",
                   "L1-I MPKI", "cond misp/KI"});
 
     for (const auto &name : allWorkloadNames()) {
         auto prog = buildProgram(findProfile(name));
-        const SimResults &r = runner.run(name, PrefetchScheme::None);
+        const SimResults &r = sweep.run(name, PrefetchScheme::None);
 
         // Dynamic CF fraction: all control transfers the BPU verified
         // in the measurement window.

@@ -82,8 +82,9 @@ traceWorkloads()
 /**
  * Capture the default trace for @p w if this process has not yet done
  * so. Always re-captures on first use (never trusts a file left by an
- * older build), and runs inside the Runner's makeConfig path, so
- * worker threads may race here — hence the mutex.
+ * older build). It runs wherever a grid point's config is built
+ * (gridConfig: the Sweep, the point count of --list/--describe); the
+ * mutex keeps it safe should that ever happen on several threads.
  */
 void
 ensureDefaultTrace(const TraceWorkload &w)
@@ -112,10 +113,9 @@ makeSpec()
     for (const auto &w : workloads)
         labels.push_back(w.label);
 
-    // Every variant's tweak materializes the default traces first:
-    // enqueueSpeedup applies the same tweak to the no-prefetch
-    // baseline, so capture is guaranteed before any Simulator opens
-    // the file.
+    // Every variant's tweak materializes the default traces first: the
+    // Sweep builds every point's config, baselines included, before
+    // any Simulator opens the file.
     auto ensure_all = [workloads](SimConfig &) {
         for (const auto &w : workloads)
             ensureDefaultTrace(w);
@@ -154,7 +154,7 @@ makeSpec()
         "traces; results cache on the trace *path*, so replace the "
         "file rather than editing in place (docs/TRACES.md)";
 
-    s.render = [workloads, variants](Runner &runner) {
+    s.render = [workloads, variants](const Sweep &sweep) {
         AsciiTable t({"workload", "variant", "scheme", "IPC",
                       "L1-I MPKI", "speedup"});
         for (const auto &w : workloads) {
@@ -162,16 +162,15 @@ makeSpec()
                 for (PrefetchScheme scheme :
                      {PrefetchScheme::Nlp, PrefetchScheme::FdpEnqueue,
                       PrefetchScheme::FdpIdeal}) {
-                    const SimResults &r =
-                        runner.run(w.label, scheme, v.key, v.tweak);
+                    const SimResults &r = sweep.run(w.label, scheme, v.key);
                     t.addRow({w.label,
                               v.key.empty() ? "full-warmup" : v.key,
                               r.scheme,
                               AsciiTable::num(r.ipc, 3),
                               AsciiTable::num(r.mpki, 2),
                               AsciiTable::pct(
-                                  runner.speedup(w.label, scheme, v.key,
-                                                 v.tweak), 1)});
+                                  sweep.speedup(w.label, scheme, v.key),
+                                  1)});
                 }
             }
         }

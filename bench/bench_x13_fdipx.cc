@@ -71,22 +71,17 @@ budgetVariants()
 }
 
 void
-render(Runner &runner)
+render(const Sweep &sweep)
 {
     AsciiTable t({"budget", "unified FTB gmean", "partitioned gmean"});
 
     for (const auto &pt : sweptLadder()) {
-        auto uni_tweak = uniTweak(pt);
-        auto part_tweak = partTweak(pt);
-        std::string ukey = uniKey(pt);
-        std::string pkey = partKey(pt);
-
         std::vector<double> uni, part;
         for (const auto &name : allWorkloadNames()) {
-            uni.push_back(runner.speedup(
-                name, PrefetchScheme::FdpRemove, ukey, uni_tweak));
-            part.push_back(runner.speedup(
-                name, PrefetchScheme::FdpRemove, pkey, part_tweak));
+            uni.push_back(sweep.speedup(name, PrefetchScheme::FdpRemove,
+                                        uniKey(pt)));
+            part.push_back(sweep.speedup(name, PrefetchScheme::FdpRemove,
+                                         partKey(pt)));
         }
         t.addRow({AsciiTable::num(pt.ftbBudgetKB, 1) + "KB",
                   AsciiTable::pct(gmeanSpeedup(uni)),

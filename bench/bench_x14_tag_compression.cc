@@ -28,16 +28,15 @@ tagfullTweak(SimConfig &cfg)
 }
 
 void
-render(Runner &runner)
+render(const Sweep &sweep)
 {
     AsciiTable t({"workload", "16-bit tag", "full tag", "delta"});
 
     std::vector<double> s16, sfull;
     for (const auto &name : allWorkloadNames()) {
-        double a = runner.speedup(name, PrefetchScheme::FdpRemove,
-                                  "tag16", tag16Tweak);
-        double b = runner.speedup(name, PrefetchScheme::FdpRemove,
-                                  "tagfull", tagfullTweak);
+        double a = sweep.speedup(name, PrefetchScheme::FdpRemove, "tag16");
+        double b =
+            sweep.speedup(name, PrefetchScheme::FdpRemove, "tagfull");
         s16.push_back(a);
         sfull.push_back(b);
         t.addRow({name, AsciiTable::pct(a), AsciiTable::pct(b),

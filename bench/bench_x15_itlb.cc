@@ -62,21 +62,20 @@ vmVariants()
 }
 
 void
-render(Runner &runner)
+render(const Sweep &sweep)
 {
     AsciiTable t({"itlb entries", "policy", "gmean ipc vs vm-off",
                   "itlb mpki", "walks/kinst", "pf dropped/kinst"});
 
     for (unsigned entries : kItlbSizes) {
         for (TlbPrefetchPolicy policy : policies()) {
-            auto tweak = vmTweak(entries, policy);
             std::string key = vmKey(entries, policy);
             std::vector<double> rel_ipc, tlb_mpki, walks, dropped;
             for (const auto &name : largeFootprintNames()) {
-                const SimResults &off = runner.run(
-                    name, PrefetchScheme::FdpRemove);
-                const SimResults &on = runner.run(
-                    name, PrefetchScheme::FdpRemove, key, tweak);
+                const SimResults &off =
+                    sweep.run(name, PrefetchScheme::FdpRemove);
+                const SimResults &on =
+                    sweep.run(name, PrefetchScheme::FdpRemove, key);
                 double kinsts =
                     static_cast<double>(on.instructions) / 1000.0;
                 rel_ipc.push_back(on.ipc / off.ipc - 1.0);
@@ -102,10 +101,8 @@ render(Runner &runner)
     for (const auto &name : largeFootprintNames()) {
         std::vector<double> ipc;
         for (TlbPrefetchPolicy policy : policies()) {
-            auto tweak = vmTweak(8, policy);
-            std::string key = vmKey(8, policy);
-            ipc.push_back(runner.run(name, PrefetchScheme::FdpRemove,
-                                     key, tweak).ipc);
+            ipc.push_back(sweep.run(name, PrefetchScheme::FdpRemove,
+                                    vmKey(8, policy)).ipc);
         }
         o.addRow({name, AsciiTable::num(ipc[0], 3),
                   AsciiTable::num(ipc[1], 3),

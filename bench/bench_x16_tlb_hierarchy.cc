@@ -123,30 +123,27 @@ statPerKilo(const SimResults &r, const char *stat)
 }
 
 void
-render(Runner &runner)
+render(const Sweep &sweep)
 {
-    auto gmean_vs_off = [&runner](TlbPrefetchPolicy p, unsigned l2,
-                                  unsigned w, bool tlbpf) {
+    auto gmean_vs_off = [&sweep](TlbPrefetchPolicy p, unsigned l2,
+                                 unsigned w, bool tlbpf) {
         std::vector<double> rel;
         for (const auto &name : largeFootprintNames()) {
             const SimResults &off =
-                runner.run(name, PrefetchScheme::FdpRemove);
-            const SimResults &on = runner.run(
-                name, PrefetchScheme::FdpRemove, hierKey(p, l2, w, tlbpf),
-                hierTweak(p, l2, w, tlbpf));
+                sweep.run(name, PrefetchScheme::FdpRemove);
+            const SimResults &on = sweep.run(
+                name, PrefetchScheme::FdpRemove, hierKey(p, l2, w, tlbpf));
             rel.push_back(on.ipc / off.ipc - 1.0);
         }
         return gmeanSpeedup(rel);
     };
-    auto mean_stat = [&runner](TlbPrefetchPolicy p, unsigned l2,
-                               unsigned w, bool tlbpf,
-                               const char *stat) {
+    auto mean_stat = [&sweep](TlbPrefetchPolicy p, unsigned l2,
+                              unsigned w, bool tlbpf, const char *stat) {
         std::vector<double> v;
         for (const auto &name : largeFootprintNames()) {
             v.push_back(statPerKilo(
-                runner.run(name, PrefetchScheme::FdpRemove,
-                           hierKey(p, l2, w, tlbpf),
-                           hierTweak(p, l2, w, tlbpf)),
+                sweep.run(name, PrefetchScheme::FdpRemove,
+                          hierKey(p, l2, w, tlbpf)),
                 stat));
         }
         return mean(v);

@@ -111,13 +111,12 @@ core0Ipc(const SimResults &r)
 }
 
 void
-render(Runner &runner)
+render(const Sweep &sweep)
 {
-    auto point = [&runner](const std::string &wl, PrefetchScheme s,
-                           unsigned cores,
-                           std::uint64_t l2) -> const SimResults & {
-        return runner.run(wl, s, scaleKey(cores, l2),
-                          scaleTweak(cores, l2));
+    auto point = [&sweep](const std::string &wl, PrefetchScheme s,
+                          unsigned cores,
+                          std::uint64_t l2) -> const SimResults & {
+        return sweep.run(wl, s, scaleKey(cores, l2));
     };
     auto mean_over = [&](PrefetchScheme s, unsigned cores,
                          std::uint64_t l2, auto &&f) {

@@ -50,16 +50,10 @@ zooSchemes()
             for (std::size_t i = 0; i < s.size();) {
                 std::size_t comma = s.find(',', i);
                 std::string tok = s.substr(i, comma - i);
-                bool found = false;
-                for (PrefetchScheme cand : allPrefetchSchemes()) {
-                    if (tok == schemeName(cand)) {
-                        out.push_back(cand);
-                        found = true;
-                        break;
-                    }
-                }
-                fatal_if(!found, "FDIP_X18_SCHEMES: unknown scheme "
+                auto scheme = schemeFromName(tok);
+                fatal_if(!scheme, "FDIP_X18_SCHEMES: unknown scheme "
                          "'%s'", tok.c_str());
+                out.push_back(*scheme);
                 if (comma == std::string::npos)
                     break;
                 i = comma + 1;
@@ -172,7 +166,7 @@ axisWorkloads()
 }
 
 void
-render(Runner &runner)
+render(const Sweep &sweep)
 {
     // Table 1: the zoo summary, mean over the full workload suite.
     AsciiTable t({"scheme", "speedup", "accuracy", "coverage",
@@ -180,8 +174,8 @@ render(Runner &runner)
     for (PrefetchScheme s : zooSchemes()) {
         std::vector<double> sp, acc, cov, timely, late, poll;
         for (const auto &wl : allWorkloadNames()) {
-            const SimResults &r = runner.run(wl, s);
-            sp.push_back(runner.speedup(wl, s));
+            const SimResults &r = sweep.run(wl, s);
+            sp.push_back(sweep.speedup(wl, s));
             acc.push_back(r.prefetchAccuracy);
             cov.push_back(r.prefetchCoverage);
             timely.push_back(r.prefetchTimely);
@@ -213,7 +207,7 @@ render(Runner &runner)
     for (const auto &wl : allWorkloadNames()) {
         std::vector<std::string> row = {wl};
         for (PrefetchScheme s : zooSchemes())
-            row.push_back(AsciiTable::pct(runner.speedup(wl, s)));
+            row.push_back(AsciiTable::pct(sweep.speedup(wl, s)));
         pw.addRow(row);
     }
     print("per-workload speedup vs no-prefetch:\n");
@@ -230,11 +224,9 @@ render(Runner &runner)
             std::vector<double> sp, cov, timely, late, poll;
             for (const auto &wl : axisWorkloads()) {
                 const SimResults &r =
-                    runner.run(wl, PrefetchScheme::FdpRemove, ftqKey(n),
-                               ftqTweak(n));
-                sp.push_back(runner.speedup(
-                    wl, PrefetchScheme::FdpRemove, ftqKey(n),
-                    ftqTweak(n)));
+                    sweep.run(wl, PrefetchScheme::FdpRemove, ftqKey(n));
+                sp.push_back(
+                    sweep.speedup(wl, PrefetchScheme::FdpRemove, ftqKey(n)));
                 cov.push_back(r.prefetchCoverage);
                 timely.push_back(r.prefetchTimely);
                 late.push_back(r.prefetchLate);
@@ -262,11 +254,9 @@ render(Runner &runner)
             std::vector<double> sp, mpki, correct, bogus;
             for (const auto &wl : axisWorkloads()) {
                 const SimResults &r =
-                    runner.run(wl, PrefetchScheme::ShadowBtb,
-                               noiseKey(d), noiseTweak(d));
-                sp.push_back(runner.speedup(
-                    wl, PrefetchScheme::ShadowBtb, noiseKey(d),
-                    noiseTweak(d)));
+                    sweep.run(wl, PrefetchScheme::ShadowBtb, noiseKey(d));
+                sp.push_back(sweep.speedup(wl, PrefetchScheme::ShadowBtb,
+                                           noiseKey(d)));
                 double ki =
                     static_cast<double>(r.instructions) / 1000.0;
                 mpki.push_back(r.mpki);

@@ -16,7 +16,7 @@ namespace
 {
 
 void
-render(Runner &)
+render(const Sweep &)
 {
     AsciiTable t({"budget", "unified entries", "unified KB",
                   "partitioned entries", "partitioned KB",

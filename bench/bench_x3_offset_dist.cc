@@ -18,7 +18,7 @@ namespace
 {
 
 void
-render(Runner &)
+render(const Sweep &)
 {
     constexpr int kInstsPerWorkload = 300 * 1000;
     std::map<unsigned, std::uint64_t> hist;

@@ -25,15 +25,23 @@ using namespace fdip;
 namespace
 {
 
+/** Every registered scheme name, joined by @p sep. */
+std::string
+schemeList(const char *sep)
+{
+    std::string out;
+    for (PrefetchScheme s : allPrefetchSchemes())
+        out += (out.empty() ? "" : sep) + std::string(schemeName(s));
+    return out;
+}
+
 void
 usage(const char *argv0)
 {
     std::printf(
         "usage: %s [options]\n"
         "  --workload NAME    workload profile (default gcc)\n"
-        "  --scheme NAME      none|nlp|stream|fdp-nofilter|fdp-enqueue|\n"
-        "                     fdp-enqueue-aggr|fdp-remove|fdp-ideal|"
-        "oracle\n"
+        "  --scheme NAME      one of: %s\n"
         "  --insts N          measured instructions (default 1000000)\n"
         "  --warmup N         warmup instructions (default 300000)\n"
         "  --l1i-kb N         L1-I capacity in KB (default 16)\n"
@@ -46,21 +54,14 @@ usage(const char *argv0)
         "                     sized against an E-entry unified BTB\n"
         "  --full-stats       dump every raw counter\n"
         "  --list             list workloads and schemes, then exit\n",
-        argv0);
+        argv0, schemeList(", ").c_str());
 }
 
 PrefetchScheme
 parseScheme(const std::string &name)
 {
-    for (auto s : {PrefetchScheme::None, PrefetchScheme::Nlp,
-                   PrefetchScheme::StreamBuffer,
-                   PrefetchScheme::FdpNone, PrefetchScheme::FdpEnqueue,
-                   PrefetchScheme::FdpEnqueueAggressive,
-                   PrefetchScheme::FdpRemove, PrefetchScheme::FdpIdeal,
-                   PrefetchScheme::Oracle}) {
-        if (name == schemeName(s))
-            return s;
-    }
+    if (auto s = schemeFromName(name))
+        return *s;
     std::fprintf(stderr, "unknown scheme '%s'\n", name.c_str());
     std::exit(1);
 }
@@ -89,9 +90,7 @@ main(int argc, char **argv)
             std::printf("workloads:");
             for (const auto &n : allWorkloadNames())
                 std::printf(" %s", n.c_str());
-            std::printf("\nschemes: none nlp stream fdp-nofilter "
-                        "fdp-enqueue fdp-enqueue-aggr fdp-remove "
-                        "fdp-ideal oracle\n");
+            std::printf("\nschemes: %s\n", schemeList(" ").c_str());
             return 0;
         } else if (arg == "--workload") {
             cfg.workload = want_value("--workload");

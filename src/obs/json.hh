@@ -1,9 +1,8 @@
 /**
  * @file json.hh
- * Minimal JSON helpers for the observability subsystem: string
- * escaping for emitters and a strict validator used by tests and CI to
- * check that emitted trace/sample files actually parse. No DOM — the
- * simulator only ever writes JSON, never consumes it.
+ * String escaping for the JSON emitters (Chrome traces, samples,
+ * --stats-json). The simulator only ever writes JSON; the strict
+ * validator the tests check its output with is tests/json_validate.hh.
  */
 
 #ifndef FDIP_OBS_JSON_HH
@@ -16,13 +15,6 @@ namespace fdip
 
 /** Escape @p s for embedding inside a double-quoted JSON string. */
 std::string jsonEscape(const std::string &s);
-
-/**
- * Strict recursive-descent check that @p text is one complete JSON
- * value (RFC 8259). Returns false and fills @p error (if non-null)
- * with a position-annotated message on the first violation.
- */
-bool jsonValidate(const std::string &text, std::string *error = nullptr);
 
 } // namespace fdip
 

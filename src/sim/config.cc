@@ -87,6 +87,16 @@ allPrefetchSchemes()
     return all;
 }
 
+std::optional<PrefetchScheme>
+schemeFromName(const std::string &name)
+{
+    for (PrefetchScheme s : allPrefetchSchemes()) {
+        if (name == schemeName(s))
+            return s;
+    }
+    return std::nullopt;
+}
+
 bool
 schemeIsFdp(PrefetchScheme scheme)
 {

@@ -56,6 +56,9 @@ bool schemeIsFdp(PrefetchScheme scheme);
  */
 const std::vector<PrefetchScheme> &allPrefetchSchemes();
 
+/** The registered scheme whose schemeName() is @p name, if any. */
+std::optional<PrefetchScheme> schemeFromName(const std::string &name);
+
 struct SimConfig
 {
     std::string workload = "gcc";
@@ -158,8 +161,8 @@ struct SimConfig
     /**
      * Order-independent hash of every knob that affects simulated
      * behaviour. Two configs with equal fingerprints simulate
-     * identically; the Runner uses this to refuse memo-key reuse
-     * across different configs.
+     * identically, so it is a grid point's identity: the Runner's
+     * memo and the result cache key on it.
      */
     std::uint64_t fingerprint() const;
 

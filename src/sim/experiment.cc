@@ -97,16 +97,28 @@ runLengthLine(const ExperimentSpec &spec)
                      static_cast<unsigned long long>(spec.measure));
 }
 
+/** The forEachMetric() fields of one result row as JSON members. */
+std::string
+metricsJson(const SimResults &r)
+{
+    std::string out;
+    forEachMetric(r, [&out](const char *name, auto value) {
+        out += strprintf("%s\"%s\": %s", out.empty() ? "" : ", ", name,
+                         metricText(value).c_str());
+    });
+    return out;
+}
+
 /**
  * Machine-readable export of every grid point (--stats-json): one JSON
- * object with the run lengths and a record per distinct simulation.
- * Every read is a memo hit (the sweep just ran), so this adds no
- * simulation time; the fingerprint ties each record back to the exact
- * SimConfig, letting downstream tooling join records across binaries
- * and cache entries.
+ * object with the run lengths and a record per declared point. Every
+ * read is a memo hit (the sweep just ran), so this adds no simulation
+ * time; the fingerprint ties each record back to the exact SimConfig,
+ * letting downstream tooling join records across binaries and cache
+ * entries. A multi-core point carries its per-core rows.
  */
 std::string
-statsJson(const ExperimentSpec &spec, Runner &runner,
+statsJson(const ExperimentSpec &spec, const Sweep &sweep,
           std::uint64_t warmup, std::uint64_t measure)
 {
     std::string out = "{\n";
@@ -120,71 +132,48 @@ statsJson(const ExperimentSpec &spec, Runner &runner,
                      static_cast<unsigned long long>(measure));
     out += "  \"points\": [";
 
-    std::set<std::tuple<std::string, std::string, std::string>> seen;
-    bool first = true;
-    forEachGridPoint(
-        spec,
-        [&](const std::string &w, PrefetchScheme s,
-            const TweakVariant &v) {
-            if (!seen.emplace(w, schemeName(s), v.key).second)
-                return;
-            const SimResults &r = runner.run(w, s, v.key, v.tweak);
-            out += first ? "\n" : ",\n";
-            first = false;
-            out += "    {";
-            out += strprintf("\"workload\": \"%s\", ",
-                             jsonEscape(w).c_str());
-            out += strprintf("\"scheme\": \"%s\", ", schemeName(s));
-            out += strprintf("\"tweak\": \"%s\", ",
-                             jsonEscape(v.key).c_str());
+    for (std::size_t i = 0; i < sweep.points().size(); ++i) {
+        const Sweep::Point &p = sweep.points()[i];
+        const SimResults &r = sweep.run(p.workload, p.scheme, p.variant);
+        out += i == 0 ? "\n    {" : ",\n    {";
+        out += strprintf("\"workload\": \"%s\", \"scheme\": \"%s\", "
+                         "\"variant\": \"%s\", "
+                         "\"fingerprint\": \"%016llx\",\n     ",
+                         jsonEscape(p.workload).c_str(),
+                         schemeName(p.scheme),
+                         jsonEscape(p.variant).c_str(),
+                         static_cast<unsigned long long>(
+                             p.cfg.fingerprint()));
+        if (r.status != RunStatus::Ok) {
+            // Sentinel metrics are NaNs, which is not JSON; failed
+            // points export a status + error instead.
             out += strprintf(
-                "\"fingerprint\": \"%016llx\",\n     ",
-                static_cast<unsigned long long>(
-                    runner.fingerprintOf(w, s, v.key)));
-            if (r.status != RunStatus::Ok) {
-                // Sentinel metrics are NaNs, which is not JSON;
-                // failed points export a status + error instead.
-                out += strprintf(
-                    "\"status\": \"%s\", \"error\": \"%s\"}",
-                    r.status == RunStatus::TimedOut ? "timeout"
-                                                    : "failed",
-                    jsonEscape(r.failReason).c_str());
-                return;
+                "\"status\": \"%s\", \"error\": \"%s\"}",
+                r.status == RunStatus::TimedOut ? "timeout" : "failed",
+                jsonEscape(r.failReason).c_str());
+            continue;
+        }
+        out += metricsJson(r);
+        out += strprintf(",\n     \"host_seconds\": %s, "
+                         "\"host_kcycles_per_sec\": %s, "
+                         "\"skipped_cycles\": %s, \"total_cycles\": %s",
+                         metricText(r.hostSeconds).c_str(),
+                         metricText(r.hostKcyclesPerSec).c_str(),
+                         metricText(r.skippedCycles).c_str(),
+                         metricText(r.totalCycles).c_str());
+        if (!r.perCore.empty()) {
+            out += ",\n     \"per_core\": [";
+            for (std::size_t c = 0; c < r.perCore.size(); ++c) {
+                out += strprintf("%s{\"workload\": \"%s\", %s}",
+                                 c == 0 ? "" : ", ",
+                                 jsonEscape(r.perCore[c].workload).c_str(),
+                                 metricsJson(r.perCore[c]).c_str());
             }
-            out += strprintf("\"cycles\": %llu, ",
-                             static_cast<unsigned long long>(r.cycles));
-            out += strprintf(
-                "\"instructions\": %llu, ",
-                static_cast<unsigned long long>(r.instructions));
-            out += strprintf("\"ipc\": %.17g, \"mpki\": %.17g,\n     ",
-                             r.ipc, r.mpki);
-            out += strprintf(
-                "\"l2_bus_util\": %.17g, \"mem_bus_util\": %.17g,\n"
-                "     ",
-                r.l2BusUtil, r.memBusUtil);
-            out += strprintf(
-                "\"prefetch_accuracy\": %.17g, "
-                "\"prefetch_coverage\": %.17g,\n     ",
-                r.prefetchAccuracy, r.prefetchCoverage);
-            out += strprintf(
-                "\"prefetch_timely\": %.17g, "
-                "\"prefetch_late\": %.17g, "
-                "\"prefetch_pollution\": %.17g,\n     ",
-                r.prefetchTimely, r.prefetchLate, r.prefetchPollution);
-            out += strprintf("\"cond_mispredict_per_kilo\": %.17g,\n"
-                             "     ",
-                             r.condMispredictPerKilo);
-            out += strprintf(
-                "\"host_seconds\": %.17g, "
-                "\"host_kcycles_per_sec\": %.17g, ",
-                r.hostSeconds, r.hostKcyclesPerSec);
-            out += strprintf(
-                "\"skipped_cycles\": %llu, \"total_cycles\": %llu",
-                static_cast<unsigned long long>(r.skippedCycles),
-                static_cast<unsigned long long>(r.totalCycles));
-            out += "}";
-        });
-    out += first ? "]\n" : "\n  ]\n";
+            out += "]";
+        }
+        out += "}";
+    }
+    out += sweep.points().empty() ? "]\n" : "\n  ]\n";
     out += "}\n";
     return out;
 }
@@ -260,27 +249,67 @@ forEachGridPoint(
     }
 }
 
-void
-enqueueExperiment(Runner &runner, const ExperimentSpec &spec)
+Sweep::Sweep(Runner &runner, const ExperimentSpec &spec)
+    : runner_(runner), specId_(spec.id)
 {
-    forEachGridPoint(spec,
-                     [&runner](const std::string &w, PrefetchScheme s,
-                               const TweakVariant &v) {
-                         runner.enqueue(w, s, v.key, v.tweak);
-                     });
+    forEachGridPoint(spec, [this](const std::string &w, PrefetchScheme s,
+                                  const TweakVariant &v) {
+        SimConfig cfg = gridConfig(w, s, runner_.warmupInsts(),
+                                   runner_.measureInsts(), v.tweak);
+        auto [it, fresh] =
+            index_.emplace(std::make_tuple(w, s, v.key), points_.size());
+        if (fresh)
+            points_.push_back({w, s, v.key, cfg});
+        fatal_if(!fresh && points_[it->second].cfg.fingerprint() !=
+                               cfg.fingerprint(),
+                 "%s: grids bind (%s, %s, '%s') to two different "
+                 "machines; give each tweak its own variant key",
+                 specId_.c_str(), w.c_str(), schemeName(s),
+                 v.key.c_str());
+        runner_.enqueue(cfg, v.key);
+    });
+}
+
+const Sweep::Point &
+Sweep::find(const std::string &workload, PrefetchScheme scheme,
+            const std::string &variant) const
+{
+    auto it = index_.find(std::make_tuple(workload, scheme, variant));
+    fatal_if(it == index_.end(),
+             "%s: render reads (%s, %s, '%s'), which no grid declares",
+             specId_.c_str(), workload.c_str(), schemeName(scheme),
+             variant.c_str());
+    return points_[it->second];
+}
+
+const SimResults &
+Sweep::run(const std::string &workload, PrefetchScheme scheme,
+           const std::string &variant) const
+{
+    const Point &p = find(workload, scheme, variant);
+    return runner_.run(p.cfg, p.variant);
+}
+
+double
+Sweep::speedup(const std::string &workload, PrefetchScheme scheme,
+               const std::string &variant) const
+{
+    return speedupOver(run(workload, PrefetchScheme::None, variant),
+                       run(workload, scheme, variant));
 }
 
 std::size_t
 countDistinctPoints(const ExperimentSpec &spec)
 {
-    // Mirrors the Runner's memo dedup: shared baselines and
-    // overlapping grids collapse onto one simulation.
-    std::set<std::tuple<std::string, std::string, std::string>> seen;
-    forEachGridPoint(spec,
-                     [&seen](const std::string &w, PrefetchScheme s,
-                             const TweakVariant &v) {
-                         seen.emplace(w, schemeName(s), v.key);
-                     });
+    // The Runner's identity: shared baselines, overlapping grids and
+    // variants that rebuild another point's machine are one
+    // simulation.
+    std::set<std::uint64_t> seen;
+    forEachGridPoint(spec, [&](const std::string &w, PrefetchScheme s,
+                               const TweakVariant &v) {
+        seen.insert(gridConfig(w, s, spec.warmup, spec.measure, v.tweak)
+                        .fingerprint());
+    });
     return seen.size();
 }
 
@@ -352,7 +381,8 @@ experimentCatalogMarkdown(
           "`ExperimentSpec` (`src/sim/experiment.hh`). Each binary\n"
           "supports `--jobs N`, `--warmup N`, `--measure N`,\n"
           "`--list`, and `--describe`. \"Points\" counts distinct\n"
-          "simulations after baseline dedup; with `FDIP_CACHE_DIR`\n"
+          "simulations: grid points that build the same machine\n"
+          "(the same config fingerprint) share one; with `FDIP_CACHE_DIR`\n"
           "set, points already simulated by *any* binary are served\n"
           "from the on-disk result cache.\n\n";
 
@@ -470,13 +500,13 @@ experimentMain(const ExperimentSpec &spec, int argc, char **argv)
 
     Runner runner(warmup, measure);
     runner.setJobs(jobs);
-    enqueueExperiment(runner, spec);
+    Sweep sweep(runner, spec);
     bool swept = runner.pendingRuns() > 0;
     runner.runPending();
     if (swept)
         put(runner.sweepSummary());
     if (spec.render)
-        spec.render(runner);
+        spec.render(sweep);
     const auto &failures = runner.failures();
     if (!failures.empty()) {
         std::string out = "\nfailed points:\n";
@@ -484,7 +514,7 @@ experimentMain(const ExperimentSpec &spec, int argc, char **argv)
             out += strprintf(
                 "  %s (%s, %s, '%s') after %u attempt%s: %s\n",
                 f.timedOut ? "TIMEOUT" : "FAIL", f.workload.c_str(),
-                f.scheme.c_str(), f.tweakKey.c_str(), f.attempts,
+                f.scheme.c_str(), f.variant.c_str(), f.attempts,
                 f.attempts == 1 ? "" : "s", f.error.c_str());
         }
         put(out);
@@ -494,7 +524,7 @@ experimentMain(const ExperimentSpec &spec, int argc, char **argv)
                           std::ios::binary | std::ios::trunc);
         fatal_if(!out, "cannot open --stats-json file '%s'",
                  statsJsonPath.c_str());
-        out << statsJson(spec, runner, warmup, measure);
+        out << statsJson(spec, sweep, warmup, measure);
         fatal_if(!out, "failed writing --stats-json file '%s'",
                  statsJsonPath.c_str());
         std::printf("stats: wrote %s\n", statsJsonPath.c_str());

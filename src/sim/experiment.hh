@@ -6,11 +6,11 @@
  * table columns — and a single driver expands the spec into Runner
  * enqueues, executes the sweep, and prints the tables.
  *
- * Before this existed, each bench stated its grid twice (the
- * Runner::enqueue mirror and the table loop) and the two could drift.
- * The spec is now the only statement of the grid; the table loop reads
- * points back through Runner's memo, which panics on any key reused
- * with a different config (SimConfig::fingerprint()).
+ * The spec is the only statement of the grid. experimentMain builds
+ * every point's SimConfig once (a Sweep); the render callback reads
+ * points back by their (workload, scheme, variant) name, never by
+ * re-stating a tweak, and the Runner identifies each point by its
+ * config fingerprint.
  *
  * The same registry powers:
  *  - a generic bench main() (bench/experiment_main.cc) giving every
@@ -24,7 +24,9 @@
 #define FDIP_SIM_EXPERIMENT_HH
 
 #include <functional>
+#include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/runner.hh"
@@ -35,7 +37,8 @@ namespace fdip
 /** One point on a grid's tweak axis. */
 struct TweakVariant
 {
-    /** Runner tweak_key; "" names the un-tweaked baseline machine. */
+    /** The variant's name in render lookups; "" names the un-tweaked
+     *  baseline machine. */
     std::string key;
     /** Human-readable description for --describe and the catalog. */
     std::string label;
@@ -59,6 +62,8 @@ struct ExperimentGrid
     bool withBaseline = true;
 };
 
+class Sweep;
+
 struct ExperimentSpec
 {
     std::string id;       ///< e.g. "R-F9"
@@ -73,9 +78,9 @@ struct ExperimentSpec
     std::uint64_t warmup = 0;  ///< default warmup instructions
     std::uint64_t measure = 0; ///< default measured instructions
     std::vector<ExperimentGrid> grids;
-    /** Prints the experiment's tables; every point it reads was
-     *  enqueued by the grids above, so all reads are memo hits. */
-    std::function<void(Runner &)> render;
+    /** Prints the experiment's tables from the swept points; it can
+     *  read only points the grids above declare. */
+    std::function<void(const Sweep &)> render;
     /** Optional catalog footnote (methodology caveats etc.). */
     std::string notes;
 };
@@ -116,12 +121,57 @@ void forEachGridPoint(
                              PrefetchScheme scheme,
                              const TweakVariant &variant)> &fn);
 
-/** Expand the spec's grids into Runner enqueues (the single source of
- *  the sweep; there is no hand-written mirror to drift from). */
-void enqueueExperiment(Runner &runner, const ExperimentSpec &spec);
+/**
+ * A spec's grids, materialized: every declared (workload, scheme,
+ * variant) name bound to the SimConfig it simulates, built once. The
+ * render callback reads results by name; what the Runner memoizes and
+ * the result cache stores is the config's fingerprint.
+ */
+class Sweep
+{
+  public:
+    struct Point
+    {
+        std::string workload;
+        PrefetchScheme scheme;
+        std::string variant;
+        SimConfig cfg;
+    };
 
-/** Distinct simulations the spec expands to (after the Runner's
- *  memo dedup of shared baselines / overlapping grids). */
+    /** Materialize every grid point of @p spec and enqueue it on
+     *  @p runner; runner.runPending() then simulates them. A name the
+     *  grids bind to two different machines is fatal. */
+    Sweep(Runner &runner, const ExperimentSpec &spec);
+
+    /** Results of a declared point; fatal for a name the spec's grids
+     *  never declare. */
+    const SimResults &run(const std::string &workload,
+                          PrefetchScheme scheme,
+                          const std::string &variant = "") const;
+
+    /** Speedup of a declared point over its no-prefetch twin (the
+     *  grid must declare both, as withBaseline grids do). */
+    double speedup(const std::string &workload, PrefetchScheme scheme,
+                   const std::string &variant = "") const;
+
+    /** Distinct declared points, in grid expansion order. */
+    const std::vector<Point> &points() const { return points_; }
+
+  private:
+    const Point &find(const std::string &workload, PrefetchScheme scheme,
+                      const std::string &variant) const;
+
+    Runner &runner_;
+    std::string specId_;
+    std::vector<Point> points_;
+    /** (workload, scheme, variant) -> index into points_. */
+    std::map<std::tuple<std::string, PrefetchScheme, std::string>,
+             std::size_t>
+        index_;
+};
+
+/** Distinct simulations the spec expands to: its points' distinct
+ *  config fingerprints at the spec's run lengths. */
 std::size_t countDistinctPoints(const ExperimentSpec &spec);
 
 /** Multi-line, stable description of one spec (--describe). */

@@ -1,11 +1,13 @@
 /**
  * @file report.hh
- * Formatting helpers shared by the benchmark harness binaries.
+ * Formatting helpers shared by the benchmark harness binaries, and the
+ * one text format of a SimResults (serializeResults / parseResults).
  */
 
 #ifndef FDIP_SIM_REPORT_HH
 #define FDIP_SIM_REPORT_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,18 +26,60 @@ std::string experimentBanner(const std::string &id,
 std::string summarizeRun(const SimResults &r);
 
 /**
+ * Visit the scalar fields of a result row in canonical order as
+ * fn(name, value): cycles and instructions (std::uint64_t), then the
+ * derived metrics (double). This is the one field list; both
+ * serializeResults() and the --stats-json export render it.
+ */
+template <typename Fn>
+void
+forEachMetric(const SimResults &r, Fn &&fn)
+{
+    fn("cycles", r.cycles);
+    fn("instructions", r.instructions);
+    fn("ipc", r.ipc);
+    fn("mpki", r.mpki);
+    fn("l2_bus_util", r.l2BusUtil);
+    fn("mem_bus_util", r.memBusUtil);
+    fn("prefetch_accuracy", r.prefetchAccuracy);
+    fn("prefetch_coverage", r.prefetchCoverage);
+    fn("prefetch_timely", r.prefetchTimely);
+    fn("prefetch_late", r.prefetchLate);
+    fn("prefetch_pollution", r.prefetchPollution);
+    fn("cond_mispredict_per_kilo", r.condMispredictPerKilo);
+}
+
+/** Round-trip text of one field value: integers in decimal, doubles
+ *  as %.17g (which strtod reads back bit-exactly). */
+std::string metricText(std::uint64_t v);
+std::string metricText(double v);
+
+/**
  * Canonical, bit-exact serialization of every *simulated* field of a
- * SimResults — scalars (doubles rendered with full round-trip
- * precision), the FTQ occupancy and prefetch-timeliness histograms,
- * and the complete StatSet.
+ * SimResults — the forEachMetric() scalars, the FTQ occupancy and
+ * prefetch-timeliness histograms, the complete StatSet, and a nested
+ * block per core on a multi-core machine.
  * Host-side gauges (hostSeconds, hostKcyclesPerSec, skippedCycles,
  * totalCycles) are excluded: they vary with the machine and with the
  * idle-skip path, not with the simulated machine. Two runs of the
  * same config must serialize identically regardless of SimConfig::
  * forceTick — this is the comparison key of the differential parity
- * and golden-file regression tests.
+ * and golden-file regression tests, and the body of a result-cache
+ * entry.
  */
 std::string serializeResults(const SimResults &r);
+
+/**
+ * Parse serializeResults() text back into a result row, per-core rows
+ * included. Only the identity lines, the histograms and the stat lines
+ * are read: every scalar is re-derived by deriveResults(), and the row
+ * must serialize back to exactly @p text, so a stored scalar the stats
+ * do not reproduce is rejected rather than trusted. Returns nullopt
+ * (with a reason in @p error when non-null) on any mismatch or
+ * malformation; never throws on bad input.
+ */
+std::optional<SimResults> parseResults(const std::string &text,
+                                       std::string *error = nullptr);
 
 } // namespace fdip
 

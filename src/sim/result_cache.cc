@@ -1,7 +1,6 @@
 #include "sim/result_cache.hh"
 
 #include <atomic>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,249 +26,33 @@ namespace fdip
 namespace
 {
 
-/** One "key value" line; values never contain spaces. */
-void
-kv(std::string &out, const char *key, const std::string &value)
-{
-    out += key;
-    out += ' ';
-    out += value;
-    out += '\n';
-}
-
 std::string
-u64str(std::uint64_t v)
+hex64(std::uint64_t v)
 {
-    return strprintf("%llu", static_cast<unsigned long long>(v));
+    return strprintf("%016llx", static_cast<unsigned long long>(v));
 }
 
-/** %.17g round-trips IEEE doubles exactly through strtod. */
+/** Names of the header lines, for the reason a mismatch is reported. */
+constexpr const char *kHeaderLines[] = {
+    "format version", "build identity", "config fingerprint",
+    "warmup length", "measure length"};
+
+/** The header that binds an entry to its key and to this build. */
 std::string
-dblstr(double v)
+entryHeader(std::uint64_t fingerprint, std::uint64_t warmup_insts,
+            std::uint64_t measure_insts)
 {
-    return strprintf("%.17g", v);
+    return strprintf("fdip-result-cache %u\nbuild %s\nfingerprint %s\n"
+                     "warmup %llu\nmeasure %llu\n",
+                     ResultCache::kFormatVersion,
+                     hex64(buildIdentity()).c_str(),
+                     hex64(fingerprint).c_str(),
+                     static_cast<unsigned long long>(warmup_insts),
+                     static_cast<unsigned long long>(measure_insts));
 }
 
-/**
- * Line-oriented reader that enforces the fixed key order of the
- * entry format. Any deviation flags failure with a reason.
- */
-class EntryReader
-{
-  public:
-    explicit EntryReader(const std::string &text) : in(text) {}
-
-    bool ok() const { return error.empty(); }
-    const std::string &reason() const { return error; }
-
-    void
-    fail(const std::string &why)
-    {
-        if (error.empty())
-            error = why;
-    }
-
-    /** Next line's value for @p key; "" and failure on mismatch. */
-    std::string
-    expect(const char *key)
-    {
-        if (!ok())
-            return "";
-        std::string line;
-        if (!std::getline(in, line)) {
-            fail(strprintf("truncated before '%s'", key));
-            return "";
-        }
-        if (line == key)
-            return ""; // key-only line (the "end" marker)
-        std::size_t sep = line.find(' ');
-        if (sep == std::string::npos || line.substr(0, sep) != key) {
-            fail(strprintf("expected '%s', got '%s'", key,
-                           line.c_str()));
-            return "";
-        }
-        return line.substr(sep + 1);
-    }
-
-    std::uint64_t
-    expectU64(const char *key)
-    {
-        std::string v = expect(key);
-        if (!ok())
-            return 0;
-        errno = 0;
-        char *end = nullptr;
-        unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-        if (errno != 0 || end == v.c_str() || *end != '\0') {
-            fail(strprintf("bad integer for '%s': '%s'", key,
-                           v.c_str()));
-            return 0;
-        }
-        return n;
-    }
-
-    double
-    expectDouble(const char *key)
-    {
-        std::string v = expect(key);
-        if (!ok())
-            return 0.0;
-        errno = 0;
-        char *end = nullptr;
-        double d = std::strtod(v.c_str(), &end);
-        if (end == v.c_str() || *end != '\0') {
-            fail(strprintf("bad double for '%s': '%s'", key, v.c_str()));
-            return 0.0;
-        }
-        return d;
-    }
-
-    std::istringstream in;
-
-  private:
-    std::string error;
-};
-
-/**
- * The per-result body shared by the top-level entry and each nested
- * per-core row: every simulated field of one SimResults minus the
- * perCore list itself.
- */
-void
-encodeResultsBody(std::string &out, const SimResults &r)
-{
-    kv(out, "workload", r.workload);
-    kv(out, "scheme", r.scheme);
-    kv(out, "cycles", u64str(r.cycles));
-    kv(out, "instructions", u64str(r.instructions));
-    kv(out, "ipc", dblstr(r.ipc));
-    kv(out, "mpki", dblstr(r.mpki));
-    kv(out, "l2_bus_util", dblstr(r.l2BusUtil));
-    kv(out, "mem_bus_util", dblstr(r.memBusUtil));
-    kv(out, "prefetch_accuracy", dblstr(r.prefetchAccuracy));
-    kv(out, "prefetch_coverage", dblstr(r.prefetchCoverage));
-    kv(out, "prefetch_timely", dblstr(r.prefetchTimely));
-    kv(out, "prefetch_late", dblstr(r.prefetchLate));
-    kv(out, "prefetch_pollution", dblstr(r.prefetchPollution));
-    kv(out, "cond_mispredict_per_kilo", dblstr(r.condMispredictPerKilo));
-    kv(out, "host_seconds", dblstr(r.hostSeconds));
-    kv(out, "host_kcycles_per_sec", dblstr(r.hostKcyclesPerSec));
-    kv(out, "skipped_cycles", u64str(r.skippedCycles));
-    kv(out, "total_cycles", u64str(r.totalCycles));
-
-    out += strprintf("ftq_occupancy %llu",
-                     static_cast<unsigned long long>(
-                         r.ftqOccupancy.numBuckets()));
-    for (std::size_t v = 0; v < r.ftqOccupancy.numBuckets(); ++v)
-        out += " " + u64str(r.ftqOccupancy.bucket(v));
-    out += "\n";
-
-    out += strprintf("pf_timeliness %llu",
-                     static_cast<unsigned long long>(
-                         r.pfTimeliness.numBuckets()));
-    for (std::size_t v = 0; v < r.pfTimeliness.numBuckets(); ++v)
-        out += " " + u64str(r.pfTimeliness.bucket(v));
-    out += "\n";
-
-    const auto &entries = r.stats.entries();
-    kv(out, "stats", u64str(entries.size()));
-    for (const auto &[name, val] : entries)
-        out += "stat " + name + " " + dblstr(val) + "\n";
-}
-
-/** Mirror of encodeResultsBody; errors accumulate in @p rd. */
-void
-decodeResultsBody(EntryReader &rd, SimResults &r)
-{
-    r.workload = rd.expect("workload");
-    r.scheme = rd.expect("scheme");
-    r.cycles = rd.expectU64("cycles");
-    r.instructions = rd.expectU64("instructions");
-    r.ipc = rd.expectDouble("ipc");
-    r.mpki = rd.expectDouble("mpki");
-    r.l2BusUtil = rd.expectDouble("l2_bus_util");
-    r.memBusUtil = rd.expectDouble("mem_bus_util");
-    r.prefetchAccuracy = rd.expectDouble("prefetch_accuracy");
-    r.prefetchCoverage = rd.expectDouble("prefetch_coverage");
-    r.prefetchTimely = rd.expectDouble("prefetch_timely");
-    r.prefetchLate = rd.expectDouble("prefetch_late");
-    r.prefetchPollution = rd.expectDouble("prefetch_pollution");
-    r.condMispredictPerKilo =
-        rd.expectDouble("cond_mispredict_per_kilo");
-    r.hostSeconds = rd.expectDouble("host_seconds");
-    r.hostKcyclesPerSec = rd.expectDouble("host_kcycles_per_sec");
-    r.skippedCycles = rd.expectU64("skipped_cycles");
-    r.totalCycles = rd.expectU64("total_cycles");
-
-    std::string occ = rd.expect("ftq_occupancy");
-    if (!rd.ok())
-        return;
-    {
-        std::istringstream os(occ);
-        std::uint64_t buckets = 0;
-        if (!(os >> buckets) || buckets == 0) {
-            rd.fail("bad ftq_occupancy bucket count");
-            return;
-        }
-        Histogram h(buckets - 1);
-        for (std::uint64_t v = 0; v < buckets; ++v) {
-            std::uint64_t count = 0;
-            if (!(os >> count)) {
-                rd.fail("truncated ftq_occupancy buckets");
-                return;
-            }
-            if (count > 0)
-                h.sample(v, count);
-        }
-        r.ftqOccupancy = h;
-    }
-
-    std::string pft = rd.expect("pf_timeliness");
-    if (!rd.ok())
-        return;
-    {
-        std::istringstream os(pft);
-        std::uint64_t buckets = 0;
-        if (!(os >> buckets) || buckets == 0) {
-            rd.fail("bad pf_timeliness bucket count");
-            return;
-        }
-        Histogram h(buckets - 1);
-        for (std::uint64_t v = 0; v < buckets; ++v) {
-            std::uint64_t count = 0;
-            if (!(os >> count)) {
-                rd.fail("truncated pf_timeliness buckets");
-                return;
-            }
-            if (count > 0)
-                h.sample(v, count);
-        }
-        r.pfTimeliness = h;
-    }
-
-    std::uint64_t num_stats = rd.expectU64("stats");
-    for (std::uint64_t i = 0; rd.ok() && i < num_stats; ++i) {
-        std::string line;
-        if (!std::getline(rd.in, line)) {
-            rd.fail("truncated stat list");
-            break;
-        }
-        std::istringstream ls(line);
-        std::string tag, name, value;
-        if (!(ls >> tag >> name >> value) || tag != "stat") {
-            rd.fail(strprintf("bad stat line '%s'", line.c_str()));
-            break;
-        }
-        errno = 0;
-        char *end = nullptr;
-        double d = std::strtod(value.c_str(), &end);
-        if (end == value.c_str() || *end != '\0') {
-            rd.fail(strprintf("bad stat value '%s'", value.c_str()));
-            break;
-        }
-        r.stats.set(name, d);
-    }
-}
+constexpr char kChecksumKey[] = "\nchecksum ";
+constexpr char kEndMarker[] = "\nend\n";
 
 } // namespace
 
@@ -277,31 +60,12 @@ std::string
 encodeCacheEntry(std::uint64_t fingerprint, std::uint64_t warmup_insts,
                  std::uint64_t measure_insts, const SimResults &r)
 {
-    std::string out;
-    kv(out, "fdip-result-cache",
-       u64str(ResultCache::kFormatVersion));
-    kv(out, "build", strprintf("%016llx",
-       static_cast<unsigned long long>(buildIdentity())));
-    kv(out, "fingerprint", strprintf("%016llx",
-       static_cast<unsigned long long>(fingerprint)));
-    kv(out, "warmup", u64str(warmup_insts));
-    kv(out, "measure", u64str(measure_insts));
-    encodeResultsBody(out, r);
-    // Nested per-core rows (multi-core machines; 0 on single-core).
-    kv(out, "per_core", u64str(r.perCore.size()));
-    for (std::size_t i = 0; i < r.perCore.size(); ++i) {
-        kv(out, "core", u64str(i));
-        encodeResultsBody(out, r.perCore[i]);
-    }
-    // Hash of the canonical serialization of the *encoded* results.
-    // The decoder recomputes it from the decoded SimResults, so any
-    // divergence between this codec and serializeResults() — e.g. a
-    // field added to SimResults and report.cc but missed here, which
-    // would otherwise decode silently as a default value — rejects
-    // the entry instead of serving wrong tables.
-    kv(out, "canonical", strprintf("%016llx",
-       static_cast<unsigned long long>(fnv1aHash(serializeResults(r)))));
-    out += "end\n";
+    std::string out = entryHeader(fingerprint, warmup_insts,
+                                  measure_insts) +
+        serializeResults(r);
+    // The checksum covers every byte above it, so a flipped bit is
+    // caught even in a stat no metric is derived from.
+    out += "checksum " + hex64(fnv1aHash(out)) + kEndMarker;
     return out;
 }
 
@@ -310,76 +74,46 @@ decodeCacheEntry(const std::string &text, std::uint64_t fingerprint,
                  std::uint64_t warmup_insts, std::uint64_t measure_insts,
                  std::string *error)
 {
-    EntryReader rd(text);
-    auto failed = [&]() -> std::optional<SimResults> {
+    auto failed = [error](std::string why) -> std::optional<SimResults> {
         if (error)
-            *error = rd.reason();
+            *error = std::move(why);
         return std::nullopt;
     };
 
-    std::uint64_t version = rd.expectU64("fdip-result-cache");
-    if (rd.ok() && version != ResultCache::kFormatVersion)
-        rd.fail(strprintf("format version %llu, want %u",
-                          static_cast<unsigned long long>(version),
-                          ResultCache::kFormatVersion));
-    std::string build = rd.expect("build");
-    if (rd.ok() &&
-        build != strprintf("%016llx",
-                           static_cast<unsigned long long>(
-                               buildIdentity())))
-        rd.fail(strprintf("stale entry: build identity mismatch "
-                          "(entry %s, this build %016llx)",
-                          build.c_str(),
-                          static_cast<unsigned long long>(
-                              buildIdentity())));
-    std::string fp = rd.expect("fingerprint");
-    if (rd.ok() &&
-        fp != strprintf("%016llx",
-                        static_cast<unsigned long long>(fingerprint)))
-        rd.fail("stale entry: config fingerprint mismatch");
-    std::uint64_t warmup = rd.expectU64("warmup");
-    if (rd.ok() && warmup != warmup_insts)
-        rd.fail("stale entry: warmup length mismatch");
-    std::uint64_t measure = rd.expectU64("measure");
-    if (rd.ok() && measure != measure_insts)
-        rd.fail("stale entry: measure length mismatch");
-    if (!rd.ok())
-        return failed();
-
-    SimResults r;
-    decodeResultsBody(rd, r);
-    if (!rd.ok())
-        return failed();
-
-    std::uint64_t num_cores = rd.expectU64("per_core");
-    if (rd.ok() && num_cores > 64) {
-        rd.fail("implausible per_core count");
-        return failed();
+    std::string header = entryHeader(fingerprint, warmup_insts,
+                                     measure_insts);
+    std::istringstream got(text), want(header);
+    std::string got_line, want_line;
+    for (const char *what : kHeaderLines) {
+        std::getline(want, want_line);
+        if (!std::getline(got, got_line))
+            return failed("truncated before the " + std::string(what));
+        if (got_line != want_line) {
+            return failed(strprintf("stale entry: %s mismatch (entry "
+                                    "'%s', want '%s')",
+                                    what, got_line.c_str(),
+                                    want_line.c_str()));
+        }
     }
-    for (std::uint64_t i = 0; rd.ok() && i < num_cores; ++i) {
-        std::uint64_t idx = rd.expectU64("core");
-        if (rd.ok() && idx != i)
-            rd.fail("per-core rows out of order");
-        SimResults row;
-        decodeResultsBody(rd, row);
-        if (rd.ok())
-            r.perCore.push_back(std::move(row));
-    }
-    if (!rd.ok())
-        return failed();
 
-    std::string canonical = rd.expect("canonical");
-    if (rd.ok() &&
-        canonical != strprintf("%016llx",
-                               static_cast<unsigned long long>(
-                                   fnv1aHash(serializeResults(r)))))
-        rd.fail("canonical-serialization hash mismatch (codec and "
-                "serializeResults() disagree about this entry)");
-    std::string tail = rd.expect("end");
-    if (rd.ok() && !tail.empty())
-        rd.fail("trailing garbage after 'end'");
-    if (!rd.ok())
-        return failed();
+    const std::size_t end_len = std::strlen(kEndMarker);
+    if (text.size() < header.size() + end_len ||
+        text.compare(text.size() - end_len, end_len, kEndMarker) != 0)
+        return failed("truncated entry (no 'end' marker)");
+    std::size_t sum_at = text.rfind(kChecksumKey, text.size() - end_len);
+    if (sum_at == std::string::npos || sum_at + 1 < header.size())
+        return failed("no checksum line");
+    std::size_t sum_from = sum_at + std::strlen(kChecksumKey);
+    if (text.compare(sum_from, text.size() - end_len - sum_from,
+                     hex64(fnv1aHash(text.substr(0, sum_at + 1)))) != 0)
+        return failed("checksum mismatch (corrupt entry)");
+
+    std::string why;
+    auto r = parseResults(text.substr(header.size(),
+                                      sum_at + 1 - header.size()),
+                          &why);
+    if (!r)
+        return failed("bad results body: " + why);
     return r;
 }
 

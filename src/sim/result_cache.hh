@@ -43,23 +43,12 @@ namespace fdip
 class ResultCache
 {
   public:
-    /** Bumped whenever the entry *format* changes incompatibly.
-     *  Simulated-behaviour changes no longer need a bump: the build
-     *  identity line invalidates those automatically.
-     *  v2: two-level TLB hierarchy + bounded page-walk bandwidth
-     *      (SimConfig::fingerprint() grew the vm.l2Tlb*, vm.numWalkers
-     *      and vm.tlbPrefetch* fields, so v1 entries can never match a
-     *      v2 key anyway; the bump makes the invalidation explicit).
-     *  v3: prefetch lifecycle attribution — the entry format grew the
-     *      prefetch_timely/late/pollution fields, the pf_timeliness
-     *      histogram, and the pfattr.* counters in the stat list.
-     *  v4: a "build" header line carrying the derived build identity
-     *      (common/build_id.hh).
-     *  v5: multi-core scale-out — a "per_core" count after the stat
-     *      list followed by one nested per-core result body per core
-     *      (0 on single-core machines), so bench_x17's per-core rows
-     *      round-trip through the cache. */
-    static constexpr unsigned kFormatVersion = 5;
+    /** Bumped only when the entry *envelope* (header, checksum)
+     *  changes. The body is serializeResults() text whose scalars are
+     *  re-derived from its stats on load, and the build identity line
+     *  invalidates entries from different sources, so neither a new
+     *  metric nor a behaviour change needs a bump. */
+    static constexpr unsigned kFormatVersion = 6;
 
     /** FDIP_CACHE_BUDGET_MB in bytes; 0 (the default) = unlimited. */
     static std::uint64_t budgetBytesFromEnv();
@@ -114,11 +103,10 @@ class ResultCache
 
 /**
  * Text encoding of one cache entry: a header binding the entry to
- * (format version, fingerprint, run lengths), every simulated field of
- * the SimResults including the full StatSet and FTQ-occupancy
- * histogram, the host-side gauges of the producing run, and an "end"
- * marker that catches truncation. Doubles are rendered with %.17g so
- * decoding round-trips them bit-exactly.
+ * (format version, build identity, fingerprint, run lengths), the
+ * serializeResults() text of @p r, a checksum over everything before
+ * it, and an "end" marker that catches truncation. The producing
+ * run's host gauges are not stored: a loaded result reports zero.
  */
 std::string encodeCacheEntry(std::uint64_t fingerprint,
                              std::uint64_t warmup_insts,
@@ -126,9 +114,10 @@ std::string encodeCacheEntry(std::uint64_t fingerprint,
                              const SimResults &r);
 
 /**
- * Decode @p text, validating the header against the expected key.
- * Returns nullopt (with a reason in @p error when non-null) on any
- * mismatch or malformation.
+ * Decode @p text, validating the header against the expected key and
+ * the checksum, then parsing the body with parseResults(). Returns
+ * nullopt (with a reason in @p error when non-null) on any mismatch or
+ * malformation.
  */
 std::optional<SimResults> decodeCacheEntry(const std::string &text,
                                            std::uint64_t fingerprint,

@@ -22,6 +22,19 @@ simulate(const SimConfig &cfg)
     return sim.run();
 }
 
+SimConfig
+gridConfig(const std::string &workload, PrefetchScheme scheme,
+           std::uint64_t warmup_insts, std::uint64_t measure_insts,
+           const std::function<void(SimConfig &)> &tweak)
+{
+    SimConfig cfg = makeBaselineConfig(workload, scheme);
+    cfg.warmupInsts = warmup_insts;
+    cfg.measureInsts = measure_insts;
+    if (tweak)
+        tweak(cfg);
+    return cfg;
+}
+
 Runner::Runner(std::uint64_t warmup_insts, std::uint64_t measure_insts)
     : warmup(warmup_insts), measure(measure_insts),
       maxRetries(static_cast<unsigned>(envUint("FDIP_RETRIES", 2))),
@@ -60,71 +73,48 @@ Runner::cacheEvicted() const
     return diskCache ? diskCache->evicted() : 0;
 }
 
-Runner::Key
-Runner::makeKey(const std::string &workload, PrefetchScheme scheme,
-                const std::string &tweak_key)
-{
-    return Key(workload, schemeName(scheme), tweak_key);
-}
-
-SimConfig
-Runner::makeConfig(const Point &p) const
-{
-    SimConfig cfg = makeBaselineConfig(p.workload, p.scheme);
-    cfg.warmupInsts = warmup;
-    cfg.measureInsts = measure;
-    if (p.tweak)
-        p.tweak(cfg);
-    return cfg;
-}
-
 Runner::Outcome
-Runner::computeAttempt(const SimConfig &cfg) const
+Runner::computeAttempt(const Point &p) const
 {
     Outcome o;
-    if (!diskCache) {
-        o.results = simulate(cfg);
-        return o;
-    }
-
-    std::uint64_t fp = cfg.fingerprint();
-    if (auto cached = diskCache->load(fp, warmup, measure)) {
-        o.results = std::move(*cached);
-        o.diskHit = true;
-        // The host gauges and skip totals describe the run that
-        // produced the entry, not this process; zero them so sweep
-        // footers only account simulations that actually executed.
-        o.results.hostSeconds = 0.0;
-        o.results.hostKcyclesPerSec = 0.0;
-        o.results.skippedCycles = 0;
-        o.results.totalCycles = 0;
-        return o;
+    const SimConfig &cfg = p.cfg;
+    // A loaded entry carries no host gauges: sweep footers account
+    // only the simulations that actually executed.
+    if (diskCache) {
+        if (auto cached = diskCache->load(p.fingerprint, cfg.warmupInsts,
+                                          cfg.measureInsts)) {
+            o.results = std::move(*cached);
+            o.diskHit = true;
+            return o;
+        }
     }
     o.results = simulate(cfg);
-    diskCache->store(fp, warmup, measure, o.results);
+    if (diskCache) {
+        diskCache->store(p.fingerprint, cfg.warmupInsts,
+                         cfg.measureInsts, o.results);
+    }
     return o;
 }
 
 Runner::Outcome
 Runner::computePoint(const Point &p) const
 {
-    SimConfig cfg = makeConfig(p);
     for (unsigned attempt = 1;; ++attempt) {
         try {
             // Declare (point, attempt) to the fault injector for the
             // duration of the attempt; with FDIP_FAULT unset this is
             // two thread-local stores.
             FaultInjector::PointScope scope(p.index, attempt);
-            Outcome o = computeAttempt(cfg);
+            Outcome o = computeAttempt(p);
             o.attempts = attempt;
             return o;
         } catch (const SimError &e) {
             bool timed_out =
                 dynamic_cast<const SimTimeout *>(&e) != nullptr;
             warn("point %zu (%s, %s, '%s') attempt %u/%u failed: %s",
-                 p.index, p.workload.c_str(), schemeName(p.scheme),
-                 std::get<2>(p.key).c_str(), attempt, 1 + maxRetries,
-                 e.what());
+                 p.index, p.cfg.workload.c_str(),
+                 schemeName(p.cfg.scheme), p.variant.c_str(), attempt,
+                 1 + maxRetries, e.what());
             if (attempt > maxRetries) {
                 // Out of attempts: substitute a sentinel result so the
                 // sweep (and its table) completes around this point.
@@ -133,8 +123,8 @@ Runner::computePoint(const Point &p) const
                 double s = timed_out ? timedOutSentinel()
                                      : failedSentinel();
                 Outcome o;
-                o.results.workload = p.workload;
-                o.results.scheme = schemeName(p.scheme);
+                o.results.workload = p.cfg.workload;
+                o.results.scheme = schemeName(p.cfg.scheme);
                 o.results.status = timed_out ? RunStatus::TimedOut
                                              : RunStatus::Failed;
                 o.results.failReason = e.what();
@@ -184,11 +174,10 @@ Runner::recordHealth(const Point &p, const Outcome &o)
     if (o.timedOut)
         ++numTimedOut;
     FailedPoint f;
-    f.workload = p.workload;
-    f.scheme = schemeName(p.scheme);
-    f.tweakKey = std::get<2>(p.key);
-    auto it = fingerprints.find(p.key);
-    f.fingerprint = it == fingerprints.end() ? 0 : it->second;
+    f.workload = p.cfg.workload;
+    f.scheme = schemeName(p.cfg.scheme);
+    f.variant = p.variant;
+    f.fingerprint = p.fingerprint;
     f.error = o.error;
     f.attempts = o.attempts;
     f.timedOut = o.timedOut;
@@ -204,102 +193,75 @@ Runner::accountOutcome(const Outcome &o)
     accountCacheOutcome(o);
 }
 
-void
-Runner::checkFingerprint(const Key &key, const Point &p)
+const SimResults &
+Runner::run(const SimConfig &cfg, const std::string &variant)
 {
-    std::uint64_t fp = makeConfig(p).fingerprint();
-    auto [it, inserted] = fingerprints.emplace(key, fp);
-    panic_if(!inserted && it->second != fp,
-             "memo-key collision: (%s, %s, '%s') used with two "
-             "different configs; give each tweak a distinct tweak_key",
-             std::get<0>(key).c_str(), std::get<1>(key).c_str(),
-             std::get<2>(key).c_str());
+    std::uint64_t fp = cfg.fingerprint();
+    auto it = memo.find(fp);
+    if (it != memo.end())
+        return it->second;
+
+    Point p{cfg, fp, variant, nextPointIndex++};
+    Outcome o = computePoint(p);
+    accountCacheOutcome(o);
+    recordHealth(p, o);
+    return memo.emplace(fp, std::move(o.results)).first->second;
+}
+
+void
+Runner::enqueue(const SimConfig &cfg, const std::string &variant)
+{
+    std::uint64_t fp = cfg.fingerprint();
+    bool queued = memo.count(fp) != 0;
+    for (std::size_t i = 0; !queued && i < pending.size(); ++i)
+        queued = pending[i].fingerprint == fp;
+    if (queued) {
+        ++numMemoHits;
+        return;
+    }
+    pending.push_back(Point{cfg, fp, variant, nextPointIndex++});
 }
 
 const SimResults &
 Runner::run(const std::string &workload, PrefetchScheme scheme,
-            const std::string &tweak_key, const Tweak &tweak)
+            const std::string &variant, const Tweak &tweak)
 {
-    Key key = makeKey(workload, scheme, tweak_key);
-    // Checked on memo hits too. A tweak-less call with a named key
-    // looks the memoized point up by name and claims nothing; with
-    // the anonymous "" key it claims the un-tweaked baseline, which
-    // must never be served a tweaked point's results.
-    if (tweak || tweak_key.empty())
-        checkFingerprint(key, Point{key, workload, scheme, tweak});
-    auto it = memo.find(key);
-    if (it != memo.end())
-        return it->second;
-
-    if (sweepDone) {
-        // Not fatal, but the point runs serially: the bench's enqueue
-        // mirror drifted from its table loop.
-        warn("grid point (%s, %s, '%s') was not enqueued before "
-             "runPending(); simulating it serially",
-             workload.c_str(), schemeName(scheme), tweak_key.c_str());
-    }
-
-    Point p{key, workload, scheme, tweak, nextPointIndex++};
-    // This simulate defines what the key names: record its
-    // fingerprint so any later conflicting claim on the name is
-    // fatal rather than silently served these results.
-    checkFingerprint(key, p);
-    Outcome o = computePoint(p);
-    accountCacheOutcome(o);
-    recordHealth(p, o);
-    auto [pos, inserted] = memo.emplace(std::move(key),
-                                        std::move(o.results));
-    return pos->second;
+    return run(gridConfig(workload, scheme, warmup, measure, tweak),
+               variant);
 }
 
 double
 Runner::speedup(const std::string &workload, PrefetchScheme scheme,
-                const std::string &tweak_key, const Tweak &tweak)
+                const std::string &variant, const Tweak &tweak)
 {
     const SimResults &base =
-        run(workload, PrefetchScheme::None, tweak_key, tweak);
-    const SimResults &with =
-        run(workload, scheme, tweak_key, tweak);
+        run(workload, PrefetchScheme::None, variant, tweak);
+    const SimResults &with = run(workload, scheme, variant, tweak);
     return speedupOver(base, with);
 }
 
 void
 Runner::enqueue(const std::string &workload, PrefetchScheme scheme,
-                const std::string &tweak_key, const Tweak &tweak)
+                const std::string &variant, const Tweak &tweak)
 {
-    Key key = makeKey(workload, scheme, tweak_key);
-    checkFingerprint(key, Point{key, workload, scheme, tweak});
-    if (memo.count(key)) {
-        ++numMemoHits;
-        return;
-    }
-    for (const auto &p : pending) {
-        if (p.key == key) {
-            ++numMemoHits;
-            return;
-        }
-    }
-    pending.push_back(
-        Point{std::move(key), workload, scheme, tweak, nextPointIndex++});
+    enqueue(gridConfig(workload, scheme, warmup, measure, tweak), variant);
 }
 
 void
 Runner::enqueueSpeedup(const std::string &workload, PrefetchScheme scheme,
-                       const std::string &tweak_key, const Tweak &tweak)
+                       const std::string &variant, const Tweak &tweak)
 {
-    enqueue(workload, PrefetchScheme::None, tweak_key, tweak);
-    enqueue(workload, scheme, tweak_key, tweak);
+    enqueue(workload, PrefetchScheme::None, variant, tweak);
+    enqueue(workload, scheme, variant, tweak);
 }
 
-std::vector<std::array<std::string, 3>>
-Runner::pendingPoints() const
+std::vector<std::uint64_t>
+Runner::pendingFingerprints() const
 {
-    std::vector<std::array<std::string, 3>> out;
+    std::vector<std::uint64_t> out;
     out.reserve(pending.size());
-    for (const auto &p : pending) {
-        out.push_back({std::get<0>(p.key), std::get<1>(p.key),
-                       std::get<2>(p.key)});
-    }
+    for (const auto &p : pending)
+        out.push_back(p.fingerprint);
     return out;
 }
 
@@ -318,7 +280,6 @@ Runner::disableCache()
 void
 Runner::runPending()
 {
-    sweepDone = true;
     if (pending.empty())
         return;
 
@@ -328,26 +289,9 @@ Runner::runPending()
     sweepSkippedCycles = 0;
     sweepTotalCycles = 0;
 
-    unsigned workers = numJobs;
-    if (workers > pending.size())
-        workers = static_cast<unsigned>(pending.size());
-
-    if (workers <= 1) {
-        for (const auto &p : pending) {
-            Outcome o = computePoint(p);
-            accountOutcome(o);
-            recordHealth(p, o);
-            memo.emplace(p.key, std::move(o.results));
-        }
-        pending.clear();
-        std::chrono::duration<double> wall =
-            std::chrono::steady_clock::now() - wall_start;
-        sweepWallSeconds = wall.count();
-        return;
-    }
-
     // Each worker pulls the next unclaimed point; results land in a
-    // per-point slot, so no locking and no ordering dependence.
+    // per-point slot, so no locking and no ordering dependence. With
+    // one job the calling thread works through the queue in order.
     std::vector<Outcome> outcomes(pending.size());
     std::atomic<std::size_t> next{0};
     auto work = [this, &outcomes, &next]() {
@@ -358,13 +302,19 @@ Runner::runPending()
             outcomes[i] = computePoint(pending[i]);
         }
     };
-
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t)
-        threads.emplace_back(work);
-    for (auto &t : threads)
-        t.join();
+    unsigned workers = numJobs;
+    if (workers > pending.size())
+        workers = static_cast<unsigned>(pending.size());
+    if (workers <= 1) {
+        work();
+    } else {
+        std::vector<std::thread> threads;
+        threads.reserve(workers);
+        for (unsigned t = 0; t < workers; ++t)
+            threads.emplace_back(work);
+        for (auto &t : threads)
+            t.join();
+    }
 
     // Memoize in enqueue order: memo contents (and any iteration over
     // them) match a serial sweep exactly. Health records land here
@@ -372,21 +322,13 @@ Runner::runPending()
     for (std::size_t i = 0; i < pending.size(); ++i) {
         accountOutcome(outcomes[i]);
         recordHealth(pending[i], outcomes[i]);
-        memo.emplace(std::move(pending[i].key),
+        memo.emplace(pending[i].fingerprint,
                      std::move(outcomes[i].results));
     }
     pending.clear();
     std::chrono::duration<double> wall =
         std::chrono::steady_clock::now() - wall_start;
     sweepWallSeconds = wall.count();
-}
-
-std::uint64_t
-Runner::fingerprintOf(const std::string &workload, PrefetchScheme scheme,
-                      const std::string &tweak_key) const
-{
-    auto it = fingerprints.find(makeKey(workload, scheme, tweak_key));
-    return it == fingerprints.end() ? 0 : it->second;
 }
 
 std::string

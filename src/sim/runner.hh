@@ -1,7 +1,14 @@
 /**
  * @file runner.hh
- * Experiment runner: executes (workload x scheme) grids with memoized
- * baselines so a bench binary never simulates the same point twice.
+ * Experiment runner: executes grid points with memoization, so a bench
+ * binary never simulates the same machine twice.
+ *
+ * A grid point's identity is its SimConfig::fingerprint(), which
+ * covers the run lengths: the in-process memo, the on-disk result
+ * cache and the failure records all key on it. The workload, scheme
+ * and variant strings only label a point in reports, so two labels for
+ * one machine share one simulation and no label can be served another
+ * machine's results.
  *
  * Grid points are independent simulations, so a bench can enqueue()
  * its whole grid up front and runPending() executes the points on a
@@ -11,21 +18,18 @@
  *
  * Two reuse layers with distinct names:
  *  - the **memo** (in-process): the per-Runner map that dedups grid
- *    points inside one binary, added in the parallel-runner work;
+ *    points inside one binary;
  *  - the **result cache** (on-disk, sim/result_cache.hh): shares
- *    completed results *across* binaries, keyed by
- *    SimConfig::fingerprint() + run lengths. Enabled by
- *    FDIP_CACHE_DIR; FDIP_NO_CACHE=1 turns it off.
+ *    completed results *across* binaries. Enabled by FDIP_CACHE_DIR;
+ *    FDIP_NO_CACHE=1 turns it off.
  */
 
 #ifndef FDIP_SIM_RUNNER_HH
 #define FDIP_SIM_RUNNER_HH
 
-#include <array>
 #include <functional>
 #include <map>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "sim/presets.hh"
@@ -37,6 +41,16 @@ namespace fdip
 
 /** Build + run one simulation from a fully-specified config. */
 SimResults simulate(const SimConfig &cfg);
+
+/**
+ * The config of one grid point: the baseline machine for
+ * (workload, scheme) with the given run lengths, then @p tweak.
+ */
+SimConfig gridConfig(const std::string &workload, PrefetchScheme scheme,
+                     std::uint64_t warmup_insts,
+                     std::uint64_t measure_insts,
+                     const std::function<void(SimConfig &)> &tweak =
+                         nullptr);
 
 class Runner
 {
@@ -60,7 +74,8 @@ class Runner
     {
         std::string workload;
         std::string scheme;
-        std::string tweakKey;
+        /** Variant label the point was queued under ("" = none). */
+        std::string variant;
         /** SimConfig::fingerprint() of the failing config. */
         std::uint64_t fingerprint = 0;
         /** what() of the final attempt's error. */
@@ -70,35 +85,41 @@ class Runner
     };
 
     /**
-     * Run @p workload under @p scheme on the baseline machine with an
-     * optional config tweak. Results are memoized on
-     * (workload, scheme, tweak_key); pass distinct keys for distinct
-     * tweaks.
+     * Results of @p cfg: served from the memo, else computed now
+     * (serially). @p variant labels the point in failure reports.
      */
+    const SimResults &run(const SimConfig &cfg,
+                          const std::string &variant = "");
+
+    /**
+     * Queue @p cfg for runPending(). A config already memoized or
+     * already queued is counted as a memo hit and ignored.
+     */
+    void enqueue(const SimConfig &cfg, const std::string &variant = "");
+
+    /** run() of the gridConfig() for (workload, scheme, tweak) at this
+     *  Runner's run lengths, labelled @p variant. */
     const SimResults &run(const std::string &workload,
                           PrefetchScheme scheme,
-                          const std::string &tweak_key = "",
+                          const std::string &variant = "",
                           const Tweak &tweak = nullptr);
 
     /** Speedup of (workload, scheme [, tweak]) over the no-prefetch
-     *  baseline with the same non-scheme tweaks applied. */
+     *  baseline with the same tweak applied. */
     double speedup(const std::string &workload, PrefetchScheme scheme,
-                   const std::string &tweak_key = "",
+                   const std::string &variant = "",
                    const Tweak &tweak = nullptr);
 
-    /**
-     * Queue a grid point for runPending(). Points already memoized or
-     * already queued are ignored, mirroring run()'s memoization.
-     */
+    /** enqueue() of the gridConfig() for (workload, scheme, tweak). */
     void enqueue(const std::string &workload, PrefetchScheme scheme,
-                 const std::string &tweak_key = "",
+                 const std::string &variant = "",
                  const Tweak &tweak = nullptr);
 
     /** enqueue() both the scheme point and its no-prefetch baseline,
      *  as speedup() will request them. */
     void enqueueSpeedup(const std::string &workload,
                         PrefetchScheme scheme,
-                        const std::string &tweak_key = "",
+                        const std::string &variant = "",
                         const Tweak &tweak = nullptr);
 
     /**
@@ -145,9 +166,8 @@ class Runner
     std::size_t memoizedRuns() const { return memo.size(); }
     std::size_t pendingRuns() const { return pending.size(); }
 
-    /** (workload, scheme, tweak_key) of every queued point, in queue
-     *  order — introspection for tests and the experiment catalog. */
-    std::vector<std::array<std::string, 3>> pendingPoints() const;
+    /** Fingerprint of every queued point, in queue order. */
+    std::vector<std::uint64_t> pendingFingerprints() const;
 
     /** Point the on-disk result cache at @p dir (tests; normal use is
      *  the FDIP_CACHE_DIR environment variable). */
@@ -175,28 +195,12 @@ class Runner
      */
     std::string sweepSummary() const;
 
-    /**
-     * SimConfig::fingerprint() of a previously enqueued or run point,
-     * for external exports (--stats-json); 0 when the key has never
-     * been materialized by this Runner.
-     */
-    std::uint64_t fingerprintOf(const std::string &workload,
-                                PrefetchScheme scheme,
-                                const std::string &tweak_key = "") const;
-
   private:
-    /**
-     * Memo key. A tuple (not a joined string) so workload or tweak
-     * names containing the old "/" separator cannot collide.
-     */
-    using Key = std::tuple<std::string, std::string, std::string>;
-
     struct Point
     {
-        Key key;
-        std::string workload;
-        PrefetchScheme scheme;
-        Tweak tweak;
+        SimConfig cfg;
+        std::uint64_t fingerprint = 0;
+        std::string variant;
         /** Deterministic distinct-point ordinal (enqueue/run order);
          *  the index FDIP_FAULT's throw@/hang@ faults address. */
         std::size_t index = 0;
@@ -214,10 +218,6 @@ class Runner
         std::string error;
     };
 
-    static Key makeKey(const std::string &workload, PrefetchScheme scheme,
-                       const std::string &tweak_key);
-    SimConfig makeConfig(const Point &p) const;
-
     /**
      * Serve @p p from the on-disk cache, or simulate (and store) —
      * with failure isolation: SimError attempts are retried per the
@@ -227,7 +227,7 @@ class Runner
     Outcome computePoint(const Point &p) const;
 
     /** One cache-or-simulate attempt; lets SimError propagate. */
-    Outcome computeAttempt(const SimConfig &cfg) const;
+    Outcome computeAttempt(const Point &p) const;
 
     /** Count one outcome against the hit/miss counters. */
     void accountCacheOutcome(const Outcome &o);
@@ -239,23 +239,12 @@ class Runner
      *  (single-threaded merge only). */
     void recordHealth(const Point &p, const Outcome &o);
 
-    /**
-     * Record the materialized config's fingerprint for @p key;
-     * panics when the same (workload, scheme, tweak-name) key was
-     * previously seen with a *different* config — i.e. two distinct
-     * tweak closures sharing a name — so a memoized result can never
-     * be served for a config it was not produced by.
-     */
-    void checkFingerprint(const Key &key, const Point &p);
-
     std::uint64_t warmup;
     std::uint64_t measure;
     unsigned numJobs = defaultJobs();
-    /** In-process memo: every completed point of this Runner. */
-    std::map<Key, SimResults> memo;
+    /** In-process memo: every completed point, by fingerprint. */
+    std::map<std::uint64_t, SimResults> memo;
     std::vector<Point> pending;
-    /** Config identity behind every memo key ever enqueued or run. */
-    std::map<Key, std::uint64_t> fingerprints;
     /** Cross-binary on-disk result cache; nullptr when disabled. */
     std::unique_ptr<ResultCache> diskCache = ResultCache::fromEnv();
 
@@ -271,9 +260,6 @@ class Runner
     /** Idle-skip totals over the batch (simulated cycles). */
     std::uint64_t sweepSkippedCycles = 0;
     std::uint64_t sweepTotalCycles = 0;
-    /** A sweep ran: run() misses afterwards indicate an incomplete
-     *  enqueue mirror in the bench (they de-parallelize silently). */
-    bool sweepDone = false;
 
     /** Next Point::index (distinct points only, enqueue/run order). */
     std::size_t nextPointIndex = 0;

@@ -411,14 +411,16 @@ Simulator::collectAll(StatSet &out) const
 }
 
 SimResults
-Simulator::finalize(const StatSet &delta, Cycle cycles_delta,
-                    std::uint64_t insts_delta, const Histogram &occ,
-                    const Histogram &pft,
-                    const std::string &workload_label) const
+deriveResults(std::string workload, std::string scheme, StatSet delta,
+              Histogram occ, Histogram pft)
 {
+    auto cycles_delta = static_cast<Cycle>(delta.value("sim.cycles"));
+    auto insts_delta =
+        static_cast<std::uint64_t>(delta.value("sim.committed"));
+
     SimResults r;
-    r.workload = workload_label;
-    r.scheme = schemeName(cfg.scheme);
+    r.workload = std::move(workload);
+    r.scheme = std::move(scheme);
     r.cycles = cycles_delta;
     r.instructions = insts_delta;
     r.ipc = cycles_delta == 0 ? 0.0
@@ -458,13 +460,13 @@ Simulator::finalize(const StatSet &delta, Cycle cycles_delta,
         r.prefetchLate = delta.value("pfattr.late") / issued;
         r.prefetchPollution = delta.value("pfattr.pollution") / issued;
     }
-    r.pfTimeliness = pft;
+    r.pfTimeliness = std::move(pft);
 
     r.condMispredictPerKilo = kinsts > 0.0
         ? delta.value("bpu.diverge_cond") / kinsts : 0.0;
 
-    r.ftqOccupancy = occ;
-    r.stats = delta;
+    r.ftqOccupancy = std::move(occ);
+    r.stats = std::move(delta);
     return r;
 }
 
@@ -594,9 +596,9 @@ Simulator::run()
     agg.set("sim.cycles", static_cast<double>(agg_cycles));
     agg.set("sim.committed", static_cast<double>(agg_insts));
 
-    SimResults r = finalize(agg, agg_cycles, agg_insts,
-                            sumHistograms(occs), sumHistograms(pfts),
-                            cfg.workload);
+    SimResults r = deriveResults(cfg.workload, schemeName(cfg.scheme),
+                                 std::move(agg), sumHistograms(occs),
+                                 sumHistograms(pfts));
 
     // Per-core rows only on a multi-core machine: a single-core
     // result stays byte-identical to the pre-multicore format.
@@ -608,8 +610,10 @@ Simulator::run()
             std::uint64_t insts = c.endInsts - c.warmupInsts;
             d.set("sim.cycles", static_cast<double>(cyc));
             d.set("sim.committed", static_cast<double>(insts));
-            r.perCore.push_back(finalize(d, cyc, insts, c.occAtEnd,
-                                         c.pftAtEnd, c.workload));
+            r.perCore.push_back(deriveResults(c.workload,
+                                              schemeName(cfg.scheme),
+                                              std::move(d), c.occAtEnd,
+                                              c.pftAtEnd));
         }
     }
 

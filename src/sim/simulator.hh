@@ -118,6 +118,17 @@ struct SimResults
 /** ipc_b / ipc_a - 1: fractional speedup of b over a. */
 double speedupOver(const SimResults &baseline, const SimResults &other);
 
+/**
+ * Build a result row from its measurement-window record: the stat
+ * deltas (which carry sim.cycles and sim.committed) and the FTQ
+ * occupancy and prefetch-timeliness histograms. Every scalar metric is
+ * derived here and nowhere else, so a row parsed back from its
+ * serialization (parseResults) recomputes exactly what the simulator
+ * reported. Host gauges and perCore are left empty.
+ */
+SimResults deriveResults(std::string workload, std::string scheme,
+                         StatSet delta, Histogram occ, Histogram pft);
+
 class Simulator
 {
   public:
@@ -238,10 +249,6 @@ class Simulator
     /** Core-private stats only (no shared L2/bus/DRAM, no sim.*). */
     void collectCore(const Core &c, StatSet &out) const;
     void collectAll(StatSet &out) const;
-    SimResults finalize(const StatSet &delta, Cycle cycles_delta,
-                        std::uint64_t insts_delta,
-                        const Histogram &occ, const Histogram &pft,
-                        const std::string &workload_label) const;
     /** Snapshot all stats and emit one interval sample row. */
     void recordSample();
 

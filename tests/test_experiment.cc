@@ -8,9 +8,12 @@
  */
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 
 #include <gtest/gtest.h>
 
+#include "json_validate.hh"
 #include "sim/experiment.hh"
 #include "trace/profile.hh"
 
@@ -19,13 +22,11 @@ using namespace fdip;
 namespace
 {
 
-using PointList = std::vector<std::array<std::string, 3>>;
-
-PointList
-sorted(PointList points)
+std::vector<std::uint64_t>
+sorted(std::vector<std::uint64_t> fingerprints)
 {
-    std::sort(points.begin(), points.end());
-    return points;
+    std::sort(fingerprints.begin(), fingerprints.end());
+    return fingerprints;
 }
 
 /** Callers must ASSERT_NE against nullptr before dereferencing. */
@@ -59,7 +60,7 @@ TEST(ExperimentExpansion, MatchesHandWrittenMirror)
 
     Runner from_spec(spec.warmup, spec.measure);
     from_spec.disableCache();
-    enqueueExperiment(from_spec, spec);
+    Sweep sweep(from_spec, spec);
 
     // The enqueue mirror exactly as bench_f9_ftq_sweep.cc wrote it
     // before the spec refactor (PR 2/PR 3 vintage).
@@ -77,9 +78,41 @@ TEST(ExperimentExpansion, MatchesHandWrittenMirror)
     }
 
     EXPECT_EQ(from_spec.pendingRuns(), mirror.pendingRuns());
-    EXPECT_EQ(sorted(from_spec.pendingPoints()),
-              sorted(mirror.pendingPoints()));
+    EXPECT_EQ(sorted(from_spec.pendingFingerprints()),
+              sorted(mirror.pendingFingerprints()));
     EXPECT_EQ(countDistinctPoints(spec), mirror.pendingRuns());
+    EXPECT_EQ(sweep.points().size(), mirror.pendingRuns());
+}
+
+TEST(ExperimentSweepDeath, NamesMustBeUnambiguousAndDeclared)
+{
+    ExperimentSpec s;
+    s.id = "T-AMBIGUOUS";
+    s.binary = "test";
+    auto ftq = [](unsigned n) {
+        return [n](SimConfig &cfg) { cfg.ftqEntries = n; };
+    };
+    // One variant key bound to two machines by two grids.
+    s.grids = {{{"li"}, {PrefetchScheme::Nlp}, {{"k", "a", ftq(8)}}, false},
+               {{"li"}, {PrefetchScheme::Nlp}, {{"k", "b", ftq(16)}},
+                false}};
+    EXPECT_DEATH(
+        {
+            Runner r(10 * 1000, 10 * 1000);
+            Sweep sweep(r, s);
+        },
+        "two different machines");
+
+    // Reading a point the grids never declare.
+    s.grids.pop_back();
+    EXPECT_DEATH(
+        {
+            Runner r(10 * 1000, 10 * 1000);
+            r.disableCache();
+            Sweep sweep(r, s);
+            sweep.run("li", PrefetchScheme::Nlp, "other");
+        },
+        "no grid declares");
 }
 
 TEST(ExperimentExpansion, BaselineGridAddsNoPrefetchPoints)
@@ -111,8 +144,42 @@ TEST(ExperimentExpansion, EmptyGridsExpandToNothing)
     EXPECT_EQ(countDistinctPoints(s), 0u);
     Runner r(10 * 1000, 10 * 1000);
     r.disableCache();
-    enqueueExperiment(r, s);
+    Sweep sweep(r, s);
     EXPECT_EQ(r.pendingRuns(), 0u);
+    EXPECT_TRUE(sweep.points().empty());
+}
+
+TEST(ExperimentStatsJson, ExportsEveryPointWithPerCoreRows)
+{
+    ExperimentSpec s;
+    s.id = "T-JSON";
+    s.binary = "test";
+    s.warmup = 5 * 1000;
+    s.measure = 10 * 1000;
+    s.grids = {{{"li"}, {PrefetchScheme::Nlp},
+                {{"c2", "2 cores", [](SimConfig &c) { applyMultiCore(c, 2); }}},
+                true}};
+    std::string path = ::testing::TempDir() + "fdip-stats-json-test.json";
+    const char *argv[] = {"test", "--jobs", "1", "--stats-json",
+                          path.c_str()};
+    ::testing::internal::CaptureStdout();
+    int rc = experimentMain(s, 5, const_cast<char **>(argv));
+    ::testing::internal::GetCapturedStdout();
+    ASSERT_EQ(rc, 0);
+
+    std::ifstream in(path);
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    std::string err;
+    EXPECT_TRUE(jsonValidate(text, &err)) << err;
+    // li/nlp and its no-prefetch baseline, each with two core rows.
+    std::size_t rows = 0;
+    for (std::size_t at = text.find("\"per_core\": ["); at != std::string::npos;
+         at = text.find("\"per_core\": [", at + 1))
+        ++rows;
+    EXPECT_EQ(rows, 2u) << text;
+    EXPECT_NE(text.find("\"variant\": \"c2\""), std::string::npos);
+    std::remove(path.c_str());
 }
 
 TEST(ExperimentDescribe, OutputIsStable)

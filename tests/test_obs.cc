@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "json_validate.hh"
 #include "obs/attribution.hh"
 #include "obs/json.hh"
 #include "obs/tracer.hh"

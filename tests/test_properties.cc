@@ -22,16 +22,8 @@ grid()
 {
     std::vector<GridPoint> points;
     for (const char *wl : {"li", "deltablue", "perl", "gcc"}) {
-        for (auto scheme : {PrefetchScheme::None, PrefetchScheme::Nlp,
-                            PrefetchScheme::StreamBuffer,
-                            PrefetchScheme::FdpNone,
-                            PrefetchScheme::FdpEnqueue,
-                            PrefetchScheme::FdpEnqueueAggressive,
-                            PrefetchScheme::FdpRemove,
-                            PrefetchScheme::FdpIdeal,
-                            PrefetchScheme::Oracle}) {
+        for (auto scheme : allPrefetchSchemes())
             points.emplace_back(wl, scheme);
-        }
     }
     return points;
 }
@@ -91,9 +83,11 @@ TEST_P(SchemeGrid, InvariantsHold)
                 r.stats.value("fetch.redirects_scheduled"), 2.0);
     EXPECT_EQ(r.ftqOccupancy.count(), r.cycles);
 
-    // Prefetch accounting: issues only when a prefetcher exists.
+    // Prefetch accounting: only a prefetcher that moves cache lines
+    // sends prefetches (shadow-btb only pre-fills the BTB).
     auto [wl, scheme] = GetParam();
-    if (scheme == PrefetchScheme::None) {
+    if (scheme == PrefetchScheme::None ||
+        scheme == PrefetchScheme::ShadowBtb) {
         EXPECT_EQ(r.stats.counter("mem.prefetches_issued"), 0u);
     } else {
         EXPECT_GT(r.stats.counter("mem.prefetch_attempts"), 0u);

@@ -72,14 +72,43 @@ TEST(ResultCacheCodec, RoundTripIsExact)
     // Every simulated field round-trips bit-exactly: the canonical
     // serialization (scalars, histogram bins, full StatSet) is equal.
     EXPECT_EQ(serializeResults(r), serializeResults(*back));
-    // The host gauges of the producing run are preserved verbatim.
-    EXPECT_DOUBLE_EQ(r.hostSeconds, back->hostSeconds);
-    EXPECT_DOUBLE_EQ(r.hostKcyclesPerSec, back->hostKcyclesPerSec);
-    EXPECT_EQ(r.skippedCycles, back->skippedCycles);
-    EXPECT_EQ(r.totalCycles, back->totalCycles);
+    // The producing run's host gauges are not stored.
+    EXPECT_EQ(back->hostSeconds, 0.0);
+    EXPECT_EQ(back->totalCycles, 0u);
     // Histogram summary stats derive from reconstructed buckets.
     EXPECT_DOUBLE_EQ(r.ftqOccupancy.mean(), back->ftqOccupancy.mean());
     EXPECT_EQ(r.ftqOccupancy.count(), back->ftqOccupancy.count());
+}
+
+TEST(ResultCacheCodec, ParseResultsRederivesEveryMetric)
+{
+    // A 2-core machine, so the per-core rows round-trip too.
+    SimConfig cfg = smallConfig("gcc", PrefetchScheme::FdpRemove);
+    applyMultiCore(cfg, 2);
+    SimResults r = simulate(cfg);
+    ASSERT_EQ(r.perCore.size(), 2u);
+    std::string text = serializeResults(r);
+
+    std::string why;
+    auto back = parseResults(text, &why);
+    ASSERT_TRUE(back.has_value()) << why;
+    EXPECT_EQ(serializeResults(*back), text);
+    EXPECT_EQ(back->ipc, r.ipc);
+    EXPECT_EQ(back->perCore[1].mpki, r.perCore[1].mpki);
+
+    // A stored metric its stats do not reproduce is rejected.
+    std::string ipc_line = "\nipc " + metricText(r.ipc) + "\n";
+    std::size_t at = text.find(ipc_line);
+    ASSERT_NE(at, std::string::npos);
+    std::string forged = text;
+    forged.replace(at, ipc_line.size(), "\nipc 9\n");
+    EXPECT_FALSE(parseResults(forged, &why));
+    EXPECT_NE(why.find("differ"), std::string::npos) << why;
+
+    // Truncated per-core rows and foreign lines are malformed.
+    EXPECT_FALSE(parseResults(text.substr(0, text.size() - 9), &why));
+    EXPECT_FALSE(parseResults(text + "bogus 1\n", &why));
+    EXPECT_FALSE(parseResults("", &why));
 }
 
 TEST(ResultCacheCodec, RejectsWrongKeyAndMalformedText)
@@ -221,12 +250,12 @@ TEST(ResultCache, StaleFingerprintEntryRejectedWithWarning)
 
 TEST(ResultCache, OldFormatVersionEntriesRejectedWithWarning)
 {
-    // The multi-core work added the per_core row block and bumped the
-    // format to v5; any entry left on disk by an older build must be
-    // rejected as stale, warned about, and re-simulated. This pin is
-    // deliberate: extending the on-disk schema without bumping the
-    // version would let old entries half-decode.
-    ASSERT_EQ(ResultCache::kFormatVersion, 5u);
+    // v6 made the entry body the canonical serialization; any entry
+    // left on disk by an older build must be rejected as stale, warned
+    // about, and re-simulated. This pin is deliberate: changing the
+    // envelope without bumping the version would let old entries
+    // half-decode.
+    ASSERT_EQ(ResultCache::kFormatVersion, 6u);
 
     std::string dir = freshCacheDir("oldversion");
     ResultCache cache(dir);
@@ -252,7 +281,10 @@ TEST(ResultCache, OldFormatVersionEntriesRejectedWithWarning)
                              cfg.measureInsts);
     std::string err = ::testing::internal::GetCapturedStderr();
     EXPECT_FALSE(loaded.has_value());
-    EXPECT_NE(err.find("format version 2, want 5"), std::string::npos)
+    EXPECT_NE(err.find("format version mismatch (entry "
+                       "'fdip-result-cache 2', want "
+                       "'fdip-result-cache 6')"),
+              std::string::npos)
         << err;
 }
 

@@ -662,7 +662,7 @@ tinySpec()
     grid.schemes = {PrefetchScheme::None};
     grid.withBaseline = false;
     spec.grids = {grid};
-    spec.render = [](Runner &) {};
+    spec.render = [](const Sweep &) {};
     return spec;
 }
 

@@ -78,103 +78,46 @@ TEST(Runner, EnqueueSpeedupQueuesBaseline)
     EXPECT_EQ(r.pendingRuns(), 2u); // scheme + no-prefetch baseline
 }
 
-TEST(Runner, SlashInTweakKeyCannotCollide)
+TEST(Runner, IdentityIsTheConfigNotTheLabel)
 {
-    // Memo keys are (workload, scheme, tweak_key) tuples, so "/" in a
-    // tweak key is just a character, not a separator that could make
-    // two distinct points alias.
-    Runner r(20 * 1000, 60 * 1000);
-    const SimResults &plain = r.run("li", PrefetchScheme::None);
-    const SimResults &slashy = r.run(
-        "li", PrefetchScheme::None, "cache/64k",
-        [](SimConfig &cfg) { cfg.mem.l1i.sizeBytes = 64 * 1024; });
-    EXPECT_NE(&plain, &slashy);
-    EXPECT_EQ(r.memoizedRuns(), 2u);
-    // Same slashy key memoizes to the same point.
-    EXPECT_EQ(&slashy, &r.run("li", PrefetchScheme::None, "cache/64k"));
-}
-
-TEST(Runner, SameKeySameConfigDistinctClosuresAccepted)
-{
-    // Two textually distinct closures that materialize the same config
-    // are the same grid point (the enqueue-mirror/table-loop pattern
-    // every bench uses); the fingerprint must not reject them.
+    // A point is its config fingerprint. One machine under two labels
+    // (or two textually distinct closures) is one simulation; two
+    // machines under one label are two, so a label can never be
+    // served another machine's results.
     Runner r(20 * 1000, 60 * 1000);
     auto grow = [](SimConfig &cfg) { cfg.mem.l1i.sizeBytes = 64 * 1024; };
     auto grow2 = [](SimConfig &cfg) { cfg.mem.l1i.sizeBytes = 64 * 1024; };
-    r.enqueue("li", PrefetchScheme::None, "bigcache", grow);
-    r.runPending();
-    const SimResults &a =
-        r.run("li", PrefetchScheme::None, "bigcache", grow2);
+    const SimResults &a = r.run("li", PrefetchScheme::None, "big", grow);
     const SimResults &b =
-        r.run("li", PrefetchScheme::None, "bigcache", grow);
+        r.run("li", PrefetchScheme::None, "cache/64k", grow2);
     EXPECT_EQ(&a, &b);
     EXPECT_EQ(r.memoizedRuns(), 1u);
+
+    const SimResults &plain = r.run("li", PrefetchScheme::None, "big");
+    EXPECT_NE(&a, &plain);
+    EXPECT_EQ(r.memoizedRuns(), 2u);
+    EXPECT_EQ(&plain, &r.run(gridConfig("li", PrefetchScheme::None,
+                                        20 * 1000, 60 * 1000)));
 }
 
-TEST(RunnerDeath, StaleConfigServeIsImpossible)
+TEST(Runner, EnqueueDedupsByFingerprint)
 {
-    // The ROADMAP hazard: the memo key used to ignore the tweak
-    // closure, so a second tweak reusing a key name was silently
-    // served the first tweak's results. The config fingerprint now
-    // makes that fatal, in every order the drift can happen.
-
-    // run() after run() with a drifted tweak under the same key.
-    EXPECT_DEATH(
-        {
-            Runner r(10 * 1000, 20 * 1000);
-            r.run("li", PrefetchScheme::None, "tweaked",
-                  [](SimConfig &cfg) { cfg.ftqEntries = 8; });
-            r.run("li", PrefetchScheme::None, "tweaked",
-                  [](SimConfig &cfg) { cfg.ftqEntries = 16; });
-        },
-        "memo-key collision");
-
-    // enqueue() drifting from an earlier enqueue of the same key.
-    EXPECT_DEATH(
-        {
-            Runner r(10 * 1000, 20 * 1000);
-            r.enqueue("li", PrefetchScheme::None, "tweaked",
-                      [](SimConfig &cfg) { cfg.ftqEntries = 8; });
-            r.enqueue("li", PrefetchScheme::None, "tweaked",
-                      [](SimConfig &cfg) { cfg.ftqEntries = 16; });
-        },
-        "memo-key collision");
-
-    // A tweak reusing the un-tweaked baseline's empty key.
-    EXPECT_DEATH(
-        {
-            Runner r(10 * 1000, 20 * 1000);
-            r.enqueue("li", PrefetchScheme::None);
-            r.enqueue("li", PrefetchScheme::None, "",
-                      [](SimConfig &cfg) { cfg.ftqEntries = 8; });
-        },
-        "memo-key collision");
-
-    // A tweak-less run() under the anonymous "" key claims the
-    // un-tweaked baseline even on a cache hit, so a tweak memoized
-    // under "" must not be served to it silently.
-    EXPECT_DEATH(
-        {
-            Runner r(10 * 1000, 20 * 1000);
-            r.enqueue("li", PrefetchScheme::None, "",
-                      [](SimConfig &cfg) { cfg.ftqEntries = 8; });
-            r.runPending();
-            r.run("li", PrefetchScheme::None);
-        },
-        "memo-key collision");
-
-    // A tweak-less run() that *simulates* under a named key defines
-    // that key as the un-tweaked config; a later tweaked claim on the
-    // same name must not be served the memoized baseline.
-    EXPECT_DEATH(
-        {
-            Runner r(10 * 1000, 20 * 1000);
-            r.run("li", PrefetchScheme::None, "tweaked");
-            r.run("li", PrefetchScheme::None, "tweaked",
-                  [](SimConfig &cfg) { cfg.mem.dramLatency = 400; });
-        },
-        "memo-key collision");
+    Runner r(10 * 1000, 20 * 1000);
+    auto ftq = [](unsigned n) {
+        return [n](SimConfig &cfg) { cfg.ftqEntries = n; };
+    };
+    r.enqueue("li", PrefetchScheme::None, "tweaked", ftq(8));
+    r.enqueue("li", PrefetchScheme::None, "tweaked", ftq(16));
+    r.enqueue("li", PrefetchScheme::None, "renamed", ftq(8));
+    EXPECT_EQ(r.pendingRuns(), 2u);
+    EXPECT_EQ(r.memoHits(), 1u);
+    auto fp = [&ftq](unsigned n) {
+        return gridConfig("li", PrefetchScheme::None, 10 * 1000,
+                          20 * 1000, ftq(n))
+            .fingerprint();
+    };
+    EXPECT_EQ(r.pendingFingerprints(),
+              (std::vector<std::uint64_t>{fp(8), fp(16)}));
 }
 
 TEST(Runner, JobsConfiguration)
