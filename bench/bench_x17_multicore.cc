@@ -6,7 +6,7 @@
  * shared-L2 capacity pressure plus bus bandwidth pressure.
  *
  * Axes:
- *  - core count (1 / 2 / 4; override with FDIP_X17_CORES=c1,c2,...),
+ *  - core count (1 / 2 / 4),
  *  - shared-L2 size (capacity-starved 256KB vs the 1MB baseline),
  *  - prefetch scheme (no prefetching vs FDP remove-CPF), so the sweep
  *    shows whether FDIP's prefetch traffic is still a win when the
@@ -16,7 +16,7 @@
  * (verified by tests/test_multicore.cc and the golden suite).
  */
 
-#include <cstdlib>
+#include <iterator>
 #include <string>
 
 #include "bench_util.hh"
@@ -28,37 +28,8 @@ using namespace fdip::bench;
 namespace
 {
 
+constexpr unsigned kCoreCounts[] = {1, 2, 4};
 constexpr std::uint64_t kL2Sizes[] = {256 * 1024, 1024 * 1024};
-
-/** Swept core counts; FDIP_X17_CORES ("1,2,4" style) overrides. */
-const std::vector<unsigned> &
-coreCounts()
-{
-    static const std::vector<unsigned> counts = [] {
-        std::vector<unsigned> out;
-        const char *env = std::getenv("FDIP_X17_CORES");
-        if (env != nullptr && env[0] != '\0') {
-            std::string s(env);
-            for (std::size_t i = 0; i < s.size();) {
-                std::size_t comma = s.find(',', i);
-                std::string tok = s.substr(i, comma - i);
-                unsigned n =
-                    static_cast<unsigned>(std::strtoul(tok.c_str(),
-                                                       nullptr, 10));
-                fatal_if(n == 0, "FDIP_X17_CORES: bad core count '%s'",
-                         tok.c_str());
-                out.push_back(n);
-                if (comma == std::string::npos)
-                    break;
-                i = comma + 1;
-            }
-        }
-        if (out.empty())
-            out = {1u, 2u, 4u};
-        return out;
-    }();
-    return counts;
-}
 
 Runner::Tweak
 scaleTweak(unsigned cores, std::uint64_t l2_bytes)
@@ -87,7 +58,7 @@ std::vector<TweakVariant>
 scaleVariants()
 {
     std::vector<TweakVariant> out;
-    for (unsigned cores : coreCounts()) {
+    for (unsigned cores : kCoreCounts) {
         for (std::uint64_t l2 : kL2Sizes) {
             out.push_back({scaleKey(cores, l2), scaleLabel(cores, l2),
                            scaleTweak(cores, l2)});
@@ -131,8 +102,8 @@ render(const Sweep &sweep)
                       "vs 1-core", "fdp vs none", "pf coverage",
                       "membus util"});
         double solo = mean_over(PrefetchScheme::FdpRemove,
-                                coreCounts().front(), l2, core0Ipc);
-        for (unsigned cores : coreCounts()) {
+                                kCoreCounts[0], l2, core0Ipc);
+        for (unsigned cores : kCoreCounts) {
             double fdp = mean_over(PrefetchScheme::FdpRemove, cores,
                                    l2, core0Ipc);
             double none = mean_over(PrefetchScheme::None, cores, l2,
@@ -166,7 +137,7 @@ render(const Sweep &sweep)
                    "max/min"});
     for (const auto &wl : workloads()) {
         const SimResults &r = point(wl, PrefetchScheme::FdpRemove,
-                                    coreCounts().back(),
+                                    kCoreCounts[std::size(kCoreCounts) - 1],
                                     kL2Sizes[0]);
         std::string ipcs;
         double lo = 0.0, hi = 0.0;
@@ -214,9 +185,8 @@ makeSpec()
     s.render = render;
     s.notes = "Each core runs a private copy of the workload (seed "
               "offset by core id, tagged private address spaces), so "
-              "added cores are pure contention. FDIP_X17_CORES "
-              "overrides the swept core counts (run lengths are "
-              "per-core commits).";
+              "added cores are pure contention. Run lengths are "
+              "per-core commits.";
     return s;
 }
 

@@ -6,7 +6,7 @@
  *
  * Axes:
  *  - scheme (nlp / stream / fdp-enqueue / fdp-remove / mana /
- *    shadow-btb; override with FDIP_X18_SCHEMES=mana,shadow-btb,...),
+ *    shadow-btb),
  *  - FTQ depth for FDP remove-CPF (4..64 entries), reproducing the
  *    FDIP-revisited coverage-vs-pollution trade: deeper FTQs see
  *    further ahead (coverage up) but run further down wrong paths
@@ -19,8 +19,6 @@
  * metadata storage.
  */
 
-#include <algorithm>
-#include <cstdlib>
 #include <string>
 
 #include "bench_util.hh"
@@ -36,45 +34,14 @@ namespace
 constexpr std::size_t kFtqDepths[] = {4, 8, 16, 32, 64};
 constexpr unsigned kNoiseDenoms[] = {0, 64, 32};
 
-/** Swept schemes; FDIP_X18_SCHEMES (comma-separated schemeName()
- *  tokens) overrides, e.g. for the CI no-skip re-run of the two new
- *  schemes. */
 const std::vector<PrefetchScheme> &
 zooSchemes()
 {
-    static const std::vector<PrefetchScheme> schemes = [] {
-        std::vector<PrefetchScheme> out;
-        const char *env = std::getenv("FDIP_X18_SCHEMES");
-        if (env != nullptr && env[0] != '\0') {
-            std::string s(env);
-            for (std::size_t i = 0; i < s.size();) {
-                std::size_t comma = s.find(',', i);
-                std::string tok = s.substr(i, comma - i);
-                auto scheme = schemeFromName(tok);
-                fatal_if(!scheme, "FDIP_X18_SCHEMES: unknown scheme "
-                         "'%s'", tok.c_str());
-                out.push_back(*scheme);
-                if (comma == std::string::npos)
-                    break;
-                i = comma + 1;
-            }
-        }
-        if (out.empty()) {
-            out = {PrefetchScheme::Nlp, PrefetchScheme::StreamBuffer,
-                   PrefetchScheme::FdpEnqueue,
-                   PrefetchScheme::FdpRemove, PrefetchScheme::Mana,
-                   PrefetchScheme::ShadowBtb};
-        }
-        return out;
-    }();
+    static const std::vector<PrefetchScheme> schemes = {
+        PrefetchScheme::Nlp,       PrefetchScheme::StreamBuffer,
+        PrefetchScheme::FdpEnqueue, PrefetchScheme::FdpRemove,
+        PrefetchScheme::Mana,      PrefetchScheme::ShadowBtb};
     return schemes;
-}
-
-bool
-zooHas(PrefetchScheme s)
-{
-    const auto &z = zooSchemes();
-    return std::find(z.begin(), z.end(), s) != z.end();
 }
 
 /** Scheme-private metadata storage (address-tracking state only; data
@@ -217,65 +184,61 @@ render(const Sweep &sweep)
     // Table 3: the FDIP-revisited coverage-vs-pollution trade on the
     // FTQ-depth axis (deeper FTQ = more lookahead AND more wrong-path
     // exposure).
-    if (zooHas(PrefetchScheme::FdpRemove)) {
-        AsciiTable ft({"ftq entries", "speedup", "coverage", "timely",
-                       "late", "pollution"});
-        for (std::size_t n : kFtqDepths) {
-            std::vector<double> sp, cov, timely, late, poll;
-            for (const auto &wl : axisWorkloads()) {
-                const SimResults &r =
-                    sweep.run(wl, PrefetchScheme::FdpRemove, ftqKey(n));
-                sp.push_back(
-                    sweep.speedup(wl, PrefetchScheme::FdpRemove, ftqKey(n)));
-                cov.push_back(r.prefetchCoverage);
-                timely.push_back(r.prefetchTimely);
-                late.push_back(r.prefetchLate);
-                poll.push_back(r.prefetchPollution);
-            }
-            ft.addRow({AsciiTable::integer(n),
-                       AsciiTable::pct(gmeanSpeedup(sp)),
-                       AsciiTable::pct(mean(cov)),
-                       AsciiTable::pct(mean(timely)),
-                       AsciiTable::pct(mean(late)),
-                       AsciiTable::pct(mean(poll))});
+    AsciiTable ft({"ftq entries", "speedup", "coverage", "timely",
+                   "late", "pollution"});
+    for (std::size_t n : kFtqDepths) {
+        std::vector<double> sp, cov, timely, late, poll;
+        for (const auto &wl : axisWorkloads()) {
+            const SimResults &r =
+                sweep.run(wl, PrefetchScheme::FdpRemove, ftqKey(n));
+            sp.push_back(
+                sweep.speedup(wl, PrefetchScheme::FdpRemove, ftqKey(n)));
+            cov.push_back(r.prefetchCoverage);
+            timely.push_back(r.prefetchTimely);
+            late.push_back(r.prefetchLate);
+            poll.push_back(r.prefetchPollution);
         }
-        print(strprintf("fdp-remove vs FTQ depth (mean over %zu "
-                        "workloads):\n", axisWorkloads().size()));
-        print(ft.render());
-        print("\n");
+        ft.addRow({AsciiTable::integer(n),
+                   AsciiTable::pct(gmeanSpeedup(sp)),
+                   AsciiTable::pct(mean(cov)),
+                   AsciiTable::pct(mean(timely)),
+                   AsciiTable::pct(mean(late)),
+                   AsciiTable::pct(mean(poll))});
     }
+    print(strprintf("fdp-remove vs FTQ depth (mean over %zu "
+                    "workloads):\n", axisWorkloads().size()));
+    print(ft.render());
+    print("\n");
 
     // Table 4: shadow-branch decode noise — correct prefills help,
     // bogus branch-looking prefills send fetch down wrong paths.
-    if (zooHas(PrefetchScheme::ShadowBtb)) {
-        AsciiTable st({"bogus noise", "speedup", "mpki",
-                       "correct/KI", "bogus/KI"});
-        for (unsigned d : kNoiseDenoms) {
-            std::vector<double> sp, mpki, correct, bogus;
-            for (const auto &wl : axisWorkloads()) {
-                const SimResults &r =
-                    sweep.run(wl, PrefetchScheme::ShadowBtb, noiseKey(d));
-                sp.push_back(sweep.speedup(wl, PrefetchScheme::ShadowBtb,
-                                           noiseKey(d)));
-                double ki =
-                    static_cast<double>(r.instructions) / 1000.0;
-                mpki.push_back(r.mpki);
-                correct.push_back(
-                    r.stats.value("shadow.prefill_correct") / ki);
-                bogus.push_back(
-                    r.stats.value("shadow.prefill_bogus") / ki);
-            }
-            st.addRow({d == 0 ? std::string("none")
-                              : strprintf("1/%u", d),
-                       AsciiTable::pct(gmeanSpeedup(sp)),
-                       AsciiTable::num(mean(mpki), 2),
-                       AsciiTable::num(mean(correct), 2),
-                       AsciiTable::num(mean(bogus), 2)});
+    AsciiTable st({"bogus noise", "speedup", "mpki",
+                   "correct/KI", "bogus/KI"});
+    for (unsigned d : kNoiseDenoms) {
+        std::vector<double> sp, mpki, correct, bogus;
+        for (const auto &wl : axisWorkloads()) {
+            const SimResults &r =
+                sweep.run(wl, PrefetchScheme::ShadowBtb, noiseKey(d));
+            sp.push_back(sweep.speedup(wl, PrefetchScheme::ShadowBtb,
+                                       noiseKey(d)));
+            double ki =
+                static_cast<double>(r.instructions) / 1000.0;
+            mpki.push_back(r.mpki);
+            correct.push_back(
+                r.stats.value("shadow.prefill_correct") / ki);
+            bogus.push_back(
+                r.stats.value("shadow.prefill_bogus") / ki);
         }
-        print(strprintf("shadow-btb vs decode noise (mean over %zu "
-                        "workloads):\n", axisWorkloads().size()));
-        print(st.render());
+        st.addRow({d == 0 ? std::string("none")
+                          : strprintf("1/%u", d),
+                   AsciiTable::pct(gmeanSpeedup(sp)),
+                   AsciiTable::num(mean(mpki), 2),
+                   AsciiTable::num(mean(correct), 2),
+                   AsciiTable::num(mean(bogus), 2)});
     }
+    print(strprintf("shadow-btb vs decode noise (mean over %zu "
+                    "workloads):\n", axisWorkloads().size()));
+    print(st.render());
 }
 
 ExperimentSpec
@@ -303,26 +266,18 @@ makeSpec()
                  "the table?";
     s.warmup = kSweepWarmup;
     s.measure = kSweepMeasure;
-    std::vector<PrefetchScheme> ftq_schemes;
-    if (zooHas(PrefetchScheme::FdpRemove))
-        ftq_schemes.push_back(PrefetchScheme::FdpRemove);
-    std::vector<PrefetchScheme> noise_schemes;
-    if (zooHas(PrefetchScheme::ShadowBtb))
-        noise_schemes.push_back(PrefetchScheme::ShadowBtb);
     s.grids = {{allWorkloadNames(), zooSchemes(), {},
                 /*withBaseline=*/true},
-               {axisWorkloads(), ftq_schemes, ftqVariants(),
-                /*withBaseline=*/true},
-               {axisWorkloads(), noise_schemes, noiseVariants(),
-                /*withBaseline=*/true}};
+               {axisWorkloads(), {PrefetchScheme::FdpRemove},
+                ftqVariants(), /*withBaseline=*/true},
+               {axisWorkloads(), {PrefetchScheme::ShadowBtb},
+                noiseVariants(), /*withBaseline=*/true}};
     s.render = render;
     s.notes = "shadow-btb issues no memory requests, so its "
               "accuracy/coverage/timeliness read 0%: its entire effect "
               "is pre-filling cold BTB/FTB entries from newly arrived "
               "cache lines. Metadata prices address-tracking state "
-              "only (6B per 48-bit address; MANA: its region table). "
-              "FDIP_X18_SCHEMES overrides the scheme set (used by the "
-              "CI no-skip re-run of mana,shadow-btb).";
+              "only (6B per 48-bit address; MANA: its region table).";
     return s;
 }
 

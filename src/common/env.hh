@@ -1,6 +1,7 @@
 /**
  * @file env.hh
- * Shared, validated environment-variable parsing for the FDIP_* knobs.
+ * Shared, validated parsing of unsigned integers from the outside: the
+ * FDIP_* environment knobs and the bench command-line flags.
  *
  * Every numeric knob goes through envUint() so a malformed value (a
  * typo, a stray unit suffix, a negative number) is surfaced as one
@@ -13,9 +14,17 @@
 #define FDIP_COMMON_ENV_HH
 
 #include <cstdint>
+#include <optional>
 
 namespace fdip
 {
+
+/**
+ * @p text as a full non-negative decimal integer; nullopt when it is
+ * anything else: empty, signed, space-padded, suffixed, or too large
+ * for 64 bits.
+ */
+std::optional<std::uint64_t> parseUint(const char *text);
 
 /**
  * Parse the environment variable @p name as an unsigned integer.

@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <limits>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/logging.hh"
 
@@ -18,42 +17,20 @@ namespace fdip
 namespace
 {
 
-int
-modeFromEnv()
-{
-    const char *env = std::getenv("FDIP_FATAL");
-    if (env == nullptr || env[0] == '\0')
-        return static_cast<int>(FatalMode::Abort);
-    if (std::strcmp(env, "abort") == 0)
-        return static_cast<int>(FatalMode::Abort);
-    if (std::strcmp(env, "throw") == 0)
-        return static_cast<int>(FatalMode::Throw);
-    warn("unknown FDIP_FATAL value '%s' (want abort/throw); "
-         "defaulting to abort",
-         env);
-    return static_cast<int>(FatalMode::Abort);
-}
-
-/** -1: not yet initialized from FDIP_FATAL. */
-std::atomic<int> currentMode{-1};
+std::atomic<FatalMode> currentMode{FatalMode::Abort};
 
 } // namespace
 
 FatalMode
 fatalMode()
 {
-    int mode = currentMode.load(std::memory_order_relaxed);
-    if (mode < 0) {
-        mode = modeFromEnv();
-        currentMode.store(mode, std::memory_order_relaxed);
-    }
-    return static_cast<FatalMode>(mode);
+    return currentMode.load(std::memory_order_relaxed);
 }
 
 void
 setFatalMode(FatalMode mode)
 {
-    currentMode.store(static_cast<int>(mode), std::memory_order_relaxed);
+    currentMode.store(mode, std::memory_order_relaxed);
 }
 
 void

@@ -5,10 +5,10 @@
  * The failure model (docs/ROBUSTNESS.md) distinguishes three tiers:
  *  - panic()   — simulator invariant violated; always aborts.
  *  - fatal()   — the *simulation* cannot continue (bad config, wedged
- *                run). By default it exits the process; under
- *                FDIP_FATAL=throw it raises SimError instead, so a
- *                sweep harness can isolate the failing grid point and
- *                keep the rest of the sweep alive.
+ *                run). By default it exits the process; in
+ *                FatalMode::Throw, which every sweep driver sets, it
+ *                raises SimError instead, so the failing grid point is
+ *                isolated and the rest of the sweep stays alive.
  *  - SimTimeout — a watchdog fired (FDIP_SIM_TIMEOUT_S wall deadline,
  *                SimConfig::maxCycles ceiling, or the wedge cycle
  *                cap). A SimError subtype so harnesses can render
@@ -48,9 +48,8 @@ class SimTimeout : public SimError
  * What fatal()/fatal_if() and the watchdogs do on failure. Abort (the
  * default) preserves the historical exit(1) so tests and one-shot
  * tools fail loudly; Throw raises SimError/SimTimeout for harnesses
- * that isolate per-point failures (Runner::runPending()).
- * Settable via the FDIP_FATAL environment variable ("abort"/"throw")
- * or setFatalMode().
+ * that isolate per-point failures (experimentMain() and perfbench set
+ * it around their sweeps).
  */
 enum class FatalMode
 {
@@ -58,10 +57,10 @@ enum class FatalMode
     Throw = 1,
 };
 
-/** Current mode (FDIP_FATAL is read once, on first use). */
+/** Current mode (process-wide; Abort until setFatalMode()). */
 FatalMode fatalMode();
 
-/** Override the mode at runtime (tests; wins over FDIP_FATAL). */
+/** Set the process-wide mode. */
 void setFatalMode(FatalMode mode);
 
 /**

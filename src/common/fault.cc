@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <limits>
 #include <thread>
 #include <vector>
 
@@ -16,12 +15,6 @@ namespace fdip
 namespace
 {
 
-struct ThrowFault
-{
-    std::uint64_t point;
-    std::uint64_t failCount; ///< attempts 1..failCount throw
-};
-
 struct TruncateFault
 {
     std::uint64_t point;
@@ -33,7 +26,7 @@ constexpr std::uint64_t kDefaultTruncateAfter = 1024;
 
 /** The armed plan. Written only by configure() (before a sweep runs);
  *  read lock-free from worker threads during the sweep. */
-std::vector<ThrowFault> throwFaults;
+std::vector<std::uint64_t> throwFaults;
 std::vector<std::uint64_t> hangFaults;
 std::vector<std::uint64_t> corruptStores;
 std::vector<TruncateFault> truncateFaults;
@@ -43,7 +36,6 @@ struct PointContext
 {
     bool active = false;
     std::uint64_t point = 0;
-    std::uint64_t attempt = 0;
 };
 
 thread_local PointContext tlPoint;
@@ -74,17 +66,9 @@ parseToken(const std::string &tok)
     };
     std::uint64_t idx = 0;
     if (eat("throw@")) {
-        if (!parseNum(s, idx))
+        if (!parseNum(s, idx) || *s != '\0')
             return false;
-        std::uint64_t count = std::numeric_limits<std::uint64_t>::max();
-        if (*s == 'x') {
-            ++s;
-            if (!parseNum(s, count))
-                return false;
-        }
-        if (*s != '\0')
-            return false;
-        throwFaults.push_back({idx, count});
+        throwFaults.push_back(idx);
         return true;
     }
     if (eat("hang@")) {
@@ -147,7 +131,7 @@ FaultInjector::configure(const std::string &spec)
         std::string tok = spec.substr(pos, comma - pos);
         if (!tok.empty() && !parseToken(tok)) {
             warn("ignoring unrecognized FDIP_FAULT token '%s' (want "
-                 "throw@<idx>[x<n>], hang@<idx>, corrupt-cache@<n>, or "
+                 "throw@<idx>, hang@<idx>, corrupt-cache@<n>, or "
                  "truncate-trace@<idx>[x<n>])",
                  tok.c_str());
         }
@@ -157,12 +141,10 @@ FaultInjector::configure(const std::string &spec)
              !corruptStores.empty() || !truncateFaults.empty();
 }
 
-FaultInjector::PointScope::PointScope(std::uint64_t point_index,
-                                      std::uint64_t attempt)
+FaultInjector::PointScope::PointScope(std::uint64_t point_index)
 {
     tlPoint.active = true;
     tlPoint.point = point_index;
-    tlPoint.attempt = attempt;
 }
 
 FaultInjector::PointScope::~PointScope()
@@ -175,12 +157,10 @@ FaultInjector::maybeThrow()
 {
     if (!armed_ || !tlPoint.active)
         return;
-    for (const ThrowFault &f : throwFaults) {
-        if (f.point == tlPoint.point && tlPoint.attempt <= f.failCount) {
-            throw SimError(strprintf(
-                "injected fault: throw@%llu (attempt %llu)",
-                static_cast<unsigned long long>(f.point),
-                static_cast<unsigned long long>(tlPoint.attempt)));
+    for (std::uint64_t p : throwFaults) {
+        if (p == tlPoint.point) {
+            throw SimError(strprintf("injected fault: throw@%llu",
+                                     static_cast<unsigned long long>(p)));
         }
     }
 }

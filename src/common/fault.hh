@@ -5,10 +5,8 @@
  * FDIP_FAULT holds a comma-separated list of faults (grammar in
  * docs/ROBUSTNESS.md):
  *
- *   throw@<idx>        every simulation of sweep point <idx> throws
+ *   throw@<idx>        the simulation of sweep point <idx> throws
  *                      SimError at startup.
- *   throw@<idx>x<n>    only the first <n> attempts throw; the retry
- *                      after that succeeds (pins retry recovery).
  *   hang@<idx>         simulations of point <idx> block instead of
  *                      running, until the wall watchdog raises
  *                      SimTimeout (forever if no deadline is set).
@@ -22,7 +20,7 @@
  *
  * Point indices are the deterministic enqueue order of *distinct*
  * grid points in a Runner sweep (Runner::Point::index). Faults are
- * injected unconditionally — they do not depend on FDIP_FATAL —
+ * injected unconditionally — they do not depend on the fatal mode —
  * because an injected throw exists precisely to exercise the
  * isolation path. With FDIP_FAULT unset every hook is a no-op.
  */
@@ -54,14 +52,13 @@ class FaultInjector
 
     /**
      * Declares "this thread is now simulating sweep point
-     * @p point_index, attempt @p attempt (1-based)" for the duration
-     * of the scope. Faults that target a point index only fire inside
-     * such a scope.
+     * @p point_index" for the duration of the scope. Faults that
+     * target a point index only fire inside such a scope.
      */
     class PointScope
     {
       public:
-        PointScope(std::uint64_t point_index, std::uint64_t attempt);
+        explicit PointScope(std::uint64_t point_index);
         ~PointScope();
 
         PointScope(const PointScope &) = delete;
@@ -69,7 +66,7 @@ class FaultInjector
     };
 
     /** Hook at simulation start: throws SimError if a throw@ fault is
-     *  armed for the current point and attempt. */
+     *  armed for the current point. */
     void maybeThrow();
 
     /**

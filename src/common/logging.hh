@@ -6,7 +6,7 @@
  *             simulator itself); aborts.
  * fatal()  -- the simulation cannot continue because of a user error
  *             (bad configuration, invalid arguments); exits with code 1,
- *             or throws SimError under FDIP_FATAL=throw (see
+ *             or throws SimError in FatalMode::Throw (see
  *             common/error.hh) so sweep harnesses can isolate the
  *             failing point instead of losing the whole process.
  * warn()   -- something is questionable but the simulation can continue.

@@ -249,8 +249,7 @@ FdpPrefetcher::chargeIdleCycles(Cycle now, Cycle cycles)
 void
 FdpPrefetcher::onRedirect(Cycle now)
 {
-    if (cfg.flushPiqOnRedirect)
-        piq_.flush();
+    piq_.flush();
     stRedirects.inc();
 }
 

@@ -54,8 +54,6 @@ class FdpPrefetcher : public Prefetcher
         unsigned issueWidth = 2;
         /** Recently-requested filter size (suppresses re-requests). */
         unsigned recentFilterEntries = 16;
-        /** Drop unissued PIQ entries on a pipeline redirect. */
-        bool flushPiqOnRedirect = true;
         /**
          * Ablation: fill prefetches straight into the L1-I instead of
          * the prefetch buffer (exposes wrong-path pollution).

@@ -238,9 +238,8 @@ ManaPrefetcher::tick(Cycle now)
             stAlreadyCached.inc();
             continue;
         }
-        FillDest dest = cfg.fillIntoL1 ? FillDest::DemandL1
-                                       : FillDest::PrefetchBuffer;
-        auto result = mem.issuePrefetch(c.tr.paddr, now, dest);
+        auto result = mem.issuePrefetch(c.tr.paddr, now,
+                                        FillDest::PrefetchBuffer);
         if (result == MemHierarchy::PfIssue::NoResource) {
             stIssueStalls.inc();
             return;

@@ -40,8 +40,6 @@ class ManaPrefetcher : public Prefetcher
         /** Regions replayed per trigger, entered region included
          *  (successor-chain lookahead; 1 disables chaining). */
         unsigned chainLength = 2;
-        /** Ablation: fill straight into the L1-I (pollution). */
-        bool fillIntoL1 = false;
         /** Virtual address bits, for metadata-cost accounting. */
         unsigned vaBits = 48;
     };

@@ -87,9 +87,8 @@ NlpPrefetcher::tick(Cycle now)
             stAlreadyCached.inc();
             continue;
         }
-        FillDest dest = cfg.fillIntoL1 ? FillDest::DemandL1
-                                       : FillDest::PrefetchBuffer;
-        auto result = mem.issuePrefetch(c.tr.paddr, now, dest);
+        auto result = mem.issuePrefetch(c.tr.paddr, now,
+                                        FillDest::PrefetchBuffer);
         if (result == MemHierarchy::PfIssue::NoResource) {
             stIssueStalls.inc();
             return;

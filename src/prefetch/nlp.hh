@@ -24,8 +24,6 @@ class NlpPrefetcher : public Prefetcher
         unsigned degree = 1;
         /** Pending-candidate queue size. */
         std::size_t queueEntries = 8;
-        /** Ablation: fill straight into the L1-I (pollution). */
-        bool fillIntoL1 = false;
     };
 
     NlpPrefetcher(MemHierarchy &mem, const Config &config);

@@ -187,11 +187,9 @@ SimConfig::fingerprint() const
     f.u64(fdp.scanWidth);
     f.u64(fdp.issueWidth);
     f.u64(fdp.recentFilterEntries);
-    f.b(fdp.flushPiqOnRedirect);
     f.b(fdp.fillIntoL1);
     f.u64(nlp.degree);
     f.u64(nlp.queueEntries);
-    f.b(nlp.fillIntoL1);
     f.u64(sb.numBuffers);
     f.u64(sb.depth);
     f.b(sb.allocationFilter);
@@ -205,13 +203,11 @@ SimConfig::fingerprint() const
     f.u64(mana.tableWays);
     f.u64(mana.queueEntries);
     f.u64(mana.chainLength);
-    f.b(mana.fillIntoL1);
     f.u64(mana.vaBits);
     f.u64(shadow.scanWidth);
     f.u64(shadow.queueEntries);
     f.u64(shadow.recentFilterEntries);
     f.u64(shadow.bogusNoiseDenom);
-    f.b(combineNlp);
 
     f.b(usePartitionedBtb);
     f.u64(pbtb.partitions.size());

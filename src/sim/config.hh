@@ -120,8 +120,6 @@ struct SimConfig
     OraclePrefetcher::Config oracle;
     ManaPrefetcher::Config mana;
     ShadowBtbPrefetcher::Config shadow;
-    /** Run NLP alongside FDP (combined scheme). */
-    bool combineNlp = false;
 
     /** Extension: conventional front-end with a partitioned BTB. */
     bool usePartitionedBtb = false;
@@ -133,8 +131,8 @@ struct SimConfig
     /**
      * Watchdog: hard ceiling on total simulated cycles (warmup +
      * measurement together); 0 = no ceiling beyond cycleLimitPerInst.
-     * Exceeding it raises SimTimeout under FDIP_FATAL=throw (so a
-     * sweep renders the point as TIMEOUT) or exits the process.
+     * Exceeding it raises SimTimeout in FatalMode::Throw (so a sweep
+     * renders the point as TIMEOUT) or exits the process.
      */
     std::uint64_t maxCycles = 0;
 

@@ -5,9 +5,13 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <set>
 #include <tuple>
 
+#include "common/env.hh"
+#include "common/error.hh"
 #include "common/logging.hh"
 #include "obs/json.hh"
 #include "sim/report.hh"
@@ -452,8 +456,12 @@ experimentCatalogMarkdown(
     return md;
 }
 
+namespace
+{
+
+/** experimentMain() minus the fatal-mode bracket around it. */
 int
-experimentMain(const ExperimentSpec &spec, int argc, char **argv)
+runExperiment(const ExperimentSpec &spec, int argc, char **argv)
 {
     std::uint64_t warmup = spec.warmup;
     std::uint64_t measure = spec.measure;
@@ -466,14 +474,23 @@ experimentMain(const ExperimentSpec &spec, int argc, char **argv)
             fatal_if(i + 1 >= argc, "%s requires a value", flag);
             return argv[++i];
         };
+        auto uintValue = [&](const char *flag) {
+            const char *text = needsValue(flag);
+            std::optional<std::uint64_t> v = parseUint(text);
+            fatal_if(!v, "%s: '%s' is not a non-negative integer", flag,
+                     text);
+            return *v;
+        };
         if (std::strcmp(argv[i], "--jobs") == 0) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(needsValue("--jobs"), nullptr, 10));
-            fatal_if(jobs == 0, "--jobs must be >= 1");
+            std::uint64_t n = uintValue("--jobs");
+            fatal_if(n == 0 || n > std::numeric_limits<unsigned>::max(),
+                     "--jobs must be between 1 and %u",
+                     std::numeric_limits<unsigned>::max());
+            jobs = static_cast<unsigned>(n);
         } else if (std::strcmp(argv[i], "--warmup") == 0) {
-            warmup = std::strtoull(needsValue("--warmup"), nullptr, 10);
+            warmup = uintValue("--warmup");
         } else if (std::strcmp(argv[i], "--measure") == 0) {
-            measure = std::strtoull(needsValue("--measure"), nullptr, 10);
+            measure = uintValue("--measure");
             fatal_if(measure == 0, "--measure must be >= 1");
         } else if (std::strcmp(argv[i], "--list") == 0) {
             list = true;
@@ -511,11 +528,10 @@ experimentMain(const ExperimentSpec &spec, int argc, char **argv)
     if (!failures.empty()) {
         std::string out = "\nfailed points:\n";
         for (const auto &f : failures) {
-            out += strprintf(
-                "  %s (%s, %s, '%s') after %u attempt%s: %s\n",
-                f.timedOut ? "TIMEOUT" : "FAIL", f.workload.c_str(),
-                f.scheme.c_str(), f.variant.c_str(), f.attempts,
-                f.attempts == 1 ? "" : "s", f.error.c_str());
+            out += strprintf("  %s (%s, %s, '%s'): %s\n",
+                             f.timedOut ? "TIMEOUT" : "FAIL",
+                             f.workload.c_str(), f.scheme.c_str(),
+                             f.variant.c_str(), f.error.c_str());
         }
         put(out);
     }
@@ -530,8 +546,30 @@ experimentMain(const ExperimentSpec &spec, int argc, char **argv)
         std::printf("stats: wrote %s\n", statsJsonPath.c_str());
     }
     // 0 = clean; 3 = the sweep completed but some points failed (the
-    // table above has FAIL/TIMEOUT cells). fatal() paths exit 1.
+    // table above has FAIL/TIMEOUT cells).
     return failures.empty() ? 0 : 3;
+}
+
+} // namespace
+
+int
+experimentMain(const ExperimentSpec &spec, int argc, char **argv)
+{
+    // In Throw mode fatal() and the watchdogs raise SimError: inside a
+    // grid point the Runner turns it into a FAIL/TIMEOUT cell, and one
+    // raised anywhere else (a bad flag, a render reading an undeclared
+    // point) ends the run here.
+    const FatalMode caller_mode = fatalMode();
+    setFatalMode(FatalMode::Throw);
+    int rc = 1;
+    try {
+        rc = runExperiment(spec, argc, argv);
+    } catch (const SimError &e) {
+        std::fflush(stdout);
+        std::fprintf(stderr, "fatal: %s\n", e.what());
+    }
+    setFatalMode(caller_mode);
+    return rc;
 }
 
 } // namespace fdip

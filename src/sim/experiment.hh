@@ -191,6 +191,12 @@ std::string experimentCatalogMarkdown(
  * --stats-json PATH (machine-readable per-point export after the
  * sweep), prints the banner, expands + runs the sweep, prints the
  * footer, then delegates to spec.render.
+ *
+ * Runs in FatalMode::Throw and restores the caller's mode on return.
+ * Returns 0 for a clean sweep, 3 when the sweep completed around
+ * failed points (FAIL/TIMEOUT cells), and 1 after printing
+ * "fatal: ..." for a SimError raised outside any grid point, such as
+ * a malformed flag value.
  */
 int experimentMain(const ExperimentSpec &spec, int argc, char **argv);
 

@@ -36,10 +36,7 @@ gridConfig(const std::string &workload, PrefetchScheme scheme,
 }
 
 Runner::Runner(std::uint64_t warmup_insts, std::uint64_t measure_insts)
-    : warmup(warmup_insts), measure(measure_insts),
-      maxRetries(static_cast<unsigned>(envUint("FDIP_RETRIES", 2))),
-      retryBaseMs(
-          static_cast<unsigned>(envUint("FDIP_RETRY_BASE_MS", 100)))
+    : warmup(warmup_insts), measure(measure_insts)
 {}
 
 unsigned
@@ -52,13 +49,6 @@ Runner::defaultJobs()
         return static_cast<unsigned>(n);
     unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;
-}
-
-void
-Runner::setRetryPolicy(unsigned retries, unsigned base_ms)
-{
-    maxRetries = retries;
-    retryBaseMs = base_ms;
 }
 
 std::size_t
@@ -74,80 +64,62 @@ Runner::cacheEvicted() const
 }
 
 Runner::Outcome
-Runner::computeAttempt(const Point &p) const
-{
-    Outcome o;
-    const SimConfig &cfg = p.cfg;
-    // A loaded entry carries no host gauges: sweep footers account
-    // only the simulations that actually executed.
-    if (diskCache) {
-        if (auto cached = diskCache->load(p.fingerprint, cfg.warmupInsts,
-                                          cfg.measureInsts)) {
-            o.results = std::move(*cached);
-            o.diskHit = true;
-            return o;
-        }
-    }
-    o.results = simulate(cfg);
-    if (diskCache) {
-        diskCache->store(p.fingerprint, cfg.warmupInsts,
-                         cfg.measureInsts, o.results);
-    }
-    return o;
-}
-
-Runner::Outcome
 Runner::computePoint(const Point &p) const
 {
-    for (unsigned attempt = 1;; ++attempt) {
-        try {
-            // Declare (point, attempt) to the fault injector for the
-            // duration of the attempt; with FDIP_FAULT unset this is
-            // two thread-local stores.
-            FaultInjector::PointScope scope(p.index, attempt);
-            Outcome o = computeAttempt(p);
-            o.attempts = attempt;
-            return o;
-        } catch (const SimError &e) {
-            bool timed_out =
-                dynamic_cast<const SimTimeout *>(&e) != nullptr;
-            warn("point %zu (%s, %s, '%s') attempt %u/%u failed: %s",
-                 p.index, p.cfg.workload.c_str(),
-                 schemeName(p.cfg.scheme), p.variant.c_str(), attempt,
-                 1 + maxRetries, e.what());
-            if (attempt > maxRetries) {
-                // Out of attempts: substitute a sentinel result so the
-                // sweep (and its table) completes around this point.
-                // Both sentinels are NaNs (the timed-out one tagged)
-                // so derived ratios/means degrade to NaN as well.
-                double s = timed_out ? timedOutSentinel()
-                                     : failedSentinel();
-                Outcome o;
-                o.results.workload = p.cfg.workload;
-                o.results.scheme = schemeName(p.cfg.scheme);
-                o.results.status = timed_out ? RunStatus::TimedOut
-                                             : RunStatus::Failed;
-                o.results.failReason = e.what();
-                o.results.ipc = s;
-                o.results.mpki = s;
-                o.results.l2BusUtil = s;
-                o.results.memBusUtil = s;
-                o.results.prefetchAccuracy = s;
-                o.results.prefetchCoverage = s;
-                o.results.prefetchTimely = s;
-                o.results.prefetchLate = s;
-                o.results.prefetchPollution = s;
-                o.results.condMispredictPerKilo = s;
-                o.attempts = attempt;
-                o.failedPoint = true;
-                o.timedOut = timed_out;
-                o.error = e.what();
+    try {
+        // Declare the point to the fault injector for the duration of
+        // the simulation; with FDIP_FAULT unset this is two
+        // thread-local stores.
+        FaultInjector::PointScope scope(p.index);
+        Outcome o;
+        const SimConfig &cfg = p.cfg;
+        // A loaded entry carries no host gauges: sweep footers account
+        // only the simulations that actually executed.
+        if (diskCache) {
+            if (auto cached = diskCache->load(
+                    p.fingerprint, cfg.warmupInsts, cfg.measureInsts)) {
+                o.results = std::move(*cached);
+                o.diskHit = true;
                 return o;
             }
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                static_cast<std::uint64_t>(retryBaseMs)
-                << (attempt - 1)));
         }
+        o.results = simulate(cfg);
+        if (diskCache) {
+            diskCache->store(p.fingerprint, cfg.warmupInsts,
+                             cfg.measureInsts, o.results);
+        }
+        return o;
+    } catch (const SimError &e) {
+        // A simulation is deterministic, so running the point again
+        // would fail the same way. Substitute a sentinel result so the
+        // sweep (and its table) completes around this point. Both
+        // sentinels are NaNs (the timed-out one tagged) so derived
+        // ratios/means degrade to NaN as well.
+        bool timed_out = dynamic_cast<const SimTimeout *>(&e) != nullptr;
+        warn("point %zu (%s, %s, '%s') failed: %s", p.index,
+             p.cfg.workload.c_str(), schemeName(p.cfg.scheme),
+             p.variant.c_str(), e.what());
+        double s = timed_out ? timedOutSentinel() : failedSentinel();
+        Outcome o;
+        o.results.workload = p.cfg.workload;
+        o.results.scheme = schemeName(p.cfg.scheme);
+        o.results.status =
+            timed_out ? RunStatus::TimedOut : RunStatus::Failed;
+        o.results.failReason = e.what();
+        o.results.ipc = s;
+        o.results.mpki = s;
+        o.results.l2BusUtil = s;
+        o.results.memBusUtil = s;
+        o.results.prefetchAccuracy = s;
+        o.results.prefetchCoverage = s;
+        o.results.prefetchTimely = s;
+        o.results.prefetchLate = s;
+        o.results.prefetchPollution = s;
+        o.results.condMispredictPerKilo = s;
+        o.failedPoint = true;
+        o.timedOut = timed_out;
+        o.error = e.what();
+        return o;
     }
 }
 
@@ -167,8 +139,6 @@ Runner::accountCacheOutcome(const Outcome &o)
 void
 Runner::recordHealth(const Point &p, const Outcome &o)
 {
-    if (o.attempts > 1)
-        ++numRetried;
     if (!o.failedPoint)
         return;
     if (o.timedOut)
@@ -179,7 +149,6 @@ Runner::recordHealth(const Point &p, const Outcome &o)
     f.variant = p.variant;
     f.fingerprint = p.fingerprint;
     f.error = o.error;
-    f.attempts = o.attempts;
     f.timedOut = o.timedOut;
     failed.push_back(std::move(f));
 }
@@ -356,16 +325,14 @@ Runner::sweepSummary() const
         out += "result cache: disabled (set FDIP_CACHE_DIR)\n";
     }
     // Zero-noise health line: only present when something actually
-    // went wrong (failures, retries, quarantined or evicted entries).
+    // went wrong (failures, quarantined or evicted entries).
     std::size_t quarantined = cacheQuarantined();
     std::size_t evicted = cacheEvicted();
-    if (!failed.empty() || numRetried > 0 || quarantined > 0 ||
-        evicted > 0) {
-        out += strprintf("health: %zu failed points (%zu timed out), "
-                         "%zu retried; cache: %zu quarantined, "
-                         "%zu evicted\n",
-                         failed.size(), numTimedOut, numRetried,
-                         quarantined, evicted);
+    if (!failed.empty() || quarantined > 0 || evicted > 0) {
+        out += strprintf("health: %zu failed points (%zu timed out); "
+                         "cache: %zu quarantined, %zu evicted\n",
+                         failed.size(), numTimedOut, quarantined,
+                         evicted);
     }
     return out;
 }

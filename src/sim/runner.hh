@@ -65,7 +65,7 @@ class Runner
     using Tweak = std::function<void(SimConfig &)>;
 
     /**
-     * A grid point whose every attempt raised SimError. The sweep
+     * A grid point whose simulation raised SimError. The sweep
      * carries on: the memo holds a Failed/TimedOut sentinel result
      * (all-NaN metrics, rendered as FAIL / TIMEOUT cells) and
      * this record preserves what actually happened.
@@ -78,9 +78,8 @@ class Runner
         std::string variant;
         /** SimConfig::fingerprint() of the failing config. */
         std::uint64_t fingerprint = 0;
-        /** what() of the final attempt's error. */
+        /** what() of the error. */
         std::string error;
-        unsigned attempts = 0;
         bool timedOut = false;
     };
 
@@ -140,20 +139,15 @@ class Runner
     static unsigned defaultJobs();
 
     /**
-     * Retry policy for points that raise SimError: up to @p retries
-     * re-attempts (FDIP_RETRIES, default 2) with exponential backoff
-     * starting at @p base_ms (FDIP_RETRY_BASE_MS, default 100; the
-     * delay doubles per attempt). Only after every attempt fails is
-     * the point recorded as a FailedPoint.
+     * No-op: every point runs once. A simulation is deterministic, so
+     * a point that raised SimError would raise it again on a retry.
+     * Kept because perfbench/perfbench.cc still calls it.
      */
-    void setRetryPolicy(unsigned retries, unsigned base_ms);
+    void setRetryPolicy(unsigned, unsigned) {}
 
-    /** Points whose every attempt failed, in enqueue order. */
+    /** Points whose simulation failed, in enqueue order. */
     const std::vector<FailedPoint> &failures() const { return failed; }
-    /** Points that needed more than one attempt (eventual successes
-     *  included). */
-    std::size_t retriedPoints() const { return numRetried; }
-    /** Failed points whose final error was a SimTimeout. */
+    /** Failed points whose error was a SimTimeout. */
     std::size_t timedOutPoints() const { return numTimedOut; }
     /** Corrupt/stale entries the on-disk cache quarantined. */
     std::size_t cacheQuarantined() const;
@@ -211,8 +205,7 @@ class Runner
     {
         SimResults results;
         bool diskHit = false;
-        unsigned attempts = 1;
-        /** Every attempt raised SimError; results is a sentinel. */
+        /** The simulation raised SimError; results is a sentinel. */
         bool failedPoint = false;
         bool timedOut = false;
         std::string error;
@@ -220,14 +213,10 @@ class Runner
 
     /**
      * Serve @p p from the on-disk cache, or simulate (and store) —
-     * with failure isolation: SimError attempts are retried per the
-     * retry policy, and a point whose every attempt failed returns a
+     * with failure isolation: a point that raises SimError returns a
      * sentinel Outcome instead of propagating.
      */
     Outcome computePoint(const Point &p) const;
-
-    /** One cache-or-simulate attempt; lets SimError propagate. */
-    Outcome computeAttempt(const Point &p) const;
 
     /** Count one outcome against the hit/miss counters. */
     void accountCacheOutcome(const Outcome &o);
@@ -235,7 +224,7 @@ class Runner
     /** Fold one outcome into the sweep gauges and counters. */
     void accountOutcome(const Outcome &o);
 
-    /** Record retry/failure bookkeeping for one completed point
+    /** Record failure bookkeeping for one completed point
      *  (single-threaded merge only). */
     void recordHealth(const Point &p, const Outcome &o);
 
@@ -266,11 +255,7 @@ class Runner
 
     /** Failure isolation (whole Runner lifetime). */
     std::vector<FailedPoint> failed;
-    std::size_t numRetried = 0;
     std::size_t numTimedOut = 0;
-    /** SimError retry budget per point and first backoff delay. */
-    unsigned maxRetries;
-    unsigned retryBaseMs;
 };
 
 /** Geometric-mean speedup: gmean over (1 + s_i), minus 1. */

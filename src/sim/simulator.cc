@@ -209,10 +209,6 @@ Simulator::buildCore(Core &c, unsigned id)
             fc.mode = CpfMode::Ideal;
         c.prefetchers.push_back(
             std::make_unique<FdpPrefetcher>(*c.ftq, *c.mem, fc));
-        if (cfg.combineNlp) {
-            c.prefetchers.push_back(
-                std::make_unique<NlpPrefetcher>(*c.mem, cfg.nlp));
-        }
         break;
       }
     }

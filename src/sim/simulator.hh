@@ -26,8 +26,8 @@ class IntervalSampler;
 
 /**
  * How a sweep point ended. Ok results come from Simulator::run();
- * Failed/TimedOut are sentinels the Runner substitutes when every
- * attempt at a point threw SimError/SimTimeout — their numeric fields
+ * Failed/TimedOut are sentinels the Runner substitutes when a point's
+ * simulation threw SimError/SimTimeout — their numeric fields
  * hold a quiet NaN (Failed) or the tagged NaN timedOutSentinel()
  * (TimedOut), so tables render FAIL / TIMEOUT cells and anything
  * *derived* from them (ratios, means) degrades to NaN/FAIL instead
@@ -47,7 +47,7 @@ struct SimResults
     std::string scheme;
 
     RunStatus status = RunStatus::Ok;
-    /** what() of the final failed attempt (empty when status is Ok). */
+    /** what() of the point's error (empty when status is Ok). */
     std::string failReason;
 
     Cycle cycles = 0;

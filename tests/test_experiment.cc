@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hh"
 #include "json_validate.hh"
 #include "sim/experiment.hh"
 #include "trace/profile.hh"
@@ -180,6 +181,40 @@ TEST(ExperimentStatsJson, ExportsEveryPointWithPerCoreRows)
     EXPECT_EQ(rows, 2u) << text;
     EXPECT_NE(text.find("\"variant\": \"c2\""), std::string::npos);
     std::remove(path.c_str());
+}
+
+TEST(ExperimentMain, MalformedRunFlagsAreFatalAndNameTheFlag)
+{
+    // None of these may be read as a prefix ("2000x" as 2000), as 0
+    // ("abc"), or wrapped ("-1" as 4294967295).
+    ExperimentSpec s;
+    s.id = "T-FLAGS";
+    s.binary = "test";
+    const char *bad[][2] = {{"--warmup", "abc"},
+                            {"--measure", "2000x"},
+                            {"--jobs", "-1"},
+                            {"--jobs", "0"},
+                            {"--warmup", " 5"},
+                            {"--warmup", "18446744073709551616"}};
+    for (const auto &[flag, value] : bad) {
+        const char *argv[] = {"test", flag, value, "--list"};
+        ::testing::internal::CaptureStdout();
+        ::testing::internal::CaptureStderr();
+        int rc = experimentMain(s, 4, const_cast<char **>(argv));
+        std::string err = ::testing::internal::GetCapturedStderr();
+        std::string out = ::testing::internal::GetCapturedStdout();
+        EXPECT_EQ(rc, 1) << flag << " '" << value << "'";
+        EXPECT_EQ(err.find(std::string("fatal: ") + flag), 0u) << err;
+        EXPECT_TRUE(out.empty()) << out;
+    }
+    // Thrown fatals stay inside experimentMain: the caller's mode is
+    // back, and well-formed values still parse.
+    EXPECT_EQ(fatalMode(), FatalMode::Abort);
+    const char *good[] = {"test", "--jobs", "2", "--warmup", "0",
+                          "--measure", "7", "--list"};
+    ::testing::internal::CaptureStdout();
+    EXPECT_EQ(experimentMain(s, 8, const_cast<char **>(good)), 0);
+    ::testing::internal::GetCapturedStdout();
 }
 
 TEST(ExperimentDescribe, OutputIsStable)

@@ -1,6 +1,6 @@
 /**
- * Robustness tests: failure isolation (SimError / FDIP_FATAL=throw),
- * bounded retries, watchdogs (maxCycles ceiling + wall deadline),
+ * Robustness tests: failure isolation (SimError in FatalMode::Throw),
+ * watchdogs (maxCycles ceiling + wall deadline),
  * result-cache quarantine / GC / build-identity invalidation, the
  * deterministic FDIP_FAULT injection harness, and the shared envUint()
  * knob parser. The load-bearing property pinned throughout: a sweep
@@ -85,10 +85,8 @@ class Robustness : public ::testing::Test
         FaultInjector::instance().reset();
         setFatalMode(FatalMode::Abort);
         for (const char *var :
-             {"FDIP_FAULT", "FDIP_FATAL", "FDIP_RETRIES",
-              "FDIP_RETRY_BASE_MS", "FDIP_SIM_TIMEOUT_S",
-              "FDIP_CACHE_BUDGET_MB", "FDIP_CACHE_DIR", "FDIP_NO_CACHE",
-              "FDIP_JOBS"}) {
+             {"FDIP_FAULT", "FDIP_SIM_TIMEOUT_S", "FDIP_CACHE_BUDGET_MB",
+              "FDIP_CACHE_DIR", "FDIP_NO_CACHE", "FDIP_JOBS"}) {
             unsetenv(var);
         }
     }
@@ -157,7 +155,7 @@ TEST_F(Robustness, DefaultJobsHonorsEnvAndSurvivesGarbage)
 }
 
 // ---------------------------------------------------------------------
-// Failure model: fatal() under FDIP_FATAL=throw, SimTimeout subtype.
+// Failure model: fatal() in FatalMode::Throw, SimTimeout subtype.
 // ---------------------------------------------------------------------
 
 TEST_F(Robustness, FatalThrowsSimErrorInThrowMode)
@@ -204,28 +202,12 @@ TEST_F(Robustness, FaultInjectorParsesGrammarAndScopesByPoint)
     // Outside a PointScope nothing fires.
     EXPECT_NO_THROW(faults.maybeThrow());
     {
-        FaultInjector::PointScope scope(1, 1);
+        FaultInjector::PointScope scope(1);
         EXPECT_NO_THROW(faults.maybeThrow());
     }
     {
-        FaultInjector::PointScope scope(2, 1);
+        FaultInjector::PointScope scope(2);
         EXPECT_THROW(faults.maybeThrow(), SimError);
-    }
-    // A persistent throw@ fires on every attempt.
-    {
-        FaultInjector::PointScope scope(2, 5);
-        EXPECT_THROW(faults.maybeThrow(), SimError);
-    }
-
-    // throw@<idx>x<n>: only the first n attempts fail.
-    faults.configure("throw@3x1");
-    {
-        FaultInjector::PointScope scope(3, 1);
-        EXPECT_THROW(faults.maybeThrow(), SimError);
-    }
-    {
-        FaultInjector::PointScope scope(3, 2);
-        EXPECT_NO_THROW(faults.maybeThrow());
     }
 
     faults.reset();
@@ -234,10 +216,15 @@ TEST_F(Robustness, FaultInjectorParsesGrammarAndScopesByPoint)
 
 TEST_F(Robustness, FaultInjectorWarnsOnUnknownToken)
 {
-    ::testing::internal::CaptureStderr();
-    FaultInjector::instance().configure("explode@7");
-    std::string err = ::testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("explode@7"), std::string::npos) << err;
+    // A point runs once, so there is no attempt count for an x<n>
+    // suffix on throw@ to limit.
+    for (const char *tok : {"explode@7", "throw@3x1"}) {
+        ::testing::internal::CaptureStderr();
+        FaultInjector::instance().configure(tok);
+        std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find(tok), std::string::npos) << err;
+        EXPECT_FALSE(FaultInjector::instance().any()) << tok;
+    }
     FaultInjector::instance().reset();
 }
 
@@ -263,30 +250,29 @@ TEST_F(Robustness, MaxCyclesIsPartOfTheConfigFingerprint)
 }
 
 // ---------------------------------------------------------------------
-// Runner: retries, isolation, sentinel rendering, health footer.
+// Runner: isolation, sentinel rendering, health footer.
 // ---------------------------------------------------------------------
 
-TEST_F(Robustness, RetryRecoversFromTransientFault)
+TEST_F(Robustness, FailingPointIsSimulatedOnce)
 {
-    FaultInjector::instance().configure("throw@0x1");
+    // A simulation is deterministic: a point that raised SimError would
+    // raise it again, so it is recorded after one run, with no retry
+    // and no backoff sleep.
+    FaultInjector::instance().configure("throw@0");
     Runner r(kWarmup, kMeasure);
     r.disableCache();
     r.setJobs(1);
-    r.setRetryPolicy(2, 1);
-    ::testing::internal::CaptureStderr(); // swallow the attempt warn
+    ::testing::internal::CaptureStderr();
     const SimResults &res = r.run("gcc", PrefetchScheme::None);
-    ::testing::internal::GetCapturedStderr();
+    std::string err = ::testing::internal::GetCapturedStderr();
 
-    EXPECT_EQ(res.status, RunStatus::Ok);
-    EXPECT_TRUE(r.failures().empty());
-    EXPECT_EQ(r.retriedPoints(), 1u);
-
-    // The recovered result is byte-identical to an undisturbed run.
-    FaultInjector::instance().reset();
-    Runner clean(kWarmup, kMeasure);
-    clean.disableCache();
-    EXPECT_EQ(serializeResults(clean.run("gcc", PrefetchScheme::None)),
-              serializeResults(res));
+    EXPECT_EQ(res.status, RunStatus::Failed);
+    ASSERT_EQ(r.failures().size(), 1u);
+    std::size_t warnings = 0;
+    for (std::size_t at = err.find("failed:"); at != std::string::npos;
+         at = err.find("failed:", at + 1))
+        ++warnings;
+    EXPECT_EQ(warnings, 1u) << err;
 }
 
 TEST_F(Robustness, SweepSurvivesInjectedThrowAndHang)
@@ -299,11 +285,10 @@ TEST_F(Robustness, SweepSurvivesInjectedThrowAndHang)
     Runner r(kWarmup, kMeasure);
     r.disableCache();
     r.setJobs(1);
-    r.setRetryPolicy(1, 1); // exercise one retry per failing point
     r.enqueue("gcc", PrefetchScheme::None);
     r.enqueue("li", PrefetchScheme::None);
     r.enqueue("go", PrefetchScheme::None);
-    ::testing::internal::CaptureStderr(); // attempt warns
+    ::testing::internal::CaptureStderr(); // failure warns
     r.runPending();
     ::testing::internal::GetCapturedStderr();
 
@@ -311,7 +296,6 @@ TEST_F(Robustness, SweepSurvivesInjectedThrowAndHang)
     ASSERT_EQ(r.failures().size(), 2u);
     const Runner::FailedPoint &thrown = r.failures()[0];
     EXPECT_EQ(thrown.workload, "gcc");
-    EXPECT_EQ(thrown.attempts, 2u);
     EXPECT_FALSE(thrown.timedOut);
     EXPECT_NE(thrown.error.find("injected fault"), std::string::npos);
     EXPECT_NE(thrown.fingerprint, 0u);
@@ -575,11 +559,11 @@ TEST_F(Robustness, TruncateTraceFaultGrammarAndScoping)
     // Outside a PointScope nothing fires, whatever the position.
     EXPECT_NO_THROW(faults.maybeTruncateTrace(5000, "x.trace"));
     {
-        FaultInjector::PointScope scope(0, 1);
+        FaultInjector::PointScope scope(0);
         EXPECT_NO_THROW(faults.maybeTruncateTrace(5000, "x.trace"));
     }
     {
-        FaultInjector::PointScope scope(1, 1);
+        FaultInjector::PointScope scope(1);
         // Fires only once the reader is past the threshold: the trace
         // serves N records, then "dies".
         EXPECT_NO_THROW(faults.maybeTruncateTrace(99, "x.trace"));
@@ -610,10 +594,9 @@ TEST_F(Robustness, SweepIsolatesTraceDyingMidStream)
     Runner r(kWarmup, kMeasure);
     r.disableCache();
     r.setJobs(1);
-    r.setRetryPolicy(0, 1);
     r.enqueue("trace:" + path, PrefetchScheme::None);
     r.enqueue("go", PrefetchScheme::None);
-    ::testing::internal::CaptureStderr(); // attempt warns
+    ::testing::internal::CaptureStderr(); // failure warn
     r.runPending();
     ::testing::internal::GetCapturedStderr();
 
@@ -679,7 +662,6 @@ TEST_F(Robustness, ExperimentExitCodeDistinguishesFailedSweeps)
     EXPECT_EQ(clean_rc, 0);
     EXPECT_EQ(clean_out.find("failed points:"), std::string::npos);
 
-    setenv("FDIP_RETRIES", "0", 1);
     FaultInjector::instance().configure("throw@0");
     ::testing::internal::CaptureStdout();
     ::testing::internal::CaptureStderr();
@@ -687,7 +669,6 @@ TEST_F(Robustness, ExperimentExitCodeDistinguishesFailedSweeps)
     ::testing::internal::GetCapturedStderr();
     std::string faulted_out = ::testing::internal::GetCapturedStdout();
     FaultInjector::instance().reset();
-    unsetenv("FDIP_RETRIES");
 
     EXPECT_EQ(faulted_rc, 3);
     EXPECT_NE(faulted_out.find("failed points:"), std::string::npos)
@@ -704,7 +685,6 @@ TEST_F(Robustness, ExperimentExitCodeCoversTraceStreamDeath)
     ExperimentSpec spec = tinySpec();
     spec.grids[0].workloads = {"trace:" + path};
 
-    setenv("FDIP_RETRIES", "0", 1);
     FaultInjector::instance().configure("truncate-trace@0x1000");
     const char *argv[] = {"test_robustness"};
     auto args = const_cast<char **>(argv);
@@ -714,10 +694,35 @@ TEST_F(Robustness, ExperimentExitCodeCoversTraceStreamDeath)
     ::testing::internal::GetCapturedStderr();
     std::string out = ::testing::internal::GetCapturedStdout();
     FaultInjector::instance().reset();
-    unsetenv("FDIP_RETRIES");
 
     EXPECT_EQ(rc, 3);
     EXPECT_NE(out.find("failed points:"), std::string::npos) << out;
     EXPECT_NE(out.find("mid-stream"), std::string::npos) << out;
     std::remove(path.c_str());
+}
+
+// A watchdog expiry inside a bench sweep is a TIMEOUT cell, not a dead
+// process: experimentMain runs the sweep in FatalMode::Throw, whatever
+// mode its caller was in, and hands that mode back on return.
+TEST_F(Robustness, ExperimentIsolatesWatchdogExpiry)
+{
+    ExperimentSpec spec = tinySpec();
+    spec.grids[0].variants = {{"ceiling", "100-cycle ceiling",
+                               [](SimConfig &c) { c.maxCycles = 100; }}};
+
+    const char *argv[] = {"test_robustness"};
+    auto args = const_cast<char **>(argv);
+    ::testing::internal::CaptureStdout();
+    ::testing::internal::CaptureStderr();
+    int rc = experimentMain(spec, 1, args);
+    ::testing::internal::GetCapturedStderr();
+    std::string out = ::testing::internal::GetCapturedStdout();
+
+    EXPECT_EQ(rc, 3);
+    EXPECT_NE(out.find("TIMEOUT (gcc, none, 'ceiling')"),
+              std::string::npos)
+        << out;
+    EXPECT_NE(out.find("1 failed points (1 timed out)"), std::string::npos)
+        << out;
+    EXPECT_EQ(fatalMode(), FatalMode::Abort);
 }

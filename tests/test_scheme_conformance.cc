@@ -60,8 +60,8 @@ registry()
          [](SimConfig &c) { c.fdp.issueWidth = 3; }},
         {PrefetchScheme::FdpRemove, "fdp.recentFilterEntries",
          [](SimConfig &c) { c.fdp.recentFilterEntries = 12; }},
-        {PrefetchScheme::FdpIdeal, "fdp.flushPiqOnRedirect",
-         [](SimConfig &c) { c.fdp.flushPiqOnRedirect = false; }},
+        {PrefetchScheme::FdpIdeal, "fdp.fillIntoL1",
+         [](SimConfig &c) { c.fdp.fillIntoL1 = true; }},
         {PrefetchScheme::Oracle, "oracle.lookaheadInsts",
          [](SimConfig &c) { c.oracle.lookaheadInsts = 96; }},
         {PrefetchScheme::Mana, "mana.regionBlocks",

@@ -114,15 +114,6 @@ TEST(Simulator, StreamBufferSchemeWiresClients)
     EXPECT_GT(r.stats.counter("mem.streambuf_hits"), 0u);
 }
 
-TEST(Simulator, CombinedFdpNlpRuns)
-{
-    SimConfig cfg = quickCfg("gcc", PrefetchScheme::FdpRemove);
-    cfg.combineNlp = true;
-    SimResults r = simulate(cfg);
-    EXPECT_GT(r.stats.counter("fdp.issued"), 0u);
-    EXPECT_GT(r.stats.counter("nlp.triggers"), 0u);
-}
-
 TEST(Simulator, PartitionedBtbFrontEndRuns)
 {
     SimConfig cfg = quickCfg("gcc", PrefetchScheme::FdpRemove);

@@ -106,8 +106,6 @@ matrixConfig(int i)
     cfg.mem.victimCacheEntries = pick(rng, {0u, 8u});
     cfg.mem.prefetchMayQueueOnBus = (i % 5) == 0;
     cfg.maxOutstandingPrefetches = pick(rng, {2u, 8u});
-    if (schemeIsFdp(scheme))
-        cfg.combineNlp = (i % 4) == 0;
 
     // Multi-core axis: half the matrix scales the machine out to 2 or
     // 4 cores sharing the L2/buses/DRAM, so skip parity also covers

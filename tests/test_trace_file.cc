@@ -107,8 +107,8 @@ TEST(TraceFile, ReaderIsATraceSource)
     EXPECT_EQ(win.baseSeq(), 5u);
 }
 
-// Corrupt inputs raise SimError unconditionally (not the FDIP_FATAL
-// abort path): a sweep must be able to isolate one bad trace as a
+// Corrupt inputs raise SimError in every fatal mode (not the Abort
+// exit path): a sweep must be able to isolate one bad trace as a
 // FAIL cell instead of dying (docs/ROBUSTNESS.md).
 TEST(TraceFile, RejectsGarbageFile)
 {
