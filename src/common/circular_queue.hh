@@ -37,7 +37,7 @@ class CircularQueue
     push(T value)
     {
         panic_if(full(), "push to full CircularQueue");
-        buf[(head + count) % cap] = std::move(value);
+        buf[wrap(head + count)] = std::move(value);
         ++count;
     }
 
@@ -46,7 +46,7 @@ class CircularQueue
     pop()
     {
         panic_if(empty(), "pop from empty CircularQueue");
-        head = (head + 1) % cap;
+        head = wrap(head + 1);
         --count;
     }
 
@@ -70,7 +70,7 @@ class CircularQueue
     back()
     {
         panic_if(empty(), "back of empty CircularQueue");
-        return buf[(head + count - 1) % cap];
+        return buf[wrap(head + count - 1)];
     }
 
     /** Random access: at(0) is the head. */
@@ -78,14 +78,14 @@ class CircularQueue
     at(std::size_t i)
     {
         panic_if(i >= count, "CircularQueue::at(%zu) size %zu", i, count);
-        return buf[(head + i) % cap];
+        return buf[wrap(head + i)];
     }
 
     const T &
     at(std::size_t i) const
     {
         panic_if(i >= count, "CircularQueue::at(%zu) size %zu", i, count);
-        return buf[(head + i) % cap];
+        return buf[wrap(head + i)];
     }
 
     /** Drop every element at index >= @p from (squash younger entries). */
@@ -104,6 +104,17 @@ class CircularQueue
     }
 
   private:
+    /**
+     * Physical slot of logical position @p pos. Every caller passes
+     * head (< cap) plus an offset of at most cap, so pos < 2 * cap and
+     * one compare-and-subtract replaces a modulo.
+     */
+    std::size_t
+    wrap(std::size_t pos) const
+    {
+        return pos < cap ? pos : pos - cap;
+    }
+
     std::vector<T> buf;
     std::size_t cap;
     std::size_t head = 0;

@@ -1,6 +1,5 @@
 #include "frontend/ftq.hh"
 
-#include "common/intmath.hh"
 #include "common/logging.hh"
 #include "obs/tracer.hh"
 
@@ -19,6 +18,9 @@ Ftq::push(const FetchBlock &blk)
     panic_if(full(), "push to full FTQ");
     FtqEntry e;
     e.blk = blk;
+    Addr first = alignDown(blk.startPc, blockBytes);
+    Addr last = alignDown(blk.endPc() - instBytes, blockBytes);
+    e.numBlocks = static_cast<unsigned>((last - first) / blockBytes) + 1;
     if (tracer != nullptr)
         e.pushedAt = tracer->now();
     q.push(e);
@@ -37,6 +39,7 @@ Ftq::popHead()
                          "fetched");
     }
     q.pop();
+    ++headSeq_;
     ++version_;
     stPoppedBlocks.inc();
 }
@@ -54,24 +57,9 @@ Ftq::flush()
     }
     stFlushes.inc();
     stFlushedBlocks.inc(q.size());
+    headSeq_ += q.size();
     q.clear();
     ++version_;
-}
-
-unsigned
-Ftq::numCacheBlocks(std::size_t i) const
-{
-    const FetchBlock &blk = q.at(i).blk;
-    Addr first = alignDown(blk.startPc, blockBytes);
-    Addr last = alignDown(blk.endPc() - instBytes, blockBytes);
-    return static_cast<unsigned>((last - first) / blockBytes) + 1;
-}
-
-Addr
-Ftq::cacheBlockAddr(std::size_t i, unsigned k) const
-{
-    const FetchBlock &blk = q.at(i).blk;
-    return alignDown(blk.startPc, blockBytes) + Addr(k) * blockBytes;
 }
 
 void

@@ -11,6 +11,7 @@
 
 #include "common/circular_queue.hh"
 #include "common/histogram.hh"
+#include "common/intmath.hh"
 #include "common/stats.hh"
 #include "bpu/bpu.hh"
 
@@ -22,10 +23,10 @@ class Tracer;
 struct FtqEntry
 {
     FetchBlock blk;
+    /** Cache blocks the fetch block spans (computed once at push). */
+    unsigned numBlocks = 0;
     /** Fetch-engine progress: instructions already delivered. */
     unsigned fetchedInsts = 0;
-    /** Prefetch-scan progress: next cache block index to consider. */
-    unsigned nextScanBlock = 0;
     /** Cycle this entry entered the queue (tracing only). */
     Cycle pushedAt = 0;
 };
@@ -53,6 +54,14 @@ class Ftq
     void flush();
 
     /**
+     * Sequence number of entry 0: entries are numbered in push order,
+     * and popHead and flush advance it past the entries they remove.
+     * A scan position kept as a sequence number stays valid while the
+     * queue shifts under it.
+     */
+    std::uint64_t headSeq() const { return headSeq_; }
+
+    /**
      * Monotonic content-change counter: bumped by push, popHead, and
      * flush. Scanners whose verdict is a pure function of the queue's
      * entries (e.g. the TLB prefetcher's fixed-point check) memoize
@@ -61,10 +70,15 @@ class Ftq
     std::uint64_t version() const { return version_; }
 
     /** Number of cache blocks entry @p i spans. */
-    unsigned numCacheBlocks(std::size_t i) const;
+    unsigned numCacheBlocks(std::size_t i) const { return q.at(i).numBlocks; }
 
     /** Aligned address of cache block @p k of entry @p i. */
-    Addr cacheBlockAddr(std::size_t i, unsigned k) const;
+    Addr
+    cacheBlockAddr(std::size_t i, unsigned k) const
+    {
+        return alignDown(q.at(i).blk.startPc, blockBytes) +
+               Addr(k) * blockBytes;
+    }
 
     /** Record the current occupancy (call once per cycle; idle-cycle
      *  skipping passes the number of cycles being charged). */
@@ -101,6 +115,7 @@ class Ftq
     unsigned blockBytes;
     Histogram occupancy;
     std::uint64_t version_ = 0;
+    std::uint64_t headSeq_ = 0;
     Tracer *tracer = nullptr;
 };
 

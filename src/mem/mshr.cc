@@ -44,6 +44,11 @@ MshrFile::allocate(Addr block_addr, Cycle ready_at, bool is_prefetch,
             e.dest = dest;
             e.streamId = 0;
             e.slotId = 0;
+            ++inUse_;
+            if (is_prefetch)
+                ++prefetches_;
+            if (ready_at < earliest_)
+                earliest_ = ready_at;
             stAllocations.inc();
             return &e;
         }
@@ -57,44 +62,19 @@ MshrFile::free(MshrEntry &entry)
 {
     panic_if(!entry.valid, "freeing invalid MSHR entry");
     entry.valid = false;
-}
-
-bool
-MshrFile::full() const
-{
-    for (const auto &e : entries) {
-        if (!e.valid)
-            return false;
-    }
-    return true;
-}
-
-unsigned
-MshrFile::inUse() const
-{
-    unsigned n = 0;
-    for (const auto &e : entries) {
-        if (e.valid)
-            ++n;
-    }
-    return n;
-}
-
-unsigned
-MshrFile::prefetchesInFlight() const
-{
-    unsigned n = 0;
-    for (const auto &e : entries) {
-        if (e.valid && e.isPrefetch)
-            ++n;
-    }
-    return n;
+    --inUse_;
+    if (entry.isPrefetch)
+        --prefetches_;
+    if (entry.readyAt == earliest_)
+        earliest_ = scanEarliest();
 }
 
 std::vector<MshrEntry *>
 MshrFile::ready(Cycle now)
 {
     std::vector<MshrEntry *> out;
+    if (now < earliest_)
+        return out;
     for (auto &e : entries) {
         if (e.valid && e.readyAt <= now)
             out.push_back(&e);
@@ -103,7 +83,7 @@ MshrFile::ready(Cycle now)
 }
 
 Cycle
-MshrFile::nextReadyCycle() const
+MshrFile::scanEarliest() const
 {
     Cycle next = kNever;
     for (const auto &e : entries) {
@@ -118,6 +98,9 @@ MshrFile::clear()
 {
     for (auto &e : entries)
         e.valid = false;
+    inUse_ = 0;
+    prefetches_ = 0;
+    earliest_ = kNever;
 }
 
 } // namespace fdip

@@ -29,6 +29,9 @@ struct MshrEntry
 {
     bool valid = false;
     Addr blockAddr = invalidAddr;
+    /** Fill completion and kind are fixed at allocation: the file's
+     *  counts and earliest fill are kept from them. Callers holding an
+     *  entry may retarget only @c dest, @c fillL2 and the stream ids. */
     Cycle readyAt = neverCycle;
     bool isPrefetch = false;
     bool fillL2 = false;   ///< the fill also installs into the L2
@@ -51,9 +54,9 @@ class MshrFile
 
     void free(MshrEntry &entry);
 
-    bool full() const;
-    unsigned inUse() const;
-    unsigned prefetchesInFlight() const;
+    bool full() const { return inUse_ == capacity(); }
+    unsigned inUse() const { return inUse_; }
+    unsigned prefetchesInFlight() const { return prefetches_; }
     unsigned capacity() const
     {
         return static_cast<unsigned>(entries.size());
@@ -66,7 +69,7 @@ class MshrFile
     std::vector<MshrEntry *> ready(Cycle now);
 
     /** Earliest in-flight fill completion; kNever when idle. */
-    Cycle nextReadyCycle() const;
+    Cycle nextReadyCycle() const { return earliest_; }
 
     void clear();
 
@@ -78,7 +81,12 @@ class MshrFile
     StatSet::Counter stAllocFailures =
         stats.registerCounter("mshr.alloc_failures");
 
+    Cycle scanEarliest() const;
+
     std::vector<MshrEntry> entries;
+    unsigned inUse_ = 0;
+    unsigned prefetches_ = 0;
+    Cycle earliest_ = kNever;
 };
 
 } // namespace fdip

@@ -11,6 +11,7 @@ PrefetchBuffer::PrefetchBuffer(unsigned entries)
     : cap(entries)
 {
     fatal_if(entries == 0, "prefetch buffer needs at least one entry");
+    buf.reserve(cap);
 }
 
 bool
@@ -43,7 +44,7 @@ PrefetchBuffer::insert(Addr block_addr)
     std::optional<Addr> evicted;
     if (buf.size() == cap) {
         evicted = buf.front().addr;
-        buf.pop_front();
+        buf.erase(buf.begin());
         stUnusedEvictions.inc();
     }
     buf.push_back({block_addr});

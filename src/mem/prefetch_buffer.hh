@@ -9,8 +9,8 @@
 #ifndef FDIP_MEM_PREFETCH_BUFFER_HH
 #define FDIP_MEM_PREFETCH_BUFFER_HH
 
-#include <deque>
 #include <optional>
+#include <vector>
 
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -54,7 +54,9 @@ class PrefetchBuffer
         Addr addr;
     };
 
-    std::deque<Slot> buf;
+    /** Oldest first. At most a few dozen slots, so a contiguous
+     *  array beats a deque even with front erasure. */
+    std::vector<Slot> buf;
     unsigned cap;
 };
 

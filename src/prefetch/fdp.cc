@@ -58,24 +58,20 @@ FdpPrefetcher::probeWaitingEntries(Cycle now)
     if (cfg.mode != CpfMode::Remove)
         return;
     // Opportunistically probe unverified PIQ entries with whatever tag
-    // ports the demand fetch left idle this cycle.
-    std::size_t i = 0;
-    while (i < piq_.size()) {
-        PiqEntry &e = piq_.at(i);
-        if (e.probed) {
-            ++i;
-            continue;
-        }
+    // ports the demand fetch left idle this cycle. Probes go in queue
+    // order, so the unverified entries are exactly those past the
+    // probed prefix.
+    while (piq_.probedPrefix() < piq_.size()) {
         if (!mem.reserveTagPort())
             return; // out of ports; try again next cycle
         stCpfProbes.inc();
-        if (mem.tagProbe(translateFunctional(e.blockAddr))) {
-            piq_.removeAt(i);
+        std::size_t i = piq_.probedPrefix();
+        if (mem.tagProbe(translateFunctional(piq_.at(i).blockAddr))) {
+            piq_.removeAt(i); // entry i replaced by its successor
             stCpfFiltered.inc();
-            continue; // entry i replaced by its successor
+        } else {
+            piq_.extendProbedPrefix();
         }
-        e.probed = true;
-        ++i;
     }
 }
 
@@ -125,14 +121,19 @@ FdpPrefetcher::scanFtq(Cycle now)
             tr->instant("pf_enqueue", kTidPrefetch, "block", block);
     };
     // Entry 0 is the fetch point (being demand fetched); deeper
-    // entries are the prefetch candidates.
-    for (std::size_t i = 1; i < ftq.size(); ++i) {
-        FtqEntry &e = ftq.at(i);
+    // entries are the prefetch candidates. Resume at the saved
+    // position unless its entry has since become the fetch point or
+    // been flushed: then every remaining entry is unscanned.
+    if (scanSeq <= ftq.headSeq()) {
+        scanSeq = ftq.headSeq() + 1;
+        scanBlock = 0;
+    }
+    for (std::size_t i = scanSeq - ftq.headSeq(); i < ftq.size(); ++i) {
         unsigned n_blocks = ftq.numCacheBlocks(i);
-        while (e.nextScanBlock < n_blocks) {
+        while (scanBlock < n_blocks) {
             if (examined >= cfg.scanWidth || piq_.full())
                 return;
-            Addr cand = ftq.cacheBlockAddr(i, e.nextScanBlock);
+            Addr cand = ftq.cacheBlockAddr(i, scanBlock);
             // Candidates are virtual; physically-tagged filter probes
             // (L1 tags, MSHRs) peek the page table functionally.
             Addr pcand = translateFunctional(cand);
@@ -142,7 +143,7 @@ FdpPrefetcher::scanFtq(Cycle now)
             if (recentlyRequested(cand) || piq_.contains(cand) ||
                 mem.prefetchRedundant(pcand)) {
                 stDedupDropped.inc();
-                ++e.nextScanBlock;
+                ++scanBlock;
                 continue;
             }
 
@@ -187,8 +188,10 @@ FdpPrefetcher::scanFtq(Cycle now)
                 }
                 break;
             }
-            ++e.nextScanBlock;
+            ++scanBlock;
         }
+        ++scanSeq; // entry i fully scanned
+        scanBlock = 0;
     }
 }
 
@@ -205,12 +208,8 @@ FdpPrefetcher::nextEventCycle(Cycle now) const
 {
     // Remove-CPF: an unprobed PIQ entry is probed with next cycle's
     // leftover tag ports.
-    if (cfg.mode == CpfMode::Remove) {
-        for (std::size_t i = 0; i < piq_.size(); ++i) {
-            if (!piq_.at(i).probed)
-                return now + 1;
-        }
-    }
+    if (cfg.mode == CpfMode::Remove && piq_.probedPrefix() < piq_.size())
+        return now + 1;
     Cycle next = kNever;
     if (!piq_.empty()) {
         const PiqEntry &head = piq_.front();
@@ -225,12 +224,11 @@ FdpPrefetcher::nextEventCycle(Cycle now) const
             return now + 1;
         next = wake;
     }
-    if (!piq_.full()) {
-        for (std::size_t i = 1; i < ftq.size(); ++i) {
-            if (ftq.at(i).nextScanBlock < ftq.numCacheBlocks(i))
-                return now + 1; // unscanned candidates remain
-        }
-    }
+    // Unscanned candidates remain while the scan position (entry 1
+    // at the earliest) names an entry that is still queued.
+    std::uint64_t scan_from = std::max(scanSeq, ftq.headSeq() + 1);
+    if (!piq_.full() && scan_from < ftq.headSeq() + ftq.size())
+        return now + 1;
     return next;
 }
 

@@ -23,6 +23,8 @@ void
 Piq::popFront()
 {
     q.pop();
+    if (probed_ > 0)
+        --probed_;
 }
 
 void
@@ -33,7 +35,16 @@ Piq::removeAt(std::size_t i)
     for (std::size_t k = i; k + 1 < q.size(); ++k)
         q.at(k) = q.at(k + 1);
     q.truncate(q.size() - 1);
+    if (i < probed_)
+        --probed_;
     stRemoved.inc();
+}
+
+void
+Piq::extendProbedPrefix()
+{
+    panic_if(probed_ >= q.size(), "PIQ probed prefix past end");
+    ++probed_;
 }
 
 bool
@@ -51,6 +62,7 @@ Piq::flush()
 {
     stFlushedEntries.inc(q.size());
     q.clear();
+    probed_ = 0;
 }
 
 } // namespace fdip

@@ -1,8 +1,8 @@
 /**
  * @file piq.hh
  * Prefetch Instruction Queue: FIFO of candidate cache-block addresses
- * awaiting prefetch issue, with per-entry probe state for the
- * remove-variant of cache probe filtering.
+ * awaiting prefetch issue, with the probe state of the remove-variant
+ * of cache probe filtering.
  */
 
 #ifndef FDIP_PREFETCH_PIQ_HH
@@ -20,8 +20,6 @@ struct PiqEntry
 {
     /** Candidate virtual block address from the FTQ scan. */
     Addr blockAddr = invalidAddr;
-    /** Remove-CPF already verified this block misses in the L1. */
-    bool probed = false;
     /** Issue-time translation state (VM runs only). */
     PfTranslationState tr;
 };
@@ -46,6 +44,19 @@ class Piq
     /** Remove entry @p i (probe said the block is already cached). */
     void removeAt(std::size_t i);
 
+    /**
+     * Remove-CPF probe state. Entries [0, probedPrefix()) were verified
+     * to miss in the L1; the rest await a probe. The verified entries
+     * always form a prefix: probes go in queue order, push appends an
+     * unprobed entry, and a probe hit removes the entry at the prefix
+     * boundary.
+     */
+    std::size_t probedPrefix() const { return probed_; }
+
+    /** The entry at probedPrefix() missed its probe: it joins the
+     *  prefix. */
+    void extendProbedPrefix();
+
     bool contains(Addr block_addr) const;
 
     void flush();
@@ -59,6 +70,7 @@ class Piq
         stats.registerCounter("piq.flushed_entries");
 
     CircularQueue<PiqEntry> q;
+    std::size_t probed_ = 0;
 };
 
 } // namespace fdip

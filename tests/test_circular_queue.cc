@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "common/circular_queue.hh"
+#include "common/random.hh"
 
 using namespace fdip;
 
@@ -100,6 +103,45 @@ TEST(CircularQueue, StressWrapManyTimes)
         }
     }
     EXPECT_EQ(next_in, next_out);
+}
+
+TEST(CircularQueue, MatchesDequeModelAcrossWraps)
+{
+    // Random push/pop/truncate/clear against a std::deque model, at
+    // capacities that put the wrap point at every offset: at(i) and
+    // back() must address the same element as the model after every
+    // step, whatever the head position and occupancy.
+    for (std::size_t cap : {1u, 3u, 5u, 32u}) {
+        Rng rng(cap);
+        CircularQueue<int> q(cap);
+        std::deque<int> model;
+        int next = 0;
+        for (int step = 0; step < 2000; ++step) {
+            std::uint64_t op = rng.below(20);
+            if (op == 0) {
+                q.clear();
+                model.clear();
+            } else if (op == 1) {
+                std::size_t from = rng.below(model.size() + 1);
+                q.truncate(from);
+                model.resize(from);
+            } else if (op < 11 && !q.full()) {
+                q.push(next);
+                model.push_back(next++);
+            } else if (!q.empty()) {
+                q.pop();
+                model.pop_front();
+            }
+            ASSERT_EQ(q.size(), model.size()) << "cap " << cap;
+            ASSERT_EQ(q.full(), model.size() == cap);
+            for (std::size_t i = 0; i < model.size(); ++i)
+                ASSERT_EQ(q.at(i), model[i]) << "cap " << cap << " i " << i;
+            if (!model.empty()) {
+                ASSERT_EQ(q.front(), model.front());
+                ASSERT_EQ(q.back(), model.back());
+            }
+        }
+    }
 }
 
 TEST(CircularQueueDeath, Overflow)

@@ -5,6 +5,7 @@
 #include "frontend/ftq.hh"
 #include "mem/hierarchy.hh"
 #include "prefetch/fdp.hh"
+#include "vm/mmu.hh"
 
 using namespace fdip;
 
@@ -257,4 +258,152 @@ TEST(Fdp, FillIntoL1AblationSkipsBuffer)
         rig.mem.tick(t);
     EXPECT_TRUE(rig.mem.l1i().probe(0x2000));
     EXPECT_FALSE(rig.mem.pfBuffer().probe(0x2000));
+}
+
+namespace
+{
+
+/** One-candidate-per-cycle FDP for stepping the scan position. */
+FdpPrefetcher
+makeNarrowFdp(Rig &rig, CpfMode mode)
+{
+    FdpPrefetcher::Config c;
+    c.mode = mode;
+    c.scanWidth = 1;
+    return FdpPrefetcher(rig.ftq, rig.mem, c);
+}
+
+std::vector<Addr>
+piqBlocks(const FdpPrefetcher &fdp)
+{
+    std::vector<Addr> out;
+    for (std::size_t i = 0; i < fdp.piq().size(); ++i)
+        out.push_back(fdp.piq().at(i).blockAddr);
+    return out;
+}
+
+} // namespace
+
+TEST(FdpScan, EntryShiftingTowardHeadResumesMidEntry)
+{
+    Rig rig;
+    auto fdp = makeNarrowFdp(rig, CpfMode::None);
+    rig.mem.l2Bus().transfer(1, 3200); // hold issue: the PIQ keeps all
+    rig.pushBlock(0x1000);
+    rig.pushBlock(0x2000);
+    rig.pushBlock(0x3010, 16); // 0x3000 0x3020 0x3040
+    fdp.tick(1); // 0x2000
+    fdp.tick(2); // 0x3000
+    rig.ftq.popHead(); // 0x3010 is now entry 1, still mid-scan
+    fdp.tick(3);
+    EXPECT_EQ(piqBlocks(fdp),
+              (std::vector<Addr>{0x2000, 0x3000, 0x3020}));
+    EXPECT_EQ(fdp.stats.counter("fdp.candidates"), 3u);
+}
+
+TEST(FdpScan, EntryReachingFetchPointIsAbandoned)
+{
+    Rig rig;
+    auto fdp = makeNarrowFdp(rig, CpfMode::None);
+    rig.mem.l2Bus().transfer(1, 3200);
+    rig.pushBlock(0x1000);
+    rig.pushBlock(0x2010, 16); // 0x2000 0x2020 0x2040
+    rig.pushBlock(0x5010, 16); // 0x5000 0x5020 0x5040
+    fdp.tick(1); // 0x2000
+    fdp.tick(2); // 0x2020
+    rig.ftq.popHead(); // 0x2010 becomes the fetch point mid-scan
+    fdp.tick(3); // the new entry 1 from its first block
+    fdp.tick(4);
+    EXPECT_EQ(piqBlocks(fdp),
+              (std::vector<Addr>{0x2000, 0x2020, 0x5000, 0x5020}));
+    EXPECT_EQ(fdp.stats.counter("fdp.candidates"), 4u);
+}
+
+TEST(FdpScan, RedirectRestartsAtFirstNewEntry)
+{
+    Rig rig;
+    auto fdp = makeNarrowFdp(rig, CpfMode::None);
+    rig.pushBlock(0x1000);
+    rig.pushBlock(0x2010, 16); // 0x2000 0x2020 0x2040
+    fdp.tick(1); // 0x2000, then the redirect squashes all
+    rig.ftq.flush();
+    fdp.onRedirect(1);
+    rig.pushBlock(0x7000); // new fetch point
+    rig.pushBlock(0x8010, 16); // 0x8000 0x8020 0x8040
+    fdp.tick(2);
+    EXPECT_EQ(piqBlocks(fdp), (std::vector<Addr>{0x8000}));
+
+    // Same again with the scan caught up (position past the tail).
+    fdp.tick(3);
+    fdp.tick(4); // 0x8040: entry 1 done, nothing left
+    rig.ftq.flush();
+    fdp.onRedirect(4);
+    rig.pushBlock(0x9000);
+    rig.pushBlock(0xa000);
+    fdp.tick(5);
+    EXPECT_EQ(piqBlocks(fdp), (std::vector<Addr>{0xa000}));
+}
+
+TEST(FdpScan, NextEventWhileUnscannedBlocksRemain)
+{
+    // Ideal CPF with every candidate already cached: the PIQ stays
+    // empty, so the scan alone decides nextEventCycle.
+    Rig rig;
+    auto fdp = makeNarrowFdp(rig, CpfMode::Ideal);
+    for (Addr a : {0x2000, 0x2020, 0x2040, 0x6000})
+        rig.mem.l1i().insert(a);
+    rig.pushBlock(0x1000);
+    EXPECT_EQ(fdp.nextEventCycle(0), kNever); // fetch point only
+    rig.pushBlock(0x2010, 16); // 0x2000 0x2020 0x2040
+    EXPECT_EQ(fdp.nextEventCycle(0), 1u);
+    fdp.tick(1);
+    EXPECT_EQ(fdp.nextEventCycle(1), 2u);
+    fdp.tick(2);
+    EXPECT_EQ(fdp.nextEventCycle(2), 3u);
+    fdp.tick(3); // last block of the last entry
+    EXPECT_EQ(fdp.stats.counter("fdp.cpf_filtered"), 3u);
+    EXPECT_EQ(fdp.nextEventCycle(3), kNever);
+    rig.ftq.popHead();
+    EXPECT_EQ(fdp.nextEventCycle(3), kNever);
+    rig.pushBlock(0x6000);
+    EXPECT_EQ(fdp.nextEventCycle(3), 4u);
+    fdp.tick(4);
+    EXPECT_EQ(fdp.nextEventCycle(4), kNever);
+
+    // An entry that reaches the fetch point mid-scan leaves nothing
+    // to scan behind it.
+    rig.pushBlock(0x2010, 16);
+    fdp.tick(5); // 0x2000 of 3
+    EXPECT_EQ(fdp.nextEventCycle(5), 6u);
+    rig.ftq.popHead();
+    rig.ftq.popHead();
+    EXPECT_EQ(fdp.nextEventCycle(5), kNever);
+}
+
+TEST(FdpScan, FullPiqSilencesUnscannedBlocks)
+{
+    // The PIQ's only slot holds a candidate parked on its page walk:
+    // the blocks still unscanned cannot enter, so the FDP sleeps until
+    // the walk completes instead of waking every cycle.
+    Rig rig;
+    VmConfig vcfg;
+    vcfg.enable = true;
+    vcfg.itlbEntries = 4;
+    vcfg.itlbAssoc = 4;
+    vcfg.walkLatency = 25;
+    vcfg.prefetchPolicy = TlbPrefetchPolicy::Wait;
+    Mmu mmu(vcfg, 0x0, 0x100000);
+    FdpPrefetcher::Config c;
+    c.mode = CpfMode::None;
+    c.scanWidth = 1;
+    c.piqEntries = 1;
+    FdpPrefetcher fdp(rig.ftq, rig.mem, c);
+    fdp.setMmu(&mmu);
+    rig.pushBlock(0x1000);
+    rig.pushBlock(0x2010, 16); // 0x2000 0x2020 0x2040
+    fdp.tick(1); // 0x2000 fills the PIQ
+    EXPECT_EQ(fdp.nextEventCycle(1), 2u); // head not yet translated
+    fdp.tick(2); // head walks; the scan is blocked
+    EXPECT_TRUE(fdp.piq().full());
+    EXPECT_EQ(fdp.nextEventCycle(2), 2 + vcfg.walkLatency);
 }

@@ -37,7 +37,44 @@ TEST(Ftq, EntryBookkeepingStartsAtZero)
     Ftq ftq(4, 32);
     ftq.push(mkBlock(0x1000, 8));
     EXPECT_EQ(ftq.head().fetchedInsts, 0u);
-    EXPECT_EQ(ftq.head().nextScanBlock, 0u);
+}
+
+TEST(Ftq, BlockCountStoredAtPush)
+{
+    Ftq ftq(4, 32);
+    ftq.push(mkBlock(0x1000 + 5 * instBytes, 8)); // straddles: 2 blocks
+    ftq.push(mkBlock(0x2000, 24));                // 3 whole blocks
+    EXPECT_EQ(ftq.at(0).numBlocks, 2u);
+    EXPECT_EQ(ftq.at(1).numBlocks, 3u);
+    // The count travels with the entry as the queue shifts.
+    ftq.popHead();
+    EXPECT_EQ(ftq.numCacheBlocks(0), 3u);
+    EXPECT_EQ(ftq.cacheBlockAddr(0, 2), 0x2040u);
+}
+
+TEST(Ftq, HeadSeqNumbersEntriesInPushOrder)
+{
+    Ftq ftq(4, 32);
+    EXPECT_EQ(ftq.headSeq(), 0u);
+    ftq.push(mkBlock(0x1000, 8)); // #0
+    ftq.push(mkBlock(0x2000, 8)); // #1
+    ftq.push(mkBlock(0x3000, 8)); // #2
+    ftq.popHead();
+    EXPECT_EQ(ftq.headSeq(), 1u);
+    EXPECT_EQ(ftq.head().blk.startPc, 0x2000u);
+    // A flush retires every queued number: the next push is #3.
+    ftq.flush();
+    EXPECT_EQ(ftq.headSeq(), 3u);
+    ftq.push(mkBlock(0x4000, 8));
+    EXPECT_EQ(ftq.headSeq(), 3u);
+    ftq.flush();
+    EXPECT_EQ(ftq.headSeq(), 4u);
+    // Flushing an empty queue retires nothing.
+    ftq.flush();
+    EXPECT_EQ(ftq.headSeq(), 4u);
+    ftq.push(mkBlock(0x5000, 8));
+    ftq.popHead();
+    EXPECT_EQ(ftq.headSeq(), 5u);
 }
 
 TEST(Ftq, CacheBlockEnumerationAligned)
