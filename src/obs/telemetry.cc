@@ -46,8 +46,6 @@ ObsConfig::applyEnv()
     // passive and must never take a simulation down with it.
     sampleIntervalCycles =
         envUint("FDIP_SAMPLE_INTERVAL", sampleIntervalCycles, 1);
-    traceCapacity = static_cast<std::size_t>(
-        envUint("FDIP_TRACE_CAP", traceCapacity, 1));
 }
 
 /**
@@ -267,7 +265,7 @@ Telemetry::Telemetry(const ObsConfig &config, const std::string &wl,
         sampleSink_ = sinkFor<SampleSink>(cfg.samplesPath);
     }
     if (!cfg.tracePath.empty()) {
-        tracer_ = std::make_unique<Tracer>(cfg.traceCapacity);
+        tracer_ = std::make_unique<Tracer>(kTraceCapacity);
         traceSink_ = sinkFor<TraceSink>(cfg.tracePath);
         traceSink_->beginRun(runId, workload + "/" + scheme);
     }
@@ -314,8 +312,8 @@ Telemetry::flush()
         note.argKey = "dropped";
         note.argVal = dropped;
         events.push_back(note);
-        warn("trace ring overflowed: %llu events dropped (%s/%s); raise "
-             "FDIP_TRACE_CAP",
+        warn("trace ring overflowed: %llu events dropped (%s/%s); trace "
+             "a shorter run",
              static_cast<unsigned long long>(dropped), workload.c_str(),
              scheme.c_str());
     }

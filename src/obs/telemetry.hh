@@ -11,7 +11,6 @@
  *                              when the path ends in ".csv")
  *   FDIP_SAMPLE_INTERVAL=N     sample interval in cycles
  *   FDIP_TRACE=path            enable Chrome trace_event output
- *   FDIP_TRACE_CAP=N           trace ring-buffer capacity (events)
  *
  * Concurrent Runner threads may share one output file: sinks are
  * keyed by path in a process-wide registry and serialize writes; each
@@ -44,10 +43,9 @@ struct ObsConfig
     std::string samplesPath; ///< empty = sampling off
     std::string tracePath;   ///< empty = tracing off
     Cycle sampleIntervalCycles = 10000;
-    std::size_t traceCapacity = 65536;
 
-    /** Overlay FDIP_SAMPLES / FDIP_TRACE / FDIP_SAMPLE_INTERVAL /
-     *  FDIP_TRACE_CAP on top of the programmatic settings. */
+    /** Overlay FDIP_SAMPLES / FDIP_TRACE / FDIP_SAMPLE_INTERVAL on top
+     *  of the programmatic settings. */
     void applyEnv();
 
     bool enabled() const { return !samplesPath.empty() || !tracePath.empty(); }
@@ -82,6 +80,9 @@ class Telemetry
     void flush();
 
   private:
+    /** Trace ring capacity in events; the oldest drop past it. */
+    static constexpr std::size_t kTraceCapacity = 65536;
+
     ObsConfig cfg;
     std::string workload;
     std::string scheme;

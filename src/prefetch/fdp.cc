@@ -22,9 +22,9 @@ cpfModeName(CpfMode mode)
 }
 
 FdpPrefetcher::FdpPrefetcher(Ftq &ftq_ref, MemHierarchy &mem_ref,
-                             const Config &config)
-    : ftq(ftq_ref), mem(mem_ref), cfg(config), piq_(cfg.piqEntries),
-      recentFilter(cfg.recentFilterEntries, invalidAddr)
+                             CpfMode mode, const Config &config)
+    : ftq(ftq_ref), mem(mem_ref), mode_(mode), cfg(config),
+      piq_(cfg.piqEntries), recentlyRequested(cfg.recentFilterEntries)
 {
     fatal_if(cfg.scanWidth == 0, "FDP scan width must be nonzero");
     fatal_if(cfg.issueWidth == 0, "FDP issue width must be nonzero");
@@ -33,29 +33,13 @@ FdpPrefetcher::FdpPrefetcher(Ftq &ftq_ref, MemHierarchy &mem_ref,
 std::string
 FdpPrefetcher::name() const
 {
-    return strprintf("fdp-%s", cpfModeName(cfg.mode));
-}
-
-bool
-FdpPrefetcher::recentlyRequested(Addr block_addr) const
-{
-    return std::find(recentFilter.begin(), recentFilter.end(),
-                     block_addr) != recentFilter.end();
-}
-
-void
-FdpPrefetcher::markRequested(Addr block_addr)
-{
-    if (recentFilter.empty())
-        return;
-    recentFilter[recentNext] = block_addr;
-    recentNext = (recentNext + 1) % recentFilter.size();
+    return strprintf("fdp-%s", cpfModeName(mode_));
 }
 
 void
 FdpPrefetcher::probeWaitingEntries(Cycle now)
 {
-    if (cfg.mode != CpfMode::Remove)
+    if (mode_ != CpfMode::Remove)
         return;
     // Opportunistically probe unverified PIQ entries with whatever tag
     // ports the demand fetch left idle this cycle. Probes go in queue
@@ -116,7 +100,9 @@ FdpPrefetcher::scanFtq(Cycle now)
 {
     unsigned examined = 0;
     Tracer *tr = mem.tracer();
-    auto traceEnqueue = [tr](Addr block) {
+    auto enqueue = [this, tr](Addr block) {
+        piq_.push(block);
+        recentlyRequested.insert(block);
         if (tr != nullptr)
             tr->instant("pf_enqueue", kTidPrefetch, "block", block);
     };
@@ -140,52 +126,36 @@ FdpPrefetcher::scanFtq(Cycle now)
             ++examined;
             stCandidates.inc();
 
-            if (recentlyRequested(cand) || piq_.contains(cand) ||
+            if (recentlyRequested.contains(cand) || piq_.contains(cand) ||
                 mem.prefetchRedundant(pcand)) {
                 stDedupDropped.inc();
                 ++scanBlock;
                 continue;
             }
 
-            switch (cfg.mode) {
+            switch (mode_) {
               case CpfMode::None:
               case CpfMode::Remove:
-                piq_.push(cand);
-                markRequested(cand);
-                traceEnqueue(cand);
+                enqueue(cand);
                 break;
               case CpfMode::Enqueue:
               case CpfMode::EnqueueAggressive:
                 if (!mem.reserveTagPort()) {
                     stEnqueueNoPort.inc();
-                    if (cfg.mode == CpfMode::Enqueue) {
+                    if (mode_ == CpfMode::Enqueue) {
                         // Conservative: no idle port, no enqueue.
                         return;
                     }
-                    // Aggressive: enqueue unprobed.
-                    piq_.push(cand);
-                    markRequested(cand);
-                    traceEnqueue(cand);
+                    enqueue(cand); // aggressive: enqueue unprobed
                     break;
                 }
-                stCpfProbes.inc();
-                if (mem.tagProbe(pcand)) {
-                    stCpfFiltered.inc();
-                } else {
-                    piq_.push(cand);
-                    markRequested(cand);
-                    traceEnqueue(cand);
-                }
-                break;
+                [[fallthrough]]; // probe on the reserved port
               case CpfMode::Ideal:
                 stCpfProbes.inc();
-                if (mem.tagProbe(pcand)) {
+                if (mem.tagProbe(pcand))
                     stCpfFiltered.inc();
-                } else {
-                    piq_.push(cand);
-                    markRequested(cand);
-                    traceEnqueue(cand);
-                }
+                else
+                    enqueue(cand);
                 break;
             }
             ++scanBlock;
@@ -208,28 +178,15 @@ FdpPrefetcher::nextEventCycle(Cycle now) const
 {
     // Remove-CPF: an unprobed PIQ entry is probed with next cycle's
     // leftover tag ports.
-    if (cfg.mode == CpfMode::Remove && piq_.probedPrefix() < piq_.size())
+    if (mode_ == CpfMode::Remove && piq_.probedPrefix() < piq_.size())
         return now + 1;
-    Cycle next = kNever;
-    if (!piq_.empty()) {
-        const PiqEntry &head = piq_.front();
-        // An untranslated or ready head means a translate or an issue
-        // attempt next cycle; a waiting head wakes at walk completion
-        // (kNever while its walk is queued for a walker — the MMU's
-        // own events cover the start).
-        if (!head.tr.translated)
-            return now + 1;
-        Cycle wake = translationWakeCycle(head.tr, now);
-        if (wake <= now + 1)
-            return now + 1;
-        next = wake;
-    }
     // Unscanned candidates remain while the scan position (entry 1
     // at the earliest) names an entry that is still queued.
     std::uint64_t scan_from = std::max(scanSeq, ftq.headSeq() + 1);
     if (!piq_.full() && scan_from < ftq.headSeq() + ftq.size())
         return now + 1;
-    return next;
+    // The head translates or issues next cycle, or waits on its walk.
+    return piq_.empty() ? kNever : translationWakeCycle(piq_.front().tr, now);
 }
 
 void
@@ -238,10 +195,8 @@ FdpPrefetcher::chargeIdleCycles(Cycle now, Cycle cycles)
     // The only per-cycle charge of a quiescent tick: the head-of-line
     // candidate waiting on its page walk (no walk completes inside a
     // charged window, so pending-now means pending throughout).
-    if (!piq_.empty() && piq_.front().tr.translated &&
-        translationWaiting(piq_.front().tr)) {
+    if (!piq_.empty() && translationWaiting(piq_.front().tr))
         stTlbWaitStalls.inc(cycles);
-    }
 }
 
 void

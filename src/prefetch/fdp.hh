@@ -23,8 +23,7 @@
 #ifndef FDIP_PREFETCH_FDP_HH
 #define FDIP_PREFETCH_FDP_HH
 
-#include <vector>
-
+#include "common/recent_filter.hh"
 #include "frontend/ftq.hh"
 #include "prefetch/piq.hh"
 #include "prefetch/prefetcher.hh"
@@ -46,9 +45,9 @@ const char *cpfModeName(CpfMode mode);
 class FdpPrefetcher : public Prefetcher
 {
   public:
+    /** Everything but the CPF mode, which the scheme chooses. */
     struct Config
     {
-        CpfMode mode = CpfMode::Remove;
         std::size_t piqEntries = 16;
         /** Candidate blocks examined per cycle during the FTQ scan. */
         unsigned scanWidth = 4;
@@ -63,7 +62,8 @@ class FdpPrefetcher : public Prefetcher
         bool fillIntoL1 = false;
     };
 
-    FdpPrefetcher(Ftq &ftq, MemHierarchy &mem, const Config &config);
+    FdpPrefetcher(Ftq &ftq, MemHierarchy &mem, CpfMode mode,
+                  const Config &config);
 
     std::string name() const override;
     void tick(Cycle now) override;
@@ -97,16 +97,13 @@ class FdpPrefetcher : public Prefetcher
     void issuePrefetches(Cycle now);
     void scanFtq(Cycle now);
 
-    /** True if the candidate should be dropped before the PIQ. */
-    bool recentlyRequested(Addr block_addr) const;
-    void markRequested(Addr block_addr);
-
     Ftq &ftq;
     MemHierarchy &mem;
+    CpfMode mode_;
     Config cfg;
     Piq piq_;
-    std::vector<Addr> recentFilter;
-    std::size_t recentNext = 0;
+    /** Blocks recently enqueued: a candidate found here is dropped. */
+    RecentFilter recentlyRequested;
     /**
      * Scan position: the next candidate is block @c scanBlock of FTQ
      * entry number @c scanSeq (see Ftq::headSeq). Every entry before

@@ -1,7 +1,5 @@
 #include "prefetch/mana.hh"
 
-#include <algorithm>
-
 #include "common/intmath.hh"
 #include "common/logging.hh"
 
@@ -9,7 +7,7 @@ namespace fdip
 {
 
 ManaPrefetcher::ManaPrefetcher(MemHierarchy &mem_ref, const Config &config)
-    : mem(mem_ref), cfg(config)
+    : QueuedPrefetcher(mem_ref, "mana", config.queueEntries), cfg(config)
 {
     fatal_if(cfg.regionBlocks == 0 || cfg.regionBlocks > 64 ||
                  !isPowerOf2(cfg.regionBlocks),
@@ -17,8 +15,6 @@ ManaPrefetcher::ManaPrefetcher(MemHierarchy &mem_ref, const Config &config)
     fatal_if(!isPowerOf2(cfg.tableSets),
              "MANA table set count must be a power of two");
     fatal_if(cfg.tableWays == 0, "MANA table needs at least one way");
-    fatal_if(cfg.queueEntries == 0,
-             "MANA replay queue needs at least one entry");
     fatal_if(cfg.chainLength == 0,
              "MANA chain length must be at least 1 (the entered region)");
     table.resize(std::size_t(cfg.tableSets) * cfg.tableWays);
@@ -124,24 +120,6 @@ ManaPrefetcher::recordRegion(std::uint64_t region,
 }
 
 void
-ManaPrefetcher::enqueue(Addr vaddr)
-{
-    bool queued = std::any_of(
-        pending.begin(), pending.end(),
-        [vaddr](const Cand &c) { return c.vaddr == vaddr; });
-    if (queued)
-        return;
-    if (pending.size() >= cfg.queueEntries) {
-        pending.pop_front();
-        stQueueDrops.inc();
-    }
-    Cand c;
-    c.vaddr = vaddr;
-    pending.push_back(c);
-    stReplayedBlocks.inc();
-}
-
-void
 ManaPrefetcher::replayRegion(std::uint64_t region, Addr trigger_block)
 {
     stLookups.inc();
@@ -159,7 +137,11 @@ ManaPrefetcher::replayRegion(std::uint64_t region, Addr trigger_block)
             Addr cand = base + Addr(b) * bb;
             if (depth == 0 && cand == trigger_block)
                 continue; // the demand access already fetched it
-            enqueue(cand);
+            Enqueued res = enqueue(cand);
+            if (res == Enqueued::DisplacedOldest)
+                stQueueDrops.inc();
+            if (res != Enqueued::Duplicate)
+                stReplayedBlocks.inc();
         }
         if (!e->hasSuccessor || depth + 1 == cfg.chainLength)
             break;
@@ -194,62 +176,6 @@ ManaPrefetcher::onDemandAccess(Addr block_addr, const FetchAccess &access,
     // record stays stable once its own replays start hitting).
     if (isTrueMiss(access) || access.hitPrefetchBuffer)
         curFootprint |= std::uint64_t(1) << block_idx;
-}
-
-Cycle
-ManaPrefetcher::nextEventCycle(Cycle now) const
-{
-    if (pending.empty())
-        return kNever;
-    const Cand &head = pending.front();
-    if (!head.tr.translated)
-        return now + 1;
-    Cycle wake = translationWakeCycle(head.tr, now);
-    return wake <= now + 1 ? now + 1 : wake;
-}
-
-void
-ManaPrefetcher::chargeIdleCycles(Cycle now, Cycle cycles)
-{
-    if (!pending.empty() && pending.front().tr.translated &&
-        translationWaiting(pending.front().tr)) {
-        stTlbWaitStalls.inc(cycles);
-    }
-}
-
-void
-ManaPrefetcher::tick(Cycle now)
-{
-    while (!pending.empty()) {
-        Cand &c = pending.front();
-        switch (resolveTranslation(c.tr, c.vaddr, now)) {
-          case TrResolve::Dropped:
-            pending.pop_front();
-            stTlbDropped.inc();
-            continue;
-          case TrResolve::Waiting:
-            stTlbWaitStalls.inc();
-            return; // head-of-line wait for the page walk
-          case TrResolve::Ready:
-            break;
-        }
-        if (mem.tagProbe(c.tr.paddr)) {
-            pending.pop_front();
-            stAlreadyCached.inc();
-            continue;
-        }
-        auto result = mem.issuePrefetch(c.tr.paddr, now,
-                                        FillDest::PrefetchBuffer);
-        if (result == MemHierarchy::PfIssue::NoResource) {
-            stIssueStalls.inc();
-            return;
-        }
-        pending.pop_front();
-        if (result == MemHierarchy::PfIssue::Issued)
-            stIssued.inc();
-        else
-            stRedundant.inc();
-    }
 }
 
 } // namespace fdip

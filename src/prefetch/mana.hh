@@ -17,7 +17,6 @@
 #ifndef FDIP_PREFETCH_MANA_HH
 #define FDIP_PREFETCH_MANA_HH
 
-#include <deque>
 #include <vector>
 
 #include "prefetch/prefetcher.hh"
@@ -25,7 +24,7 @@
 namespace fdip
 {
 
-class ManaPrefetcher : public Prefetcher
+class ManaPrefetcher : public QueuedPrefetcher
 {
   public:
     struct Config
@@ -47,9 +46,6 @@ class ManaPrefetcher : public Prefetcher
     ManaPrefetcher(MemHierarchy &mem, const Config &config);
 
     std::string name() const override { return "mana"; }
-    void tick(Cycle now) override;
-    Cycle nextEventCycle(Cycle now) const override;
-    void chargeIdleCycles(Cycle now, Cycle cycles) override;
     void onDemandAccess(Addr block_addr, const FetchAccess &access,
                         Cycle now) override;
 
@@ -71,13 +67,6 @@ class ManaPrefetcher : public Prefetcher
         std::uint64_t lruStamp = 0;
     };
 
-    struct Cand
-    {
-        Addr vaddr = invalidAddr;
-        /** Issue-time translation state (VM runs only). */
-        PfTranslationState tr;
-    };
-
     static constexpr std::uint64_t kNoRegion = ~std::uint64_t(0);
 
     std::uint64_t regionBytes() const;
@@ -87,7 +76,6 @@ class ManaPrefetcher : public Prefetcher
     void recordRegion(std::uint64_t region, std::uint64_t footprint,
                       std::uint64_t successor);
     void replayRegion(std::uint64_t region, Addr trigger_block);
-    void enqueue(Addr vaddr);
 
     StatSet::Counter stRecords = stats.registerCounter("mana.records");
     StatSet::Counter stRecordUpdates =
@@ -103,25 +91,13 @@ class ManaPrefetcher : public Prefetcher
         stats.registerCounter("mana.replayed_blocks");
     StatSet::Counter stQueueDrops =
         stats.registerCounter("mana.queue_drops");
-    StatSet::Counter stTlbDropped =
-        stats.registerCounter("mana.tlb_dropped");
-    StatSet::Counter stTlbWaitStalls =
-        stats.registerCounter("mana.tlb_wait_stalls");
-    StatSet::Counter stAlreadyCached =
-        stats.registerCounter("mana.already_cached");
-    StatSet::Counter stIssueStalls =
-        stats.registerCounter("mana.issue_stalls");
-    StatSet::Counter stIssued = stats.registerCounter("mana.issued");
-    StatSet::Counter stRedundant = stats.registerCounter("mana.redundant");
 
-    MemHierarchy &mem;
     Config cfg;
 
     std::vector<Entry> table;
     std::uint64_t lruClock = 0;
     std::uint64_t curRegion = kNoRegion;
     std::uint64_t curFootprint = 0;
-    std::deque<Cand> pending;
 };
 
 } // namespace fdip

@@ -1,7 +1,5 @@
 #include "prefetch/oracle.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace fdip
@@ -12,25 +10,9 @@ OraclePrefetcher::OraclePrefetcher(TraceWindow &trace_ref,
                                    MemHierarchy &mem_ref,
                                    const Config &config)
     : trace(trace_ref), bpu(bpu_ref), mem(mem_ref), cfg(config),
-      recentFilter(cfg.recentFilterEntries, invalidAddr)
+      recentlyRequested(cfg.recentFilterEntries)
 {
     fatal_if(cfg.lookaheadInsts == 0, "oracle needs lookahead");
-}
-
-bool
-OraclePrefetcher::recentlyRequested(Addr block) const
-{
-    return std::find(recentFilter.begin(), recentFilter.end(), block) !=
-        recentFilter.end();
-}
-
-void
-OraclePrefetcher::markRequested(Addr block)
-{
-    if (recentFilter.empty())
-        return;
-    recentFilter[recentNext] = block;
-    recentNext = (recentNext + 1) % recentFilter.size();
 }
 
 Cycle
@@ -83,13 +65,13 @@ OraclePrefetcher::tick(Cycle now)
         Addr block = mem.l1i().blockAlign(trace.at(scanSeq).pc);
         Addr pblock = translateFunctional(block);
         ++scanSeq;
-        if (recentlyRequested(block) || mem.prefetchRedundant(pblock) ||
-            mem.tagProbe(pblock)) {
+        if (recentlyRequested.contains(block) ||
+            mem.prefetchRedundant(pblock) || mem.tagProbe(pblock)) {
             continue;
         }
         ++examined;
         pending.push_back(block);
-        markRequested(block);
+        recentlyRequested.insert(block);
         stCandidates.inc();
     }
 }

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "bpu/bpu.hh"
+#include "common/recent_filter.hh"
 #include "prefetch/prefetcher.hh"
 #include "trace/executor.hh"
 
@@ -48,17 +49,13 @@ class OraclePrefetcher : public Prefetcher
     StatSet::Counter stCandidates =
         stats.registerCounter("oracle.candidates");
 
-    bool recentlyRequested(Addr block) const;
-    void markRequested(Addr block);
-
     TraceWindow &trace;
     const Bpu &bpu;
     MemHierarchy &mem;
     Config cfg;
     /** Next trace position to scan for candidate blocks. */
     InstSeqNum scanSeq = 0;
-    std::vector<Addr> recentFilter;
-    std::size_t recentNext = 0;
+    RecentFilter recentlyRequested;
     std::vector<Addr> pending;
 };
 

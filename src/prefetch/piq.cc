@@ -16,7 +16,6 @@ Piq::push(Addr block_addr)
     PiqEntry e;
     e.blockAddr = block_addr;
     q.push(e);
-    stEnqueued.inc();
 }
 
 void
@@ -37,7 +36,6 @@ Piq::removeAt(std::size_t i)
     q.truncate(q.size() - 1);
     if (i < probed_)
         --probed_;
-    stRemoved.inc();
 }
 
 void
@@ -60,7 +58,6 @@ Piq::contains(Addr block_addr) const
 void
 Piq::flush()
 {
-    stFlushedEntries.inc(q.size());
     q.clear();
     probed_ = 0;
 }

@@ -2,14 +2,15 @@
  * @file piq.hh
  * Prefetch Instruction Queue: FIFO of candidate cache-block addresses
  * awaiting prefetch issue, with the probe state of the remove-variant
- * of cache probe filtering.
+ * of cache probe filtering. It is the one candidate queue of the
+ * prefetch layer: FDP's PIQ and the queue QueuedPrefetcher drains for
+ * NLP and MANA.
  */
 
 #ifndef FDIP_PREFETCH_PIQ_HH
 #define FDIP_PREFETCH_PIQ_HH
 
 #include "common/circular_queue.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "vm/mmu.hh"
 
@@ -61,14 +62,7 @@ class Piq
 
     void flush();
 
-    StatSet stats;
-
   private:
-    StatSet::Counter stEnqueued = stats.registerCounter("piq.enqueued");
-    StatSet::Counter stRemoved = stats.registerCounter("piq.removed");
-    StatSet::Counter stFlushedEntries =
-        stats.registerCounter("piq.flushed_entries");
-
     CircularQueue<PiqEntry> q;
     std::size_t probed_ = 0;
 };

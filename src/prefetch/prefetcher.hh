@@ -15,9 +15,11 @@
 
 #include <string>
 
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/hierarchy.hh"
+#include "prefetch/piq.hh"
 #include "vm/mmu.hh"
 
 namespace fdip
@@ -171,6 +173,124 @@ class Prefetcher
     }
 
     Mmu *mmu_ = nullptr;
+};
+
+/**
+ * A prefetcher whose candidates wait in one bounded queue (a Piq) and
+ * drain in order onto the idle L2 bus: translate, skip a block the
+ * L1-I already holds, issue into the prefetch buffer. Subclasses only
+ * decide what to enqueue. The head blocks the queue while its page
+ * walk is pending or the hierarchy has no resource for it.
+ *
+ * Counters: <prefix>.tlb_dropped, .tlb_wait_stalls, .already_cached,
+ * .issue_stalls, .issued, .redundant.
+ */
+class QueuedPrefetcher : public Prefetcher
+{
+  public:
+    void
+    tick(Cycle now) override
+    {
+        while (!queue_.empty()) {
+            PiqEntry &c = queue_.front();
+            switch (resolveTranslation(c.tr, c.blockAddr, now)) {
+              case TrResolve::Dropped:
+                queue_.popFront();
+                stTlbDropped.inc();
+                continue;
+              case TrResolve::Waiting:
+                stTlbWaitStalls.inc();
+                return; // head-of-line wait for the page walk
+              case TrResolve::Ready:
+                break;
+            }
+            if (mem.tagProbe(c.tr.paddr)) {
+                queue_.popFront();
+                stAlreadyCached.inc();
+                continue;
+            }
+            auto result = mem.issuePrefetch(c.tr.paddr, now,
+                                            FillDest::PrefetchBuffer);
+            if (result == MemHierarchy::PfIssue::NoResource) {
+                stIssueStalls.inc();
+                return;
+            }
+            queue_.popFront();
+            if (result == MemHierarchy::PfIssue::Issued)
+                stIssued.inc();
+            else
+                stRedundant.inc();
+        }
+    }
+
+    /** The head acts next cycle unless it waits on a page walk. */
+    Cycle
+    nextEventCycle(Cycle now) const override
+    {
+        return queue_.empty() ? kNever
+                              : translationWakeCycle(queue_.front().tr, now);
+    }
+
+    void
+    chargeIdleCycles(Cycle now, Cycle cycles) override
+    {
+        if (!queue_.empty() && translationWaiting(queue_.front().tr))
+            stTlbWaitStalls.inc(cycles);
+    }
+
+  protected:
+    QueuedPrefetcher(MemHierarchy &mem_ref, const std::string &prefix,
+                     std::size_t queue_entries)
+        : mem(mem_ref), queue_(checkedCapacity(prefix, queue_entries)),
+          stTlbDropped(stats.registerCounter(prefix + ".tlb_dropped")),
+          stTlbWaitStalls(
+              stats.registerCounter(prefix + ".tlb_wait_stalls")),
+          stAlreadyCached(
+              stats.registerCounter(prefix + ".already_cached")),
+          stIssueStalls(stats.registerCounter(prefix + ".issue_stalls")),
+          stIssued(stats.registerCounter(prefix + ".issued")),
+          stRedundant(stats.registerCounter(prefix + ".redundant"))
+    {}
+
+    enum class Enqueued
+    {
+        Duplicate,       ///< already queued: nothing changed
+        Added,           ///< appended
+        DisplacedOldest, ///< appended after dropping the full queue's head
+    };
+
+    /** Append @p block_addr unless it is queued; a full queue drops
+     *  its oldest candidate to make room. */
+    Enqueued
+    enqueue(Addr block_addr)
+    {
+        if (queue_.contains(block_addr))
+            return Enqueued::Duplicate;
+        bool displaced = queue_.full();
+        if (displaced)
+            queue_.popFront();
+        queue_.push(block_addr);
+        return displaced ? Enqueued::DisplacedOldest : Enqueued::Added;
+    }
+
+    MemHierarchy &mem;
+
+  private:
+    static std::size_t
+    checkedCapacity(const std::string &prefix, std::size_t entries)
+    {
+        fatal_if(entries == 0, "%s candidate queue needs at least one entry",
+                 prefix.c_str());
+        return entries;
+    }
+
+    Piq queue_;
+    StatSet::Counter stTlbDropped;
+    StatSet::Counter stTlbWaitStalls;
+    StatSet::Counter stAlreadyCached;
+    StatSet::Counter stIssueStalls;
+    StatSet::Counter stIssued;
+    StatSet::Counter stRedundant;
 };
 
 /** A "true" L1-I miss: nothing anywhere had the block. */

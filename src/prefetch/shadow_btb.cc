@@ -30,14 +30,13 @@ ShadowBtbPrefetcher::ShadowBtbPrefetcher(Ftb *ftb_ptr, BtbIface *btb_ptr,
                                          const CodeImage *image_ptr,
                                          const Config &config)
     : ftb(ftb_ptr), btb(btb_ptr), mem(mem_ref), image(image_ptr),
-      cfg(config)
+      cfg(config), recentlyScanned(cfg.recentFilterEntries)
 {
     fatal_if(ftb == nullptr && btb == nullptr,
              "shadow-btb needs a BTB or FTB to pre-fill");
     fatal_if(cfg.scanWidth == 0, "shadow scan width must be nonzero");
     fatal_if(cfg.queueEntries == 0,
              "shadow scan queue needs at least one entry");
-    recent.assign(cfg.recentFilterEntries, invalidAddr);
 }
 
 std::uint64_t
@@ -46,21 +45,6 @@ ShadowBtbPrefetcher::metadataBytes(const Config &config)
     // 48-bit line addresses: 6 bytes per queue/filter slot. The
     // prefill store itself is the front-end's existing BTB/FTB.
     return (config.queueEntries + config.recentFilterEntries) * 6;
-}
-
-bool
-ShadowBtbPrefetcher::recentlyScanned(Addr line) const
-{
-    return std::find(recent.begin(), recent.end(), line) != recent.end();
-}
-
-void
-ShadowBtbPrefetcher::noteScanned(Addr line)
-{
-    if (recent.empty())
-        return;
-    recent[recentNext] = line;
-    recentNext = (recentNext + 1) % recent.size();
 }
 
 void
@@ -79,7 +63,7 @@ ShadowBtbPrefetcher::onDemandAccess(Addr block_addr,
         stNoImage.inc();
         return;
     }
-    if (recentlyScanned(block_addr)) {
+    if (recentlyScanned.contains(block_addr)) {
         stFiltered.inc();
         return;
     }
@@ -174,7 +158,7 @@ ShadowBtbPrefetcher::tick(Cycle now)
         --budget;
         if (++nextSlot >= slots_per_line) {
             scanQueue.pop_front();
-            noteScanned(line);
+            recentlyScanned.insert(line);
             stLinesScanned.inc();
             nextSlot = 0;
         }

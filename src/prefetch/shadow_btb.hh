@@ -19,8 +19,8 @@
 #define FDIP_PREFETCH_SHADOW_BTB_HH
 
 #include <deque>
-#include <vector>
 
+#include "common/recent_filter.hh"
 #include "prefetch/prefetcher.hh"
 #include "trace/instr.hh"
 
@@ -70,8 +70,6 @@ class ShadowBtbPrefetcher : public Prefetcher
     static std::uint64_t metadataBytes(const Config &config);
 
   private:
-    bool recentlyScanned(Addr line) const;
-    void noteScanned(Addr line);
     void prefill(Addr block_start, Addr pc, InstClass cls, Addr target,
                  bool bogus);
 
@@ -105,8 +103,7 @@ class ShadowBtbPrefetcher : public Prefetcher
     Config cfg;
 
     std::deque<Addr> scanQueue;
-    std::vector<Addr> recent; ///< ring of recently scanned lines
-    std::size_t recentNext = 0;
+    RecentFilter recentlyScanned;
 
     /** Incremental scan state for the head line. */
     unsigned nextSlot = 0;

@@ -1,7 +1,5 @@
 #include "prefetch/stream_buffer.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace fdip
@@ -9,27 +7,13 @@ namespace fdip
 
 StreamBufferPrefetcher::StreamBufferPrefetcher(MemHierarchy &mem_ref,
                                                const Config &config)
-    : mem(mem_ref), cfg(config), buffers(cfg.numBuffers)
+    : mem(mem_ref), cfg(config), buffers(cfg.numBuffers),
+      missHistory(cfg.missHistoryEntries)
 {
     fatal_if(cfg.numBuffers == 0, "need at least one stream buffer");
     fatal_if(cfg.depth == 0, "stream buffer depth must be nonzero");
     mem.setStreamFillClient(this);
     mem.setStreamProbeClient(this);
-}
-
-bool
-StreamBufferPrefetcher::recentlyMissed(Addr block_addr) const
-{
-    return std::find(missHistory.begin(), missHistory.end(),
-                     block_addr) != missHistory.end();
-}
-
-void
-StreamBufferPrefetcher::recordMiss(Addr block_addr)
-{
-    if (missHistory.size() >= cfg.missHistoryEntries)
-        missHistory.pop_front();
-    missHistory.push_back(block_addr);
 }
 
 void
@@ -84,8 +68,8 @@ StreamBufferPrefetcher::onDemandAccess(Addr block_addr,
         return;
     if (cfg.allocationFilter) {
         unsigned bb = mem.l1i().config().blockBytes;
-        bool sequential = recentlyMissed(block_addr - bb);
-        recordMiss(block_addr);
+        bool sequential = missHistory.contains(block_addr - bb);
+        missHistory.insert(block_addr);
         if (!sequential) {
             stFilteredAllocations.inc();
             return;
@@ -183,11 +167,9 @@ StreamBufferPrefetcher::nextEventCycle(Cycle now) const
         // events cover the start).
         if (!b.active || b.requestInFlight || b.slots.size() >= cfg.depth)
             continue;
-        if (!b.tr.translated)
-            return now + 1;
         Cycle wake = translationWakeCycle(b.tr, now);
-        if (wake <= now + 1)
-            return now + 1;
+        if (wake == now + 1)
+            return wake;
         if (wake < next)
             next = wake;
     }
@@ -203,7 +185,7 @@ StreamBufferPrefetcher::chargeIdleCycles(Cycle now, Cycle cycles)
     std::uint64_t waiting = 0;
     for (const Buffer &b : buffers) {
         if (b.active && !b.requestInFlight && b.slots.size() < cfg.depth &&
-            b.tr.translated && translationWaiting(b.tr)) {
+            translationWaiting(b.tr)) {
             ++waiting;
         }
     }

@@ -14,6 +14,7 @@
 #include <deque>
 #include <vector>
 
+#include "common/recent_filter.hh"
 #include "prefetch/prefetcher.hh"
 
 namespace fdip
@@ -95,13 +96,12 @@ class StreamBufferPrefetcher : public Prefetcher,
     void advanceHead(Buffer &b);
 
     void allocate(Addr miss_addr);
-    bool recentlyMissed(Addr block_addr) const;
-    void recordMiss(Addr block_addr);
 
     MemHierarchy &mem;
     Config cfg;
     std::vector<Buffer> buffers;
-    std::deque<Addr> missHistory;
+    /** Recent true misses, repeats included (allocation filter). */
+    RecentFilter missHistory;
     std::uint64_t lruClock = 0;
 };
 

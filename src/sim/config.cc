@@ -182,7 +182,6 @@ SimConfig::fingerprint() const
     f.u64(vm.tlbPrefetchFilterEntries);
 
     f.u64(static_cast<std::uint64_t>(scheme));
-    f.u64(static_cast<std::uint64_t>(fdp.mode));
     f.u64(fdp.piqEntries);
     f.u64(fdp.scanWidth);
     f.u64(fdp.issueWidth);
@@ -236,11 +235,18 @@ SimConfig::validate() const
                  coreWorkloads.size() != numCores,
              "coreWorkloads must name exactly numCores workloads");
     fatal_if(ftqEntries == 0, "FTQ needs at least one entry");
+    fatal_if(backend.queueDepth == 0,
+             "backend queue needs at least one entry");
     fatal_if(bpu.maxBlockInsts == 0, "fetch block size must be nonzero");
     fatal_if(cycleLimitPerInst <= 1.0, "cycle limit too low to finish");
     fatal_if(usePartitionedBtb && bpu.blockBased,
              "partitioned BTB requires the conventional (non-FTB) "
              "front-end");
+    fatal_if(fdp.piqEntries == 0, "FDP PIQ needs at least one entry");
+    fatal_if(nlp.queueEntries == 0,
+             "NLP candidate queue needs at least one entry");
+    fatal_if(sb.allocationFilter && sb.missHistoryEntries == 0,
+             "stream-buffer allocation filter needs a miss history");
     fatal_if(mana.regionBlocks == 0 || mana.regionBlocks > 64 ||
                  !isPowerOf2(mana.regionBlocks),
              "MANA region size must be a power-of-two block count "

@@ -196,19 +196,17 @@ Simulator::buildCore(Core &c, unsigned id)
       case PrefetchScheme::FdpEnqueueAggressive:
       case PrefetchScheme::FdpRemove:
       case PrefetchScheme::FdpIdeal: {
-        FdpPrefetcher::Config fc = cfg.fdp;
+        CpfMode mode = CpfMode::Ideal;
         if (cfg.scheme == PrefetchScheme::FdpNone)
-            fc.mode = CpfMode::None;
+            mode = CpfMode::None;
         else if (cfg.scheme == PrefetchScheme::FdpEnqueue)
-            fc.mode = CpfMode::Enqueue;
+            mode = CpfMode::Enqueue;
         else if (cfg.scheme == PrefetchScheme::FdpEnqueueAggressive)
-            fc.mode = CpfMode::EnqueueAggressive;
+            mode = CpfMode::EnqueueAggressive;
         else if (cfg.scheme == PrefetchScheme::FdpRemove)
-            fc.mode = CpfMode::Remove;
-        else
-            fc.mode = CpfMode::Ideal;
+            mode = CpfMode::Remove;
         c.prefetchers.push_back(
-            std::make_unique<FdpPrefetcher>(*c.ftq, *c.mem, fc));
+            std::make_unique<FdpPrefetcher>(*c.ftq, *c.mem, mode, cfg.fdp));
         break;
       }
     }

@@ -10,7 +10,7 @@ namespace fdip
 TlbPrefetcher::TlbPrefetcher(const Ftq &ftq_ref, Mmu &mmu_ref,
                              const Config &config)
     : ftq(ftq_ref), mmu(mmu_ref), cfg(config),
-      recentVpns(cfg.filterEntries, invalidAddr)
+      recentVpns(cfg.filterEntries)
 {
     fatal_if(cfg.width == 0, "TLB-prefetch width must be nonzero");
     fatal_if(cfg.filterEntries == 0,
@@ -27,12 +27,10 @@ TlbPrefetcher::recentlyProbed(Addr vpn) const
 void
 TlbPrefetcher::markProbed(Addr vpn)
 {
-    Addr evicted = recentVpns[recentNext];
+    Addr evicted = recentVpns.insert(vpn);
     if (evicted != invalidAddr)
         recentSet.erase(evicted);
-    recentVpns[recentNext] = vpn;
     recentSet.insert(vpn);
-    recentNext = (recentNext + 1) % recentVpns.size();
     // Evicting a page may re-expose an FTQ page: drop the memo.
     idleValid = false;
 }

@@ -29,8 +29,8 @@
 #define FDIP_VM_TLB_PREFETCHER_HH
 
 #include <unordered_set>
-#include <vector>
 
+#include "common/recent_filter.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -80,9 +80,9 @@ class TlbPrefetcher
     const Ftq &ftq;
     Mmu &mmu;
     Config cfg;
-    std::vector<Addr> recentVpns;
-    std::size_t recentNext = 0;
-    /** O(1) membership mirror of the ring. */
+    RecentFilter recentVpns;
+    /** O(1) membership mirror of the ring (which never holds a VPN
+     *  twice, so erasing each evicted VPN keeps the mirror exact). */
     std::unordered_set<Addr> recentSet;
     /** Memoized "nothing left to probe" verdict, valid while the FTQ
      *  version is unchanged (probing invalidates it). */

@@ -48,9 +48,7 @@ struct Rig
     FdpPrefetcher
     makeFdp(CpfMode mode)
     {
-        FdpPrefetcher::Config c;
-        c.mode = mode;
-        return FdpPrefetcher(ftq, mem, c);
+        return FdpPrefetcher(ftq, mem, mode, {});
     }
 };
 
@@ -131,9 +129,8 @@ TEST(Fdp, RemoveCpfProbesWaitingEntries)
 {
     Rig rig;
     FdpPrefetcher::Config c;
-    c.mode = CpfMode::Remove;
     c.issueWidth = 1;
-    FdpPrefetcher fdp(rig.ftq, rig.mem, c);
+    FdpPrefetcher fdp(rig.ftq, rig.mem, CpfMode::Remove, c);
 
     rig.mem.l1i().insert(0x3000); // will be enqueued then removed
     rig.pushBlock(0x1000);
@@ -181,10 +178,9 @@ TEST(Fdp, RedirectFlushesPiq)
 {
     Rig rig;
     FdpPrefetcher::Config c;
-    c.mode = CpfMode::None;
     c.issueWidth = 1;
     c.scanWidth = 4;
-    FdpPrefetcher fdp(rig.ftq, rig.mem, c);
+    FdpPrefetcher fdp(rig.ftq, rig.mem, CpfMode::None, c);
     rig.pushBlock(0x1000);
     rig.pushBlock(0x2000);
     rig.pushBlock(0x3000);
@@ -241,9 +237,8 @@ TEST(Fdp, FillIntoL1AblationSkipsBuffer)
 {
     Rig rig;
     FdpPrefetcher::Config c;
-    c.mode = CpfMode::None;
     c.fillIntoL1 = true;
-    FdpPrefetcher fdp(rig.ftq, rig.mem, c);
+    FdpPrefetcher fdp(rig.ftq, rig.mem, CpfMode::None, c);
     rig.pushBlock(0x1000);
     rig.pushBlock(0x2000);
     rig.mem.tick(1);
@@ -268,9 +263,8 @@ FdpPrefetcher
 makeNarrowFdp(Rig &rig, CpfMode mode)
 {
     FdpPrefetcher::Config c;
-    c.mode = mode;
     c.scanWidth = 1;
-    return FdpPrefetcher(rig.ftq, rig.mem, c);
+    return FdpPrefetcher(rig.ftq, rig.mem, mode, c);
 }
 
 std::vector<Addr>
@@ -394,10 +388,9 @@ TEST(FdpScan, FullPiqSilencesUnscannedBlocks)
     vcfg.prefetchPolicy = TlbPrefetchPolicy::Wait;
     Mmu mmu(vcfg, 0x0, 0x100000);
     FdpPrefetcher::Config c;
-    c.mode = CpfMode::None;
     c.scanWidth = 1;
     c.piqEntries = 1;
-    FdpPrefetcher fdp(rig.ftq, rig.mem, c);
+    FdpPrefetcher fdp(rig.ftq, rig.mem, CpfMode::None, c);
     fdp.setMmu(&mmu);
     rig.pushBlock(0x1000);
     rig.pushBlock(0x2010, 16); // 0x2000 0x2020 0x2040

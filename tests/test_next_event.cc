@@ -295,7 +295,7 @@ TEST(NextEvent, FdpIdleWithEmptyFtq)
     MemConfig mcfg = smallMemCfg();
     MemHierarchy mem(mcfg);
     Ftq ftq(8, 32);
-    FdpPrefetcher fdp(ftq, mem, {});
+    FdpPrefetcher fdp(ftq, mem, CpfMode::Remove, {});
     EXPECT_EQ(fdp.nextEventCycle(3), kNever);
 
     // Entry 0 is the fetch point — never scanned — so one entry keeps
@@ -331,6 +331,15 @@ TEST(NextEvent, WaitPolicyHeadOfLineReportsWalkCompletion)
     Cycle ev = nlp.nextEventCycle(now);
     EXPECT_EQ(ev, now + vcfg.walkLatency);
     EXPECT_GT(ev, now);
+
+    // Charging a quiescent window counts what ticking through it
+    // would: one head-of-line wait per cycle while the walk pends.
+    EXPECT_EQ(nlp.stats.counter("nlp.tlb_wait_stalls"), 1u);
+    nlp.chargeIdleCycles(now, 5);
+    EXPECT_EQ(nlp.stats.counter("nlp.tlb_wait_stalls"), 6u);
+    for (Cycle c = now + 1; c <= now + 5; ++c)
+        nlp.tick(c); // the MMU is not ticked: the walk stays pending
+    EXPECT_EQ(nlp.stats.counter("nlp.tlb_wait_stalls"), 11u);
 }
 
 TEST(NextEvent, SharedMemIdleIsNeverAndBusyReportsBusRelease)

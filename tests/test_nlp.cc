@@ -149,3 +149,10 @@ TEST(Nlp, PendingQueueDedupes)
     nlp.tick(200);
     EXPECT_EQ(rig.mem.stats.counter("mem.prefetches_issued"), 1u);
 }
+
+TEST(NlpDeath, ZeroQueueRejectedBeforeTheQueueIsBuilt)
+{
+    Rig rig;
+    EXPECT_DEATH(NlpPrefetcher(rig.mem, {.degree = 1, .queueEntries = 0}),
+                 "nlp candidate queue needs at least one entry");
+}

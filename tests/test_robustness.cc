@@ -241,6 +241,35 @@ TEST_F(Robustness, MaxCyclesCeilingRaisesSimTimeout)
     EXPECT_THROW(simulate(cfg), SimTimeout);
 }
 
+TEST_F(Robustness, ZeroSizeQueuesRaiseSimError)
+{
+    // A zero-size queue must fail validation: built, it would panic()
+    // or corrupt the heap, and a bench sweep would lose the process
+    // instead of rendering one FAIL cell.
+    setFatalMode(FatalMode::Throw);
+    struct Case
+    {
+        const char *knob;
+        PrefetchScheme scheme;
+        void (*zero)(SimConfig &);
+    };
+    const Case cases[] = {
+        {"nlp.queueEntries", PrefetchScheme::Nlp,
+         [](SimConfig &c) { c.nlp.queueEntries = 0; }},
+        {"sb.missHistoryEntries", PrefetchScheme::StreamBuffer,
+         [](SimConfig &c) { c.sb.missHistoryEntries = 0; }},
+        {"fdp.piqEntries", PrefetchScheme::FdpRemove,
+         [](SimConfig &c) { c.fdp.piqEntries = 0; }},
+        {"backend.queueDepth", PrefetchScheme::None,
+         [](SimConfig &c) { c.backend.queueDepth = 0; }},
+    };
+    for (const Case &k : cases) {
+        SimConfig cfg = smallConfig("li", k.scheme);
+        k.zero(cfg);
+        EXPECT_THROW(simulate(cfg), SimError) << k.knob;
+    }
+}
+
 TEST_F(Robustness, MaxCyclesIsPartOfTheConfigFingerprint)
 {
     SimConfig a = smallConfig("gcc", PrefetchScheme::None);
