@@ -82,6 +82,32 @@ renderGrid()
             " ====\n";
         out += serializeResults(simulate(cfg));
     }
+
+    // The tag stores no section above runs: the conventional BTB, the
+    // partitioned BTB (FDIP-X) and the L2 TLB. Appended like the zoo.
+    auto tag_store_point = [&out](const char *label, auto &&configure) {
+        SimConfig cfg = makeBaselineConfig("gcc",
+                                           PrefetchScheme::FdpRemove);
+        cfg.warmupInsts = 10 * 1000;
+        cfg.measureInsts = 40 * 1000;
+        configure(cfg);
+        out += "==== gcc / fdp-remove / " + std::string(label) +
+            " ====\n";
+        out += serializeResults(simulate(cfg));
+    };
+    tag_store_point("unified-btb-1k", [](SimConfig &cfg) {
+        applyUnifiedBtbBudget(cfg, 1024);
+    });
+    tag_store_point("partitioned-btb-1k", [](SimConfig &cfg) {
+        applyPartitionedBudget(cfg, 1024);
+    });
+    tag_store_point("vm-fill l2tlb-16 2-walkers tlbpf",
+                    [](SimConfig &cfg) {
+        applyVmConfig(cfg, TlbPrefetchPolicy::Fill,
+                      PageMapKind::Scrambled, /*itlb_entries=*/16);
+        applyTlbHierarchy(cfg, /*l2_entries=*/16, /*num_walkers=*/2,
+                          /*tlb_prefetch=*/true);
+    });
     return out;
 }
 

@@ -1,5 +1,8 @@
 /** Tests for cache replacement policies. */
 
+#include <set>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "mem/cache.hh"
@@ -49,6 +52,35 @@ TEST(Replacement, FifoIgnoresAccessRecency)
     auto evicted = c.insert(4 * 32);
     ASSERT_TRUE(evicted.has_value());
     EXPECT_EQ(*evicted, 0u); // oldest fill leaves regardless
+}
+
+TEST(Replacement, FifoDuplicateFillRefreshesTheStamp)
+{
+    // A fill of a resident block restamps it under every policy, FIFO
+    // included: block 0 re-filled is no longer the oldest fill.
+    Cache c(cfgWith(ReplPolicy::Fifo));
+    for (Addr a = 0; a < 4; ++a)
+        c.insert(a * 32);
+    EXPECT_FALSE(c.insert(0).has_value());
+    auto evicted = c.insert(4 * 32);
+    ASSERT_TRUE(evicted.has_value());
+    EXPECT_EQ(*evicted, 1u * 32);
+}
+
+TEST(Replacement, RandomDrawOrderIsPinned)
+{
+    // The xorshift draw is taken only once the set is full, so blocks
+    // 0-3 fill without drawing and the victims of blocks 4-11 follow
+    // one fixed sequence.
+    Cache c(cfgWith(ReplPolicy::Random));
+    std::string victims;
+    for (Addr a = 0; a < 12; ++a) {
+        auto ev = c.insert(a * 32);
+        if (!victims.empty())
+            victims += ' ';
+        victims += ev ? std::to_string(*ev / 32) : "-";
+    }
+    EXPECT_EQ(victims, "- - - - 2 4 3 1 6 8 0 10");
 }
 
 TEST(Replacement, RandomEvictsSomeValidBlock)
