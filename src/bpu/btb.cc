@@ -7,18 +7,10 @@ namespace fdip
 {
 
 Btb::Btb(const Config &config)
-    : cfg(config), entries(std::size_t(cfg.sets) * cfg.ways)
+    : cfg(config), tags("BTB", cfg.sets, cfg.ways)
 {
-    fatal_if(!isPowerOf2(cfg.sets), "BTB sets must be a power of two");
-    fatal_if(cfg.ways == 0, "BTB needs at least one way");
     fatal_if(cfg.tagBits > fullTagBits(),
              "BTB tag wider than the full tag");
-}
-
-std::size_t
-Btb::setIndex(Addr pc) const
-{
-    return (pc / instBytes) & (cfg.sets - 1);
 }
 
 unsigned
@@ -26,13 +18,13 @@ Btb::fullTagBits() const
 {
     // VA bits minus word-alignment bits minus set-index bits.
     unsigned idx_bits = floorLog2(cfg.sets);
-    return cfg.vaBits - 2 - idx_bits;
+    return vaBits - 2 - idx_bits;
 }
 
 std::uint64_t
 Btb::tagOf(Addr pc) const
 {
-    std::uint64_t full = (pc / instBytes) >> floorLog2(cfg.sets);
+    std::uint64_t full = tags.tagOf(pc / instBytes);
     if (cfg.tagBits == 0)
         return full;
     // Keep the low 8 bits verbatim; fold the rest by XOR into the
@@ -46,19 +38,20 @@ Btb::tagOf(Addr pc) const
     return (high << low_bits) | low;
 }
 
+SetAssocTable<BtbHit>::Way *
+Btb::find(Addr pc)
+{
+    return tags.find(tags.setOf(pc / instBytes), tagOf(pc));
+}
+
 std::optional<BtbHit>
 Btb::lookup(Addr pc)
 {
     stLookups.inc();
-    std::size_t base = setIndex(pc) * cfg.ways;
-    std::uint64_t tag = tagOf(pc);
-    for (unsigned w = 0; w < cfg.ways; ++w) {
-        Entry &e = entries[base + w];
-        if (e.valid && e.tag == tag) {
-            e.lruStamp = ++lruClock;
-            stHits.inc();
-            return BtbHit{e.cls, e.target};
-        }
+    if (auto *e = find(pc)) {
+        tags.touch(*e);
+        stHits.inc();
+        return e->payload;
     }
     stMisses.inc();
     return std::nullopt;
@@ -91,52 +84,29 @@ Btb::insert(Addr pc, InstClass cls, Addr target)
         stInsertRejected.inc();
         return;
     }
-    std::size_t base = setIndex(pc) * cfg.ways;
-    std::uint64_t tag = tagOf(pc);
-
     // Update in place on tag match.
-    for (unsigned w = 0; w < cfg.ways; ++w) {
-        Entry &e = entries[base + w];
-        if (e.valid && e.tag == tag) {
-            e.cls = cls;
-            e.target = target;
-            e.lruStamp = ++lruClock;
-            stUpdates.inc();
-            return;
-        }
+    if (auto *e = find(pc)) {
+        e->payload = BtbHit{cls, target};
+        tags.touch(*e);
+        stUpdates.inc();
+        return;
     }
     // Otherwise fill an invalid way, or evict the LRU way.
-    Entry *victim = &entries[base];
-    for (unsigned w = 0; w < cfg.ways; ++w) {
-        Entry &e = entries[base + w];
-        if (!e.valid) {
-            victim = &e;
-            break;
-        }
-        if (e.lruStamp < victim->lruStamp)
-            victim = &e;
-    }
-    if (victim->valid)
+    auto &victim = tags.victim(tags.setOf(pc / instBytes));
+    if (victim.valid)
         stEvictions.inc();
-    victim->valid = true;
-    victim->tag = tag;
-    victim->cls = cls;
-    victim->target = target;
-    victim->lruStamp = ++lruClock;
+    tags.fill(victim, tagOf(pc));
+    victim.payload = BtbHit{cls, target};
     stInserts.inc();
 }
 
 void
 Btb::invalidate(Addr pc)
 {
-    std::size_t base = setIndex(pc) * cfg.ways;
-    std::uint64_t tag = tagOf(pc);
-    for (unsigned w = 0; w < cfg.ways; ++w) {
-        Entry &e = entries[base + w];
-        if (e.valid && e.tag == tag) {
-            e.valid = false;
-            stInvalidations.inc();
-        }
+    // insert() finds before it fills, so a tag sits in one way at most.
+    if (auto *e = find(pc)) {
+        tags.invalidate(*e);
+        stInvalidations.inc();
     }
 }
 
@@ -144,7 +114,7 @@ unsigned
 Btb::entryBits() const
 {
     unsigned tag = cfg.tagBits == 0 ? fullTagBits() : cfg.tagBits;
-    unsigned target = cfg.offsetBits == 0 ? cfg.vaBits - 2
+    unsigned target = cfg.offsetBits == 0 ? vaBits - 2
                                           : cfg.offsetBits;
     return tag + 2 + target; // tag + type + target/offset
 }
@@ -160,17 +130,6 @@ Btb::name() const
 {
     return strprintf("btb[%ux%u,tag=%u,off=%u]", cfg.sets, cfg.ways,
                      cfg.tagBits, cfg.offsetBits);
-}
-
-unsigned
-Btb::validEntries() const
-{
-    unsigned n = 0;
-    for (const auto &e : entries) {
-        if (e.valid)
-            ++n;
-    }
-    return n;
 }
 
 } // namespace fdip

@@ -13,8 +13,8 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
+#include "common/set_assoc_table.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "trace/instr.hh"
@@ -39,9 +39,6 @@ class BtbIface
 
     /** Allocate/update the entry for a taken branch. */
     virtual void insert(Addr pc, InstClass cls, Addr target) = 0;
-
-    /** Drop any entry for @p pc. */
-    virtual void invalidate(Addr pc) = 0;
 
     virtual std::uint64_t storageBits() const = 0;
     virtual std::string name() const = 0;
@@ -70,17 +67,17 @@ class Btb : public BtbIface
          * insert() unless the target field is full width.
          */
         unsigned offsetBits = 0;
-        /** Virtual address bits, for storage accounting. */
-        unsigned vaBits = 48;
     };
 
     explicit Btb(const Config &config);
 
     std::optional<BtbHit> lookup(Addr pc) override;
     void insert(Addr pc, InstClass cls, Addr target) override;
-    void invalidate(Addr pc) override;
     std::uint64_t storageBits() const override;
     std::string name() const override;
+
+    /** Drop any entry for @p pc. */
+    void invalidate(Addr pc);
 
     /** True if the branch's offset fits this BTB's target field. */
     bool canHold(Addr pc, InstClass cls, Addr target) const;
@@ -95,7 +92,7 @@ class Btb : public BtbIface
     unsigned numEntries() const { return cfg.sets * cfg.ways; }
 
     /** Count of currently valid entries (for tests/occupancy stats). */
-    unsigned validEntries() const;
+    unsigned validEntries() const { return tags.validCount(); }
 
   private:
     StatSet::Counter stLookups = stats.registerCounter("btb.lookups");
@@ -109,21 +106,13 @@ class Btb : public BtbIface
     StatSet::Counter stInvalidations =
         stats.registerCounter("btb.invalidations");
 
-    struct Entry
-    {
-        bool valid = false;
-        std::uint64_t tag = 0;
-        InstClass cls = InstClass::NonCF;
-        Addr target = invalidAddr;
-        std::uint64_t lruStamp = 0;
-    };
-
-    std::size_t setIndex(Addr pc) const;
+    /** The stored tag: the full tag, or its compressed form. */
     std::uint64_t tagOf(Addr pc) const;
+    SetAssocTable<BtbHit>::Way *find(Addr pc);
 
     Config cfg;
-    std::vector<Entry> entries;
-    std::uint64_t lruClock = 0;
+    /** Keyed by pc / instBytes; the stored tag is tagOf(pc). */
+    SetAssocTable<BtbHit> tags;
 };
 
 } // namespace fdip

@@ -7,45 +7,23 @@ namespace fdip
 {
 
 Ftb::Ftb(const Config &config)
-    : cfg(config), entries(std::size_t(cfg.sets) * cfg.ways)
-{
-    fatal_if(!isPowerOf2(cfg.sets), "FTB sets must be a power of two");
-    fatal_if(cfg.ways == 0, "FTB needs at least one way");
-    fatal_if(cfg.maxBlockInsts == 0 || cfg.maxBlockInsts > 255,
-             "FTB block size out of range");
-}
-
-std::size_t
-Ftb::setIndex(Addr pc) const
-{
-    return (pc / instBytes) & (cfg.sets - 1);
-}
-
-std::uint64_t
-Ftb::tagOf(Addr pc) const
-{
-    return (pc / instBytes) >> floorLog2(cfg.sets);
-}
+    : cfg(config), tags("FTB", cfg.sets, cfg.ways)
+{}
 
 unsigned
 Ftb::fullTagBits() const
 {
-    return cfg.vaBits - 2 - floorLog2(cfg.sets);
+    return vaBits - 2 - floorLog2(cfg.sets);
 }
 
 std::optional<FtbBlock>
 Ftb::lookup(Addr start_pc)
 {
     stLookups.inc();
-    std::size_t base = setIndex(start_pc) * cfg.ways;
-    std::uint64_t tag = tagOf(start_pc);
-    for (unsigned w = 0; w < cfg.ways; ++w) {
-        Entry &e = entries[base + w];
-        if (e.valid && e.tag == tag) {
-            e.lruStamp = ++lruClock;
-            stHits.inc();
-            return FtbBlock{e.numInsts, e.cls, e.target};
-        }
+    if (auto *e = tags.find(start_pc / instBytes)) {
+        tags.touch(*e);
+        stHits.inc();
+        return e->payload;
     }
     stMisses.inc();
     return std::nullopt;
@@ -55,82 +33,38 @@ void
 Ftb::insert(Addr start_pc, unsigned num_insts, InstClass cls, Addr target)
 {
     panic_if(num_insts == 0, "FTB block with no instructions");
-    if (num_insts > cfg.maxBlockInsts) {
+    if (num_insts > kMaxBlockInsts) {
         // Blocks longer than the size field are truncated by hardware;
         // the tail is rediscovered as a separate (sequential) region.
         stInsertTruncated.inc();
         return;
     }
-    std::size_t base = setIndex(start_pc) * cfg.ways;
-    std::uint64_t tag = tagOf(start_pc);
-
-    for (unsigned w = 0; w < cfg.ways; ++w) {
-        Entry &e = entries[base + w];
-        if (e.valid && e.tag == tag) {
-            e.numInsts = static_cast<std::uint8_t>(num_insts);
-            e.cls = cls;
-            e.target = target;
-            e.lruStamp = ++lruClock;
-            stUpdates.inc();
-            return;
-        }
+    std::uint64_t key = start_pc / instBytes;
+    FtbBlock blk{num_insts, cls, target};
+    if (auto *e = tags.find(key)) {
+        e->payload = blk;
+        tags.touch(*e);
+        stUpdates.inc();
+        return;
     }
-    Entry *victim = &entries[base];
-    for (unsigned w = 0; w < cfg.ways; ++w) {
-        Entry &e = entries[base + w];
-        if (!e.valid) {
-            victim = &e;
-            break;
-        }
-        if (e.lruStamp < victim->lruStamp)
-            victim = &e;
-    }
-    if (victim->valid)
+    auto &victim = tags.victim(tags.setOf(key));
+    if (victim.valid)
         stEvictions.inc();
-    victim->valid = true;
-    victim->tag = tag;
-    victim->numInsts = static_cast<std::uint8_t>(num_insts);
-    victim->cls = cls;
-    victim->target = target;
-    victim->lruStamp = ++lruClock;
+    tags.fill(victim, tags.tagOf(key));
+    victim.payload = blk;
     stInserts.inc();
-}
-
-void
-Ftb::invalidate(Addr start_pc)
-{
-    std::size_t base = setIndex(start_pc) * cfg.ways;
-    std::uint64_t tag = tagOf(start_pc);
-    for (unsigned w = 0; w < cfg.ways; ++w) {
-        Entry &e = entries[base + w];
-        if (e.valid && e.tag == tag) {
-            e.valid = false;
-            stInvalidations.inc();
-        }
-    }
 }
 
 unsigned
 Ftb::entryBits() const
 {
-    return fullTagBits() + 2 + 5 + (cfg.vaBits - 2);
+    return fullTagBits() + 2 + 5 + (vaBits - 2);
 }
 
 std::uint64_t
 Ftb::storageBits() const
 {
     return std::uint64_t(numEntries()) * entryBits();
-}
-
-unsigned
-Ftb::validEntries() const
-{
-    unsigned n = 0;
-    for (const auto &e : entries) {
-        if (e.valid)
-            ++n;
-    }
-    return n;
 }
 
 std::string

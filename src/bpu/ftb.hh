@@ -11,8 +11,8 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
+#include "common/set_assoc_table.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "trace/instr.hh"
@@ -34,10 +34,10 @@ class Ftb
     {
         unsigned sets = 1024;
         unsigned ways = 4;
-        unsigned vaBits = 48;
-        /** Max encodable block length (bbSize field width 5 bits). */
-        unsigned maxBlockInsts = 31;
     };
+
+    /** Longest storable block: the width of the 5-bit bbSize field. */
+    static constexpr unsigned kMaxBlockInsts = 31;
 
     explicit Ftb(const Config &config);
 
@@ -49,14 +49,12 @@ class Ftb
     void insert(Addr start_pc, unsigned num_insts, InstClass cls,
                 Addr target);
 
-    void invalidate(Addr start_pc);
-
     /** Entry bits: tag + type(2) + bbSize(5) + target(vaBits-2). */
     unsigned entryBits() const;
     std::uint64_t storageBits() const;
     unsigned fullTagBits() const;
     unsigned numEntries() const { return cfg.sets * cfg.ways; }
-    unsigned validEntries() const;
+    unsigned validEntries() const { return tags.validCount(); }
     std::string name() const;
 
     const Config &config() const { return cfg; }
@@ -72,25 +70,10 @@ class Ftb
     StatSet::Counter stUpdates = stats.registerCounter("ftb.updates");
     StatSet::Counter stEvictions = stats.registerCounter("ftb.evictions");
     StatSet::Counter stInserts = stats.registerCounter("ftb.inserts");
-    StatSet::Counter stInvalidations =
-        stats.registerCounter("ftb.invalidations");
-
-    struct Entry
-    {
-        bool valid = false;
-        std::uint64_t tag = 0;
-        std::uint8_t numInsts = 0;
-        InstClass cls = InstClass::NonCF;
-        Addr target = invalidAddr;
-        std::uint64_t lruStamp = 0;
-    };
-
-    std::size_t setIndex(Addr pc) const;
-    std::uint64_t tagOf(Addr pc) const;
 
     Config cfg;
-    std::vector<Entry> entries;
-    std::uint64_t lruClock = 0;
+    /** Keyed by start_pc / instBytes. */
+    SetAssocTable<FtbBlock> tags;
 };
 
 } // namespace fdip

@@ -22,13 +22,8 @@ PartitionedBtb::PartitionedBtb(const Config &config)
                   return wa < wb;
               });
     for (const auto &spec : specs) {
-        Btb::Config bc;
-        bc.sets = spec.sets;
-        bc.ways = spec.ways;
-        bc.tagBits = cfg.tagBits;
-        bc.offsetBits = spec.offsetBits;
-        bc.vaBits = cfg.vaBits;
-        parts.push_back(std::make_unique<Btb>(bc));
+        parts.push_back(std::make_unique<Btb>(Btb::Config{
+            spec.sets, spec.ways, cfg.tagBits, spec.offsetBits}));
     }
     for (std::size_t i = 0; i < parts.size(); ++i) {
         stInsertByPartition.push_back(stats.registerCounter(
@@ -101,13 +96,6 @@ PartitionedBtb::insert(Addr pc, InstClass cls, Addr target)
     }
     parts[pi]->insert(pc, cls, target);
     stInsertByPartition[static_cast<std::size_t>(pi)].inc();
-}
-
-void
-PartitionedBtb::invalidate(Addr pc)
-{
-    for (auto &p : parts)
-        p->invalidate(pc);
 }
 
 std::uint64_t

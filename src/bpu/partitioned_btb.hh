@@ -32,7 +32,6 @@ class PartitionedBtb : public BtbIface
     {
         std::vector<PartitionSpec> partitions;
         unsigned tagBits = 16;
-        unsigned vaBits = 48;
     };
 
     explicit PartitionedBtb(const Config &config);
@@ -53,7 +52,6 @@ class PartitionedBtb : public BtbIface
 
     std::optional<BtbHit> lookup(Addr pc) override;
     void insert(Addr pc, InstClass cls, Addr target) override;
-    void invalidate(Addr pc) override;
     std::uint64_t storageBits() const override;
     std::string name() const override;
 

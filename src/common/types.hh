@@ -14,6 +14,10 @@ namespace fdip
 /** Byte address in the simulated 48-bit virtual address space. */
 using Addr = std::uint64_t;
 
+/** Virtual address width, for the storage accounting of the BTBs
+ *  and MANA's table. */
+constexpr unsigned vaBits = 48;
+
 /** Simulation time in front-end clock cycles. */
 using Cycle = std::uint64_t;
 

@@ -6,8 +6,11 @@
 namespace fdip
 {
 
-Cache::Cache(const Config &config)
-    : cfg(config)
+namespace
+{
+
+unsigned
+setCount(const Cache::Config &cfg)
 {
     fatal_if(cfg.blockBytes == 0 || !isPowerOf2(cfg.blockBytes),
              "cache '%s': block size must be a power of two",
@@ -18,48 +21,15 @@ Cache::Cache(const Config &config)
     fatal_if(num_blocks == 0 || num_blocks % cfg.assoc != 0,
              "cache '%s': size/assoc/block geometry invalid",
              cfg.name.c_str());
-    sets = static_cast<unsigned>(num_blocks / cfg.assoc);
-    fatal_if(!isPowerOf2(sets), "cache '%s': set count must be 2^n",
-             cfg.name.c_str());
-    blocks.resize(num_blocks);
+    return static_cast<unsigned>(num_blocks / cfg.assoc);
 }
 
-std::size_t
-Cache::setIndex(Addr addr) const
-{
-    return (addr / cfg.blockBytes) & (sets - 1);
-}
+} // namespace
 
-std::uint64_t
-Cache::tagOf(Addr addr) const
-{
-    return (addr / cfg.blockBytes) >> floorLog2(sets);
-}
-
-Cache::Block *
-Cache::findBlock(Addr addr)
-{
-    std::size_t base = setIndex(addr) * cfg.assoc;
-    std::uint64_t tag = tagOf(addr);
-    for (unsigned w = 0; w < cfg.assoc; ++w) {
-        Block &b = blocks[base + w];
-        if (b.valid && b.tag == tag)
-            return &b;
-    }
-    return nullptr;
-}
-
-const Cache::Block *
-Cache::findBlock(Addr addr) const
-{
-    return const_cast<Cache *>(this)->findBlock(addr);
-}
-
-bool
-Cache::probe(Addr addr) const
-{
-    return findBlock(addr) != nullptr;
-}
+Cache::Cache(const Config &config)
+    : cfg(config),
+      tags("cache '" + cfg.name + "'", setCount(cfg), cfg.assoc)
+{}
 
 const char *
 replPolicyName(ReplPolicy policy)
@@ -76,10 +46,10 @@ bool
 Cache::access(Addr addr)
 {
     stAccesses.inc();
-    if (Block *b = findBlock(addr)) {
+    if (auto *b = tags.find(addr / cfg.blockBytes)) {
         // FIFO ignores access recency: the stamp is fill time only.
         if (cfg.repl == ReplPolicy::Lru)
-            b->lruStamp = ++lruClock;
+            tags.touch(*b);
         stHits.inc();
         return true;
     }
@@ -87,92 +57,37 @@ Cache::access(Addr addr)
     return false;
 }
 
-Cache::Block *
-Cache::pickVictim(std::size_t set_base)
+std::optional<Addr>
+Cache::insert(Addr addr)
 {
-    // Invalid ways fill first under every policy.
-    for (unsigned w = 0; w < cfg.assoc; ++w) {
-        if (!blocks[set_base + w].valid)
-            return &blocks[set_base + w];
+    std::uint64_t key = addr / cfg.blockBytes;
+    if (auto *b = tags.find(key)) {
+        // Already present (e.g. duplicate fill): refresh only.
+        tags.touch(*b);
+        return std::nullopt;
     }
-    if (cfg.repl == ReplPolicy::Random) {
+
+    // Invalid ways fill first under every policy. LRU and FIFO both
+    // evict the oldest stamp; they differ in whether access()
+    // refreshes it.
+    std::size_t set = tags.setOf(key);
+    auto *victim = &tags.victim(set);
+    if (victim->valid && cfg.repl == ReplPolicy::Random) {
         // xorshift64 way choice: cheap and deterministic per run.
         randState ^= randState << 13;
         randState ^= randState >> 7;
         randState ^= randState << 17;
-        return &blocks[set_base + randState % cfg.assoc];
+        victim = &tags.way(set, randState % cfg.assoc);
     }
-    // LRU and FIFO both evict the smallest stamp; they differ in
-    // whether access() refreshes it.
-    Block *victim = &blocks[set_base];
-    for (unsigned w = 1; w < cfg.assoc; ++w) {
-        if (blocks[set_base + w].lruStamp < victim->lruStamp)
-            victim = &blocks[set_base + w];
-    }
-    return victim;
-}
-
-std::optional<Addr>
-Cache::insert(Addr addr, bool first_use_tag)
-{
-    std::size_t base = setIndex(addr) * cfg.assoc;
-    std::uint64_t tag = tagOf(addr);
-
-    if (Block *b = findBlock(addr)) {
-        // Already present (e.g. duplicate fill): refresh only.
-        b->lruStamp = ++lruClock;
-        return std::nullopt;
-    }
-
-    Block *victim = pickVictim(base);
 
     std::optional<Addr> evicted;
     if (victim->valid) {
         stEvictions.inc();
-        std::uint64_t set = setIndex(addr);
-        evicted = ((victim->tag << floorLog2(sets)) | set) *
-            cfg.blockBytes;
+        evicted = tags.keyOf(set, victim->tag) * cfg.blockBytes;
     }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lruStamp = ++lruClock;
-    victim->firstUseTag = first_use_tag;
+    tags.fill(*victim, tags.tagOf(key));
     stFills.inc();
     return evicted;
-}
-
-bool
-Cache::invalidate(Addr addr)
-{
-    if (Block *b = findBlock(addr)) {
-        b->valid = false;
-        stInvalidations.inc();
-        return true;
-    }
-    return false;
-}
-
-bool
-Cache::consumeFirstUse(Addr addr)
-{
-    if (Block *b = findBlock(addr)) {
-        if (b->firstUseTag) {
-            b->firstUseTag = false;
-            return true;
-        }
-    }
-    return false;
-}
-
-unsigned
-Cache::validBlocks() const
-{
-    unsigned n = 0;
-    for (const auto &b : blocks) {
-        if (b.valid)
-            ++n;
-    }
-    return n;
 }
 
 } // namespace fdip

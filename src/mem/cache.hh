@@ -1,8 +1,8 @@
 /**
  * @file cache.hh
- * Set-associative cache tag/presence model with true-LRU replacement.
- * Only tags matter to a front-end study; no data is stored. Each block
- * carries a "first-use" tag bit driving tagged next-line prefetching.
+ * Set-associative cache tag/presence model with LRU, FIFO or random
+ * replacement, over the shared SetAssocTable. Only tags matter to a
+ * front-end study; no data is stored.
  */
 
 #ifndef FDIP_MEM_CACHE_HH
@@ -10,8 +10,8 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
+#include "common/set_assoc_table.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -49,30 +49,26 @@ class Cache
     }
 
     /** Tag check only: no LRU update, no stats side effects. */
-    bool probe(Addr addr) const;
+    bool
+    probe(Addr addr) const
+    {
+        return tags.find(addr / cfg.blockBytes) != nullptr;
+    }
 
     /** Demand access: updates LRU and hit/miss statistics. */
     bool access(Addr addr);
 
     /**
-     * Fill @p addr, evicting LRU if needed. @p first_use_tag seeds the
-     * tagged-prefetch bit. Returns the evicted block, if any.
+     * Fill @p addr, evicting per the policy if the set is full, and
+     * return the evicted block, if any. Filling a resident block only
+     * refreshes its stamp, under every policy.
      */
-    std::optional<Addr> insert(Addr addr, bool first_use_tag = true);
-
-    /** Remove the block; true if it was present. */
-    bool invalidate(Addr addr);
-
-    /**
-     * Tagged-prefetch support: if the block is present and its tag bit
-     * is set, clear it and return true ("first demand use").
-     */
-    bool consumeFirstUse(Addr addr);
+    std::optional<Addr> insert(Addr addr);
 
     const Config &config() const { return cfg; }
-    unsigned numSets() const { return sets; }
-    unsigned numBlocks() const { return sets * cfg.assoc; }
-    unsigned validBlocks() const;
+    unsigned numSets() const { return tags.numSets(); }
+    unsigned numBlocks() const { return tags.numSets() * cfg.assoc; }
+    unsigned validBlocks() const { return tags.validCount(); }
 
     StatSet stats;
 
@@ -82,27 +78,10 @@ class Cache
     StatSet::Counter stMisses = stats.registerCounter("cache.misses");
     StatSet::Counter stEvictions = stats.registerCounter("cache.evictions");
     StatSet::Counter stFills = stats.registerCounter("cache.fills");
-    StatSet::Counter stInvalidations =
-        stats.registerCounter("cache.invalidations");
-
-    struct Block
-    {
-        bool valid = false;
-        std::uint64_t tag = 0;
-        std::uint64_t lruStamp = 0;
-        bool firstUseTag = false;
-    };
-
-    std::size_t setIndex(Addr addr) const;
-    std::uint64_t tagOf(Addr addr) const;
-    Block *findBlock(Addr addr);
-    const Block *findBlock(Addr addr) const;
-    Block *pickVictim(std::size_t set_base);
 
     Config cfg;
-    unsigned sets;
-    std::vector<Block> blocks;
-    std::uint64_t lruClock = 0;
+    /** Keyed by addr / blockBytes. */
+    SetAssocTable<> tags;
     std::uint64_t randState = 0x243f6a8885a308d3ULL;
 };
 

@@ -48,7 +48,7 @@ MemHierarchy::tick(Cycle now)
         }
         switch (e->dest) {
           case FillDest::DemandL1:
-            installL1(e->blockAddr, /*first_use_tag=*/true);
+            installL1(e->blockAddr);
             if (e->isPrefetch)
                 attr_.onFill(e->blockAddr, now);
             break;
@@ -87,9 +87,9 @@ MemHierarchy::nextEventCycle(Cycle now) const
 }
 
 void
-MemHierarchy::installL1(Addr block_addr, bool first_use_tag)
+MemHierarchy::installL1(Addr block_addr)
 {
-    auto evicted = l1i_.insert(block_addr, first_use_tag);
+    auto evicted = l1i_.insert(block_addr);
     if (evicted && vc.enabled())
         vc.insert(*evicted);
 }
@@ -207,7 +207,7 @@ MemHierarchy::demandFetch(Addr addr, Cycle now)
     // Victim cache: catches recent conflict evictions; a hit swaps
     // the block back into the L1 with one extra cycle of latency.
     if (vc.enabled() && vc.extract(block)) {
-        installL1(block, /*first_use_tag=*/false);
+        installL1(block);
         res.hitL1 = true;
         res.readyAt = now + cfg.l1HitLatency + 1;
         stVictimHits.inc();
@@ -216,7 +216,7 @@ MemHierarchy::demandFetch(Addr addr, Cycle now)
 
     // Probed in parallel with the L1 tags: the prefetch buffer.
     if (pfBuf.consume(block)) {
-        installL1(block, /*first_use_tag=*/false);
+        installL1(block);
         res.hitPrefetchBuffer = true;
         res.readyAt = now + cfg.l1HitLatency;
         stPfbufHits.inc();
@@ -226,7 +226,7 @@ MemHierarchy::demandFetch(Addr addr, Cycle now)
 
     // Stream buffers (when configured) are probed next.
     if (streamProbe && streamProbe->probeAndConsume(block, now)) {
-        installL1(block, /*first_use_tag=*/false);
+        installL1(block);
         res.hitStreamBuffer = true;
         res.readyAt = now + cfg.l1HitLatency;
         stStreambufHits.inc();

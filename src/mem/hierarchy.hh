@@ -235,7 +235,7 @@ class MemHierarchy
                       bool &fills_l2, bool &granted);
 
     /** Install into the L1, spilling any victim to the victim cache. */
-    void installL1(Addr block_addr, bool first_use_tag);
+    void installL1(Addr block_addr);
 
     /**
      * Tag an L1-side block address with this core's id before it

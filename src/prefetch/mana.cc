@@ -7,17 +7,14 @@ namespace fdip
 {
 
 ManaPrefetcher::ManaPrefetcher(MemHierarchy &mem_ref, const Config &config)
-    : QueuedPrefetcher(mem_ref, "mana", config.queueEntries), cfg(config)
+    : QueuedPrefetcher(mem_ref, "mana", config.queueEntries), cfg(config),
+      table("MANA table", cfg.tableSets, cfg.tableWays)
 {
     fatal_if(cfg.regionBlocks == 0 || cfg.regionBlocks > 64 ||
                  !isPowerOf2(cfg.regionBlocks),
              "MANA region size must be a power-of-two block count <= 64");
-    fatal_if(!isPowerOf2(cfg.tableSets),
-             "MANA table set count must be a power of two");
-    fatal_if(cfg.tableWays == 0, "MANA table needs at least one way");
     fatal_if(cfg.chainLength == 0,
              "MANA chain length must be at least 1 (the entered region)");
-    table.resize(std::size_t(cfg.tableSets) * cfg.tableWays);
 }
 
 unsigned
@@ -25,7 +22,7 @@ ManaPrefetcher::entryBits(const Config &config)
 {
     unsigned block_bits = 5; // 32B blocks; geometry-independent estimate
     unsigned region_bits =
-        config.vaBits - block_bits - floorLog2(config.regionBlocks);
+        vaBits - block_bits - floorLog2(config.regionBlocks);
     unsigned tag_bits = region_bits - floorLog2(config.tableSets);
     // tag + footprint bitmap + successor region pointer + entry-valid
     // and successor-valid bits.
@@ -47,31 +44,14 @@ ManaPrefetcher::regionBytes() const
         cfg.regionBlocks;
 }
 
-std::size_t
-ManaPrefetcher::setBase(std::uint64_t region) const
-{
-    return std::size_t(region & (cfg.tableSets - 1)) * cfg.tableWays;
-}
-
-std::uint64_t
-ManaPrefetcher::tagOf(std::uint64_t region) const
-{
-    return region >> floorLog2(cfg.tableSets);
-}
-
-ManaPrefetcher::Entry *
+ManaPrefetcher::Region *
 ManaPrefetcher::find(std::uint64_t region)
 {
-    std::size_t base = setBase(region);
-    std::uint64_t tag = tagOf(region);
-    for (unsigned w = 0; w < cfg.tableWays; ++w) {
-        Entry &e = table[base + w];
-        if (e.valid && e.tag == tag) {
-            e.lruStamp = ++lruClock;
-            return &e;
-        }
-    }
-    return nullptr;
+    auto *e = table.find(region);
+    if (e == nullptr)
+        return nullptr;
+    table.touch(*e);
+    return &e->payload;
 }
 
 void
@@ -85,25 +65,13 @@ ManaPrefetcher::recordRegion(std::uint64_t region,
     if (footprint == 0)
         return;
     stRecords.inc();
-    if (Entry *e = find(region)) {
-        e->footprint = footprint;
-        e->successor = successor;
-        e->hasSuccessor = true;
+    if (Region *e = find(region)) {
+        *e = {footprint, successor};
         stRecordUpdates.inc();
         return;
     }
-    std::size_t base = setBase(region);
-    Entry *victim = &table[base];
-    for (unsigned w = 0; w < cfg.tableWays; ++w) {
-        Entry &e = table[base + w];
-        if (!e.valid) {
-            victim = &e;
-            break;
-        }
-        if (e.lruStamp < victim->lruStamp)
-            victim = &e;
-    }
-    if (victim->valid) {
+    auto &victim = table.victim(table.setOf(region));
+    if (victim.valid) {
         stEvictions.inc();
     } else {
         // Live-metadata accounting: bytes grow only while cold ways
@@ -111,19 +79,15 @@ ManaPrefetcher::recordRegion(std::uint64_t region,
         // gauge, so the warmup-window subtraction stays meaningful).
         stTableBytes.inc((entryBits(cfg) + 7) / 8);
     }
-    victim->valid = true;
-    victim->tag = tagOf(region);
-    victim->footprint = footprint;
-    victim->successor = successor;
-    victim->hasSuccessor = true;
-    victim->lruStamp = ++lruClock;
+    table.fill(victim, table.tagOf(region));
+    victim.payload = {footprint, successor};
 }
 
 void
 ManaPrefetcher::replayRegion(std::uint64_t region, Addr trigger_block)
 {
     stLookups.inc();
-    Entry *e = find(region);
+    Region *e = find(region);
     if (e == nullptr)
         return;
     stReplays.inc();
@@ -143,7 +107,7 @@ ManaPrefetcher::replayRegion(std::uint64_t region, Addr trigger_block)
             if (res != Enqueued::Duplicate)
                 stReplayedBlocks.inc();
         }
-        if (!e->hasSuccessor || depth + 1 == cfg.chainLength)
+        if (depth + 1 == cfg.chainLength)
             break;
         r = e->successor;
         e = find(r);

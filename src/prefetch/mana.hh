@@ -17,8 +17,7 @@
 #ifndef FDIP_PREFETCH_MANA_HH
 #define FDIP_PREFETCH_MANA_HH
 
-#include <vector>
-
+#include "common/set_assoc_table.hh"
 #include "prefetch/prefetcher.hh"
 
 namespace fdip
@@ -39,8 +38,6 @@ class ManaPrefetcher : public QueuedPrefetcher
         /** Regions replayed per trigger, entered region included
          *  (successor-chain lookahead; 1 disables chaining). */
         unsigned chainLength = 2;
-        /** Virtual address bits, for metadata-cost accounting. */
-        unsigned vaBits = 48;
     };
 
     ManaPrefetcher(MemHierarchy &mem, const Config &config);
@@ -57,22 +54,18 @@ class ManaPrefetcher : public QueuedPrefetcher
     static std::uint64_t tableCapacityBytes(const Config &config);
 
   private:
-    struct Entry
+    /** One table entry's payload; the table is keyed by region. */
+    struct Region
     {
-        bool valid = false;
-        std::uint64_t tag = 0;
-        std::uint64_t footprint = 0; ///< bit per block in the region
-        std::uint64_t successor = 0; ///< next region the stream entered
-        bool hasSuccessor = false;
-        std::uint64_t lruStamp = 0;
+        std::uint64_t footprint; ///< bit per block in the region
+        std::uint64_t successor; ///< next region the stream entered
     };
 
     static constexpr std::uint64_t kNoRegion = ~std::uint64_t(0);
 
     std::uint64_t regionBytes() const;
-    std::size_t setBase(std::uint64_t region) const;
-    std::uint64_t tagOf(std::uint64_t region) const;
-    Entry *find(std::uint64_t region);
+    /** The region's entry, touched as a use; nullptr on a miss. */
+    Region *find(std::uint64_t region);
     void recordRegion(std::uint64_t region, std::uint64_t footprint,
                       std::uint64_t successor);
     void replayRegion(std::uint64_t region, Addr trigger_block);
@@ -94,8 +87,7 @@ class ManaPrefetcher : public QueuedPrefetcher
 
     Config cfg;
 
-    std::vector<Entry> table;
-    std::uint64_t lruClock = 0;
+    SetAssocTable<Region> table;
     std::uint64_t curRegion = kNoRegion;
     std::uint64_t curFootprint = 0;
 };

@@ -136,13 +136,10 @@ SimConfig::fingerprint() const
     f.u64(bpu.rasDepth);
     f.u64(bpu.ftb.sets);
     f.u64(bpu.ftb.ways);
-    f.u64(bpu.ftb.vaBits);
-    f.u64(bpu.ftb.maxBlockInsts);
     f.u64(bpu.btb.sets);
     f.u64(bpu.btb.ways);
     f.u64(bpu.btb.tagBits);
     f.u64(bpu.btb.offsetBits);
-    f.u64(bpu.btb.vaBits);
     f.u64(bpu.gshareEntries);
     f.u64(bpu.historyBits);
     f.u64(bpu.bimodalEntries);
@@ -202,7 +199,6 @@ SimConfig::fingerprint() const
     f.u64(mana.tableWays);
     f.u64(mana.queueEntries);
     f.u64(mana.chainLength);
-    f.u64(mana.vaBits);
     f.u64(shadow.scanWidth);
     f.u64(shadow.queueEntries);
     f.u64(shadow.recentFilterEntries);
@@ -216,7 +212,6 @@ SimConfig::fingerprint() const
         f.u64(part.ways);
     }
     f.u64(pbtb.tagBits);
-    f.u64(pbtb.vaBits);
 
     f.d(cycleLimitPerInst);
     f.u64(maxCycles);

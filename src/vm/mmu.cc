@@ -23,13 +23,15 @@ tlbPolicyName(TlbPrefetchPolicy policy)
 Mmu::Mmu(const VmConfig &config, Addr code_base, Addr code_end)
     : cfg(config),
       pt(code_base, code_end, cfg.pageBytes, cfg.mapping, cfg.mapSeed),
-      itlb_({cfg.itlbEntries, cfg.itlbAssoc})
+      itlb_("itlb", {cfg.itlbEntries, cfg.itlbAssoc})
 {
     fatal_if(cfg.enable && cfg.walkLatency == 0,
              "page-walk latency must be nonzero");
     if (cfg.l2TlbEntries > 0) {
-        l2_ = std::make_unique<L2Tlb>(L2Tlb::Config{
-            cfg.l2TlbEntries, cfg.l2TlbAssoc, cfg.l2TlbLatency});
+        fatal_if(cfg.l2TlbLatency == 0,
+                 "L2 TLB hit latency must be nonzero");
+        l2_ = std::make_unique<Tlb>(
+            "l2tlb", Tlb::Config{cfg.l2TlbEntries, cfg.l2TlbAssoc});
     }
     if (cfg.numWalkers > 0)
         walkerFreeAt.assign(cfg.numWalkers, 0);

@@ -41,9 +41,8 @@
 
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "vm/itlb.hh"
-#include "vm/l2_tlb.hh"
 #include "vm/page_table.hh"
+#include "vm/tlb.hh"
 
 namespace fdip
 {
@@ -209,11 +208,11 @@ class Mmu
     /** Walks waiting for a free walker. */
     std::size_t walksQueued() const { return walkQueue.size(); }
 
-    Itlb &itlb() { return itlb_; }
-    const Itlb &itlb() const { return itlb_; }
+    Tlb &itlb() { return itlb_; }
+    const Tlb &itlb() const { return itlb_; }
     /** nullptr when the L2 TLB is disabled (l2TlbEntries == 0). */
-    L2Tlb *l2Tlb() { return l2_.get(); }
-    const L2Tlb *l2Tlb() const { return l2_.get(); }
+    Tlb *l2Tlb() { return l2_.get(); }
+    const Tlb *l2Tlb() const { return l2_.get(); }
     const PageTable &pageTable() const { return pt; }
     const VmConfig &config() const { return cfg; }
 
@@ -300,8 +299,8 @@ class Mmu
 
     VmConfig cfg;
     PageTable pt;
-    Itlb itlb_;
-    std::unique_ptr<L2Tlb> l2_;
+    Tlb itlb_;
+    std::unique_ptr<Tlb> l2_;
     std::map<Addr, Walk> walks;
     /** VPNs of un-started walks in service order (demands first). */
     std::deque<Addr> walkQueue;

@@ -87,26 +87,6 @@ TEST(Cache, EvictedAddressReconstruction)
     EXPECT_EQ(*evicted, victim_addr);
 }
 
-TEST(Cache, Invalidate)
-{
-    Cache c(tinyCfg());
-    c.insert(0x1000);
-    EXPECT_TRUE(c.invalidate(0x1000));
-    EXPECT_FALSE(c.probe(0x1000));
-    EXPECT_FALSE(c.invalidate(0x1000));
-}
-
-TEST(Cache, FirstUseTagConsumedOnce)
-{
-    Cache c(tinyCfg());
-    c.insert(0x1000, /*first_use_tag=*/true);
-    EXPECT_TRUE(c.consumeFirstUse(0x1000));
-    EXPECT_FALSE(c.consumeFirstUse(0x1000)); // cleared
-    c.insert(0x2000, /*first_use_tag=*/false);
-    EXPECT_FALSE(c.consumeFirstUse(0x2000));
-    EXPECT_FALSE(c.consumeFirstUse(0x3000)); // absent
-}
-
 TEST(Cache, SubBlockAddressesShareBlock)
 {
     Cache c(tinyCfg());

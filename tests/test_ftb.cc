@@ -52,10 +52,8 @@ TEST(Ftb, UpdateShrinksBlock)
 
 TEST(Ftb, TooLongBlocksAreNotStored)
 {
-    Ftb::Config c = smallCfg();
-    c.maxBlockInsts = 31;
-    Ftb ftb(c);
-    ftb.insert(0x1000, 32, InstClass::Jump, 0x2000);
+    Ftb ftb(smallCfg());
+    ftb.insert(0x1000, Ftb::kMaxBlockInsts + 1, InstClass::Jump, 0x2000);
     EXPECT_FALSE(ftb.lookup(0x1000).has_value());
     EXPECT_EQ(ftb.stats.counter("ftb.insert_truncated"), 1u);
 }
@@ -70,14 +68,6 @@ TEST(Ftb, LruEviction)
     ftb.insert(0x1000 + 2 * stride, 4, InstClass::Jump, 0x100);
     EXPECT_TRUE(ftb.lookup(0x1000).has_value());
     EXPECT_FALSE(ftb.lookup(0x1000 + stride).has_value());
-}
-
-TEST(Ftb, Invalidate)
-{
-    Ftb ftb(smallCfg());
-    ftb.insert(0x1000, 4, InstClass::Jump, 0x100);
-    ftb.invalidate(0x1000);
-    EXPECT_FALSE(ftb.lookup(0x1000).has_value());
 }
 
 TEST(Ftb, EntryBitsMatchPaperTable)

@@ -1,6 +1,7 @@
-/** Tests for the virtual-memory subsystem: page table, ITLB, MMU. */
+/** Tests for the virtual-memory subsystem: page table, TLBs, MMU. */
 
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -91,38 +92,60 @@ TEST(PageTable, DeterministicForAGivenSeed)
     }
 }
 
-TEST(Itlb, GeometryDerived)
+/**
+ * The ITLB and the L2 TLB are one class, Tlb; every case runs under
+ * both names, which prefix the stats and label geometry errors.
+ */
+class TlbLevel : public ::testing::TestWithParam<const char *>
 {
-    Itlb tlb({8, 2});
+  protected:
+    Tlb make(unsigned entries, unsigned assoc) const
+    {
+        return Tlb(GetParam(), {entries, assoc});
+    }
+
+    std::string
+    stat(const char *counter) const
+    {
+        return std::string(GetParam()) + "." + counter;
+    }
+};
+
+using TlbLevelDeathTest = TlbLevel;
+
+TEST_P(TlbLevel, GeometryDerived)
+{
+    Tlb tlb = make(8, 2);
     EXPECT_EQ(tlb.numEntries(), 8u);
     EXPECT_EQ(tlb.numSets(), 4u);
     EXPECT_EQ(tlb.validEntries(), 0u);
 }
 
-TEST(Itlb, MissFillHit)
+TEST_P(TlbLevel, MissFillHit)
 {
-    Itlb tlb({8, 2});
+    Tlb tlb = make(8, 2);
     EXPECT_FALSE(tlb.access(5));
     tlb.insert(5);
     EXPECT_TRUE(tlb.access(5));
-    EXPECT_EQ(tlb.stats.counter("itlb.misses"), 1u);
-    EXPECT_EQ(tlb.stats.counter("itlb.hits"), 1u);
-    EXPECT_EQ(tlb.stats.counter("itlb.fills"), 1u);
+    EXPECT_EQ(tlb.stats.counter(stat("accesses")), 2u);
+    EXPECT_EQ(tlb.stats.counter(stat("misses")), 1u);
+    EXPECT_EQ(tlb.stats.counter(stat("hits")), 1u);
+    EXPECT_EQ(tlb.stats.counter(stat("fills")), 1u);
 }
 
-TEST(Itlb, LookupHasNoSideEffects)
+TEST_P(TlbLevel, LookupHasNoSideEffects)
 {
-    Itlb tlb({8, 2});
+    Tlb tlb = make(8, 2);
     tlb.insert(5);
-    std::uint64_t accesses = tlb.stats.counter("itlb.accesses");
+    std::uint64_t accesses = tlb.stats.counter(stat("accesses"));
     EXPECT_TRUE(tlb.lookup(5));
     EXPECT_FALSE(tlb.lookup(6));
-    EXPECT_EQ(tlb.stats.counter("itlb.accesses"), accesses);
+    EXPECT_EQ(tlb.stats.counter(stat("accesses")), accesses);
 }
 
-TEST(Itlb, LruEvictionWithinSet)
+TEST_P(TlbLevel, LruEvictionWithinSet)
 {
-    Itlb tlb({8, 2}); // 4 sets x 2 ways; same set stride = 4
+    Tlb tlb = make(8, 2); // 4 sets x 2 ways; same set stride = 4
     tlb.insert(0);
     tlb.insert(4);
     EXPECT_TRUE(tlb.access(0)); // 0 is MRU, 4 is LRU
@@ -130,33 +153,36 @@ TEST(Itlb, LruEvictionWithinSet)
     EXPECT_TRUE(tlb.lookup(0));
     EXPECT_FALSE(tlb.lookup(4));
     EXPECT_TRUE(tlb.lookup(8));
-    EXPECT_EQ(tlb.stats.counter("itlb.evictions"), 1u);
+    EXPECT_EQ(tlb.stats.counter(stat("evictions")), 1u);
 }
 
-TEST(Itlb, ReinsertRefreshesInsteadOfDuplicating)
+TEST_P(TlbLevel, ReinsertRefreshesInsteadOfDuplicating)
 {
-    Itlb tlb({8, 2});
+    Tlb tlb = make(8, 2);
     tlb.insert(0);
     tlb.insert(0);
     EXPECT_EQ(tlb.validEntries(), 1u);
-    EXPECT_EQ(tlb.stats.counter("itlb.fills"), 1u);
+    EXPECT_EQ(tlb.stats.counter(stat("fills")), 1u);
 }
 
-TEST(Itlb, Invalidate)
+TEST_P(TlbLevelDeathTest, BadGeometryRejected)
 {
-    Itlb tlb({8, 2});
-    tlb.insert(3);
-    EXPECT_TRUE(tlb.invalidate(3));
-    EXPECT_FALSE(tlb.lookup(3));
-    EXPECT_FALSE(tlb.invalidate(3));
+    std::string name = GetParam();
+    EXPECT_DEATH({ make(0, 1); }, name + ": needs at least one entry");
+    EXPECT_DEATH({ make(8, 3); }, name + ": .*divide evenly");
+    EXPECT_DEATH({ make(24, 2); }, name + ": .*power of two");
 }
 
-TEST(ItlbDeath, BadGeometryRejected)
-{
-    EXPECT_DEATH({ Itlb t({0, 1}); }, "at least one entry");
-    EXPECT_DEATH({ Itlb t({8, 3}); }, "divide evenly");
-    EXPECT_DEATH({ Itlb t({24, 2}); }, "power of two");
-}
+INSTANTIATE_TEST_SUITE_P(Names, TlbLevel,
+                         ::testing::Values("itlb", "l2tlb"),
+                         [](const auto &info) {
+                             return std::string(info.param);
+                         });
+INSTANTIATE_TEST_SUITE_P(Names, TlbLevelDeathTest,
+                         ::testing::Values("itlb", "l2tlb"),
+                         [](const auto &info) {
+                             return std::string(info.param);
+                         });
 
 TEST(Mmu, DisabledIsAZeroCostPassthrough)
 {

@@ -71,15 +71,6 @@ TEST(PartitionedBtb, TargetChangeMigratesPartition)
     EXPECT_EQ(valid, 1u);
 }
 
-TEST(PartitionedBtb, InvalidateClearsEverywhere)
-{
-    PartitionedBtb pbtb(tinyCfg());
-    Addr pc = 0x400000;
-    pbtb.insert(pc, InstClass::Jump, pc + 4 * instBytes);
-    pbtb.invalidate(pc);
-    EXPECT_FALSE(pbtb.lookup(pc).has_value());
-}
-
 TEST(PartitionedBtb, DefaultConfigGeometry)
 {
     auto cfg = PartitionedBtb::makeDefaultConfig(1024);

@@ -94,11 +94,10 @@ TEST_P(SchemeGrid, InvariantsHold)
     }
 
     // The L1-I can never hold more blocks than its capacity.
-    // (Indirectly checked: fills - evictions - invalidations is
-    // bounded by the block count.)
+    // (Indirectly checked: fills - evictions is bounded by the block
+    // count.)
     double resident = r.stats.value("l1i.cache.fills") -
-        r.stats.value("l1i.cache.evictions") -
-        r.stats.value("l1i.cache.invalidations");
+        r.stats.value("l1i.cache.evictions");
     EXPECT_LE(resident, 16.0 * 1024 / 32 + 1);
 }
 

@@ -20,7 +20,7 @@ struct Rig
     Ftb ftb;
     MemHierarchy mem;
 
-    Rig() : img(*prog), ftb(Ftb::Config{16, 2, 48, 31}), mem(makeCfg()) {}
+    Rig() : img(*prog), ftb(Ftb::Config{16, 2}), mem(makeCfg()) {}
 
     static MemConfig
     makeCfg()
@@ -90,7 +90,7 @@ TEST(ShadowBtb, FindsPlantedBranchesAndPrefillsFtb)
 TEST(ShadowBtb, PrefillsConventionalBtbByBranchPc)
 {
     Rig rig;
-    Btb btb(Btb::Config{16, 2, 0, 0, 48});
+    Btb btb(Btb::Config{16, 2, 0, 0});
     ShadowBtbPrefetcher pf(nullptr, &btb, rig.mem, &rig.img, {});
 
     Addr base = rig.img.base();

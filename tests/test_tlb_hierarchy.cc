@@ -1,8 +1,9 @@
 /**
  * Tests for the two-level TLB hierarchy and bounded page-walk
- * bandwidth (vm/l2_tlb.hh, the reworked vm/mmu.hh walk queue) and the
- * decoupled FTQ TLB prefetcher (vm/tlb_prefetcher.hh):
- *  - L2-TLB hit/miss/evict accounting and the ITLB-refill path,
+ * bandwidth (the vm/mmu.hh walk queue) and the decoupled FTQ TLB
+ * prefetcher (vm/tlb_prefetcher.hh); the Tlb class itself is tested
+ * under both level names in test_itlb.cc:
+ *  - the L2-TLB hit ITLB-refill path,
  *  - demand walks queueing ahead of (and upgrading) prefetch walks at
  *    walker saturation, with exact demand completion times,
  *  - walk-id freshness for the prefetchers' live-polling contract,
@@ -51,58 +52,6 @@ page(unsigned i)
 }
 
 } // namespace
-
-TEST(L2Tlb, GeometryDerived)
-{
-    L2Tlb tlb({16, 4, 8});
-    EXPECT_EQ(tlb.numEntries(), 16u);
-    EXPECT_EQ(tlb.numSets(), 4u);
-    EXPECT_EQ(tlb.hitLatency(), 8u);
-    EXPECT_EQ(tlb.validEntries(), 0u);
-}
-
-TEST(L2Tlb, MissFillHitAccounting)
-{
-    L2Tlb tlb({16, 4, 8});
-    EXPECT_FALSE(tlb.access(5));
-    tlb.insert(5);
-    EXPECT_TRUE(tlb.access(5));
-    EXPECT_EQ(tlb.stats.counter("l2tlb.accesses"), 2u);
-    EXPECT_EQ(tlb.stats.counter("l2tlb.misses"), 1u);
-    EXPECT_EQ(tlb.stats.counter("l2tlb.hits"), 1u);
-    EXPECT_EQ(tlb.stats.counter("l2tlb.fills"), 1u);
-}
-
-TEST(L2Tlb, LookupHasNoSideEffects)
-{
-    L2Tlb tlb({16, 4, 8});
-    tlb.insert(5);
-    std::uint64_t accesses = tlb.stats.counter("l2tlb.accesses");
-    EXPECT_TRUE(tlb.lookup(5));
-    EXPECT_FALSE(tlb.lookup(6));
-    EXPECT_EQ(tlb.stats.counter("l2tlb.accesses"), accesses);
-}
-
-TEST(L2Tlb, LruEvictionWithinSet)
-{
-    L2Tlb tlb({8, 2, 8}); // 4 sets x 2 ways; same-set stride = 4
-    tlb.insert(0);
-    tlb.insert(4);
-    EXPECT_TRUE(tlb.access(0)); // 0 is MRU, 4 is LRU
-    tlb.insert(8);              // evicts 4
-    EXPECT_TRUE(tlb.lookup(0));
-    EXPECT_FALSE(tlb.lookup(4));
-    EXPECT_TRUE(tlb.lookup(8));
-    EXPECT_EQ(tlb.stats.counter("l2tlb.evictions"), 1u);
-}
-
-TEST(L2TlbDeath, BadGeometryRejected)
-{
-    EXPECT_DEATH({ L2Tlb t({0, 1, 8}); }, "at least one entry");
-    EXPECT_DEATH({ L2Tlb t({8, 3, 8}); }, "divide evenly");
-    EXPECT_DEATH({ L2Tlb t({24, 2, 8}); }, "power of two");
-    EXPECT_DEATH({ L2Tlb t({8, 2, 0}); }, "latency");
-}
 
 TEST(MmuHierarchy, L2DisabledByDefault)
 {
@@ -387,6 +336,13 @@ TEST(TlbHierarchy, MoreWalkersAndBiggerL2NeverSlowTheMachine)
     };
     EXPECT_LE(run(0, 1), run(256, 1) * 1.0001);
     EXPECT_LE(run(64, 1), run(64, 0) * 1.0001);
+}
+
+TEST(TlbHierarchyDeath, ZeroL2LatencyRejectedByTheMmu)
+{
+    VmConfig vm = hierVm(TlbPrefetchPolicy::Drop, 16, 0);
+    vm.l2TlbLatency = 0;
+    EXPECT_DEATH({ Mmu mmu(vm, kBase, kBase + 16 * kPage); }, "latency");
 }
 
 TEST(TlbHierarchyDeath, BadKnobsRejected)
