@@ -42,7 +42,6 @@ class Tlb
     /** Install a translation, evicting the set's LRU entry if full. */
     void insert(Addr vpn);
 
-    const Config &config() const { return cfg; }
     unsigned numSets() const { return tags.numSets(); }
     unsigned numEntries() const { return cfg.entries; }
     unsigned validEntries() const { return tags.validCount(); }

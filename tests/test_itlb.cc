@@ -99,7 +99,8 @@ TEST(PageTable, DeterministicForAGivenSeed)
 class TlbLevel : public ::testing::TestWithParam<const char *>
 {
   protected:
-    Tlb make(unsigned entries, unsigned assoc) const
+    Tlb
+    make(unsigned entries, unsigned assoc) const
     {
         return Tlb(GetParam(), {entries, assoc});
     }
