@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
+#include "common/fnv.hh"
 #include "test_helpers.hh"
 #include "trace/code_image.hh"
 #include "trace/executor.hh"
@@ -141,12 +145,36 @@ TEST_P(ExecutorSuite, Deterministic)
     const WorkloadProfile &p = findProfile(GetParam());
     auto prog = buildProgram(p);
     SyntheticExecutor a(*prog, p), b(*prog, p);
+    Fnv1a stream;
     for (int i = 0; i < 20000; ++i) {
         TraceInstr x = a.next(), y = b.next();
         ASSERT_EQ(x.pc, y.pc);
         ASSERT_EQ(x.taken, y.taken);
         ASSERT_EQ(x.target, y.target);
+        stream.u64(x.pc);
+        stream.u64(static_cast<std::uint64_t>(x.cls));
+        stream.u64(x.target);
+        stream.b(x.taken);
     }
+
+    // The first 20000 dynamic instructions, pinned across builder and
+    // executor changes. Re-record only for an intended change to the
+    // synthetic programs or their execution.
+    static const std::map<std::string, std::uint64_t> pinned = {
+        {"li", 0x1a81d76ba22c3213ull},
+        {"ijpeg", 0x669e8b3b12d72f64ull},
+        {"m88ksim", 0x47331cd795231d3dull},
+        {"deltablue", 0x3da68a2d8d158ef7ull},
+        {"burg", 0x175fcf317b52d767ull},
+        {"perl", 0xb319671e9a8355dcull},
+        {"go", 0xd9d83f46f7435207ull},
+        {"groff", 0x716eeb8703ab34cdull},
+        {"gcc", 0x2a0de2d3427cfd8aull},
+        {"vortex", 0x921a2265bc5e2fbaull},
+    };
+    auto it = pinned.find(GetParam());
+    ASSERT_NE(it, pinned.end()) << "no pinned digest for " << GetParam();
+    EXPECT_EQ(stream.h, it->second) << std::hex << "0x" << stream.h;
 }
 
 TEST_P(ExecutorSuite, DynamicMixIsReasonable)

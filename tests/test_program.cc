@@ -2,11 +2,52 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <string>
+
+#include "common/fnv.hh"
 #include "test_helpers.hh"
 #include "trace/profile.hh"
 #include "trace/synth_builder.hh"
 
 using namespace fdip;
+
+namespace
+{
+
+/** FNV-1a over every Function and BasicBlock field of @p prog. */
+std::uint64_t
+programDigest(const Program &prog)
+{
+    Fnv1a f;
+    f.u64(prog.funcs.size());
+    for (const auto &fn : prog.funcs) {
+        f.u64(fn.entry);
+        f.u64(fn.level);
+        f.u64(fn.blocks.size());
+        for (const auto &bb : fn.blocks) {
+            f.u64(bb.start);
+            f.u64(bb.numInsts);
+            f.u64(static_cast<std::uint64_t>(bb.term));
+            f.u64(bb.targetBb);
+            f.u64(bb.targetFn);
+            f.u64(bb.indTargets.size());
+            for (auto t : bb.indTargets)
+                f.u64(t);
+            f.u64(bb.indWeights.size());
+            for (double w : bb.indWeights)
+                f.d(w);
+            f.u64(static_cast<std::uint64_t>(bb.cond.kind));
+            f.d(bb.cond.param);
+            f.u64(bb.cond.pattern);
+            f.u64(bb.cond.patternLen);
+        }
+    }
+    return f.h;
+}
+
+} // namespace
 
 TEST(Program, LayoutAssignsContiguousAddresses)
 {
@@ -99,6 +140,27 @@ TEST_P(SynthSuite, DeterministicInSeed)
         EXPECT_EQ(a->funcs[i].entry, b->funcs[i].entry);
         EXPECT_EQ(a->funcs[i].blocks.size(), b->funcs[i].blocks.size());
     }
+
+    // Pinned across builder changes, not just between two builds: a
+    // builder that draws one number more or less, or computes one CDF
+    // value differently, redraws the program and fails here. Re-record
+    // only for an intended change to the synthetic programs.
+    static const std::map<std::string, std::uint64_t> pinned = {
+        {"li", 0x8b4531a985270255ull},
+        {"ijpeg", 0x5e007adc840a9742ull},
+        {"m88ksim", 0xf12c1990bdc5c3aeull},
+        {"deltablue", 0xc1eeed853910b397ull},
+        {"burg", 0xc7963112b01c1b2cull},
+        {"perl", 0x090962de6b05da1full},
+        {"go", 0x904a2c9de40623c5ull},
+        {"groff", 0xedd9020c5046af19ull},
+        {"gcc", 0x82dd841de51cc6e4ull},
+        {"vortex", 0x8df59ec1c72c2c08ull},
+    };
+    auto it = pinned.find(GetParam());
+    ASSERT_NE(it, pinned.end()) << "no pinned digest for " << GetParam();
+    EXPECT_EQ(programDigest(*a), it->second)
+        << std::hex << "0x" << programDigest(*a);
 }
 
 TEST_P(SynthSuite, HasAllTerminatorKinds)
@@ -170,4 +232,53 @@ TEST(SynthBuilder, DistinctSeedsGiveDistinctPrograms)
         }
     }
     EXPECT_TRUE(differs);
+}
+
+/**
+ * The call-level layering at its extremes: two levels (one dispatcher,
+ * every other function a leaf) with uniform callee popularity, and
+ * twelve levels of two or three functions each with a steep skew.
+ */
+TEST(SynthBuilder, CallLevelExtremes)
+{
+    struct Case
+    {
+        unsigned levels;
+        double zipf;
+        std::uint64_t footprint;
+        std::size_t funcs;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        {2, 0.0, 8 * 1024, 28, 0x11bf1acac9fc0c94ull},
+        {12, 2.0, 1024, 24, 0x3f6b28853100741cull},
+    };
+    for (const Case &c : cases) {
+        WorkloadProfile p;
+        p.name = "levels" + std::to_string(c.levels);
+        p.callLevels = c.levels;
+        p.calleeZipf = c.zipf;
+        p.codeFootprintBytes = c.footprint;
+        SCOPED_TRACE(p.name);
+
+        auto prog = buildProgram(p);
+        prog->validate();
+        ASSERT_EQ(prog->funcs.size(), c.funcs);
+        std::map<unsigned, unsigned> per_level;
+        for (const auto &fn : prog->funcs)
+            ++per_level[fn.level];
+        EXPECT_EQ(per_level.size(), c.levels);
+        EXPECT_EQ(per_level[0], 1u);
+        for (const auto &fn : prog->funcs) {
+            for (const auto &bb : fn.blocks) {
+                if (bb.term == InstClass::Call) {
+                    EXPECT_GT(prog->funcs[bb.targetFn].level, fn.level);
+                }
+                for (auto t : bb.indTargets)
+                    EXPECT_GT(prog->funcs[t].level, fn.level);
+            }
+        }
+        EXPECT_EQ(programDigest(*prog), c.digest)
+            << std::hex << "0x" << programDigest(*prog);
+    }
 }
