@@ -17,16 +17,9 @@ struct Layering
 {
     // levelStart[l] .. levelStart[l+1]-1 are the functions at level l.
     std::vector<std::uint32_t> levelStart;
-
-    std::uint32_t
-    levelOf(std::uint32_t fn) const
-    {
-        for (std::uint32_t l = 0; l + 1 < levelStart.size(); ++l) {
-            if (fn >= levelStart[l] && fn < levelStart[l + 1])
-                return l;
-        }
-        panic("function %u outside layering", fn);
-    }
+    // Callee popularity within each level, built once per level: a
+    // table costs one pow() per function in the level.
+    std::vector<ZipfSampler> callee;
 
     std::uint32_t
     count(std::uint32_t level) const
@@ -42,7 +35,7 @@ struct Layering
  */
 std::uint32_t
 pickCallee(Rng &rng, const Layering &lay, std::uint32_t caller_level,
-           double zipf_s, unsigned num_levels)
+           unsigned num_levels)
 {
     std::uint32_t level;
     if (caller_level + 2 >= num_levels || rng.chance(0.7))
@@ -51,11 +44,8 @@ pickCallee(Rng &rng, const Layering &lay, std::uint32_t caller_level,
         level = static_cast<std::uint32_t>(
             rng.range(caller_level + 1, num_levels - 1));
 
-    std::uint32_t n = lay.count(level);
-    panic_if(n == 0, "empty call-graph level %u", level);
-    ZipfSampler zipf(n, zipf_s);
     return lay.levelStart[level] + static_cast<std::uint32_t>(
-        zipf.sample(rng));
+        lay.callee[level].sample(rng));
 }
 
 CondBehavior
@@ -149,16 +139,14 @@ buildFunction(Rng &rng, const WorkloadProfile &p, const Layering &lay,
           }
           case 2: // direct call
             bb.term = InstClass::Call;
-            bb.targetFn = pickCallee(rng, lay, level, p.calleeZipf,
-                                     p.callLevels);
+            bb.targetFn = pickCallee(rng, lay, level, p.callLevels);
             break;
           case 3: { // indirect call (virtual dispatch / fn pointer)
             bb.term = InstClass::IndCall;
             unsigned n_targets = static_cast<unsigned>(rng.range(2, 6));
             for (unsigned t = 0; t < n_targets; ++t) {
                 bb.indTargets.push_back(
-                    pickCallee(rng, lay, level, p.calleeZipf,
-                               p.callLevels));
+                    pickCallee(rng, lay, level, p.callLevels));
                 bb.indWeights.push_back(1.0 / (t + 1.0));
             }
             break;
@@ -190,13 +178,12 @@ buildDispatcher(Rng &rng, const WorkloadProfile &p, const Layering &lay)
             unsigned n_targets = static_cast<unsigned>(rng.range(3, 8));
             for (unsigned t = 0; t < n_targets; ++t) {
                 bb.indTargets.push_back(
-                    pickCallee(rng, lay, 0, p.calleeZipf, p.callLevels));
+                    pickCallee(rng, lay, 0, p.callLevels));
                 bb.indWeights.push_back(1.0 / (t + 1.0));
             }
         } else {
             bb.term = InstClass::Call;
-            bb.targetFn = pickCallee(rng, lay, 0, p.calleeZipf,
-                                     p.callLevels);
+            bb.targetFn = pickCallee(rng, lay, 0, p.callLevels);
         }
         fn.blocks.push_back(bb);
     }
@@ -238,6 +225,10 @@ buildProgram(const WorkloadProfile &p)
             (l < rest % deeper_levels ? 1 : 0);
         lay.levelStart.push_back(lay.levelStart.back() + share);
     }
+    // Level 0 is the dispatcher alone and is never a callee; every
+    // deeper level holds at least two functions, so no table is empty.
+    for (std::uint32_t l = 0; l < p.callLevels; ++l)
+        lay.callee.emplace_back(lay.count(l), p.calleeZipf);
 
     prog->funcs.resize(num_fns);
     // Non-dispatcher functions first: pickCallee only needs the layering.
