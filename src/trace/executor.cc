@@ -1,5 +1,7 @@
 #include "trace/executor.hh"
 
+#include <utility>
+
 #include "common/logging.hh"
 
 namespace fdip
@@ -163,9 +165,16 @@ TraceWindow::at(InstSeqNum seq)
     panic_if(seq < base, "TraceWindow::at(%llu) below window base %llu",
              static_cast<unsigned long long>(seq),
              static_cast<unsigned long long>(base));
-    while (seq - base >= buf.size())
-        buf.push_back(src.next());
-    return buf[seq - base];
+    while (seq - base >= buf.size()) {
+        if (buf.full()) {
+            CircularQueue<TraceInstr> bigger(2 * buf.capacity());
+            for (std::size_t i = 0; i < buf.size(); ++i)
+                bigger.push(buf.at(i));
+            buf = std::move(bigger);
+        }
+        buf.push(src.next());
+    }
+    return buf.at(seq - base);
 }
 
 void
@@ -177,7 +186,7 @@ TraceWindow::retireUpTo(InstSeqNum seq)
             // the generated window: generate and discard.
             src.next();
         } else {
-            buf.pop_front();
+            buf.pop();
         }
         ++base;
     }

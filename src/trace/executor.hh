@@ -8,10 +8,10 @@
 #ifndef FDIP_TRACE_EXECUTOR_HH
 #define FDIP_TRACE_EXECUTOR_HH
 
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
+#include "common/circular_queue.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "trace/profile.hh"
@@ -91,14 +91,19 @@ class SyntheticExecutor : public TraceSource
 /**
  * Sliding window over a TraceSource giving the simulator random access
  * by global sequence number. The window only ever grows forward;
- * retireUpTo() releases storage behind the commit point.
+ * retireUpTo() releases storage behind the commit point. It lives in a
+ * ring that doubles when at() must generate past a full one.
  */
 class TraceWindow
 {
   public:
-    explicit TraceWindow(TraceSource &source) : src(source) {}
+    explicit TraceWindow(TraceSource &source) : src(source), buf(256) {}
 
-    /** Instruction @p seq; generates forward on demand. */
+    /**
+     * Instruction @p seq; generates forward on demand. The reference is
+     * valid only until the next at(): generating may move the window
+     * into a larger ring.
+     */
     const TraceInstr &at(InstSeqNum seq);
 
     /** Instructions below @p seq may be discarded. */
@@ -109,7 +114,7 @@ class TraceWindow
 
   private:
     TraceSource &src;
-    std::deque<TraceInstr> buf;
+    CircularQueue<TraceInstr> buf;
     InstSeqNum base = 0;
 };
 

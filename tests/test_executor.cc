@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -253,4 +254,34 @@ TEST(TraceWindow, RetireBeyondGeneratedIsSafe)
     win.retireUpTo(10); // beyond what exists
     EXPECT_EQ(win.at(10).pc, win.at(10).pc);
     EXPECT_GE(win.baseSeq(), 4u);
+}
+
+TEST(TraceWindow, GrowsPastItsRingAndRetiresAcrossTheWrap)
+{
+    const WorkloadProfile &p = findProfile("li");
+    auto prog = buildProgram(p);
+    SyntheticExecutor ex(*prog, p), ref_ex(*prog, p);
+    std::vector<Addr> ref;
+    for (int i = 0; i < 10000; ++i)
+        ref.push_back(ref_ex.next().pc);
+
+    // The lookahead swings from a few dozen instructions to past 1024,
+    // while the base keeps advancing: the ring wraps, then grows (256
+    // -> 512 -> 1024 -> 2048 slots) with live entries on both sides of
+    // its seam, and retires across the seam afterwards.
+    TraceWindow win(ex);
+    InstSeqNum lo = 0, end = 0; // end: one past the last generated
+    for (unsigned round = 0; round < 60; ++round) {
+        InstSeqNum hi = lo + 37 + 100 * (round % 12);
+        ASSERT_LT(hi, ref.size());
+        win.at(hi);
+        end = std::max(end, hi + 1);
+        ASSERT_EQ(win.baseSeq(), lo);
+        ASSERT_EQ(win.windowSize(), end - lo);
+        for (InstSeqNum s = lo; s < end; ++s)
+            ASSERT_EQ(win.at(s).pc, ref[s]) << "seq " << s;
+        lo += 91 + 17 * (round % 5);
+        win.retireUpTo(lo);
+        end = std::max(end, lo);
+    }
 }
