@@ -2,7 +2,8 @@
  * @file circular_queue.hh
  * Fixed-capacity FIFO ring buffer with random access from the head.
  * Used for the FTQ, the PIQ, and the backend instruction queue, all of
- * which are hardware structures with a hard capacity.
+ * which are hardware structures with a hard capacity, and for the
+ * TraceWindow, which moves into a larger queue when one fills.
  */
 
 #ifndef FDIP_COMMON_CIRCULAR_QUEUE_HH

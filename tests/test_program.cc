@@ -269,6 +269,9 @@ TEST(SynthBuilder, CallLevelExtremes)
             ++per_level[fn.level];
         EXPECT_EQ(per_level.size(), c.levels);
         EXPECT_EQ(per_level[0], 1u);
+        // Every callee level is populated: its Zipf table is not empty.
+        for (unsigned l = 1; l < c.levels; ++l)
+            EXPECT_GE(per_level[l], 2u) << "level " << l;
         for (const auto &fn : prog->funcs) {
             for (const auto &bb : fn.blocks) {
                 if (bb.term == InstClass::Call) {
