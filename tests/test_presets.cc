@@ -11,10 +11,27 @@ TEST(Presets, BaselineMachineShape)
 {
     SimConfig cfg = makeBaselineConfig("gcc");
     EXPECT_EQ(cfg.workload, "gcc");
+    EXPECT_EQ(cfg.ftqEntries, 32u);
+    EXPECT_EQ(cfg.fetch.fetchWidth, 8u);
+    EXPECT_EQ(cfg.fetch.decodeRedirectLatency, 3u);
+    EXPECT_EQ(cfg.fetch.resolveRedirectLatency, 12u);
+    EXPECT_TRUE(cfg.bpu.blockBased);
+    EXPECT_EQ(cfg.bpu.ftb.sets, 1024u);
+    EXPECT_EQ(cfg.bpu.ftb.ways, 4u);
+    EXPECT_EQ(cfg.bpu.maxBlockInsts, 8u);
+    EXPECT_EQ(cfg.bpu.rasDepth, 32u);
+    EXPECT_EQ(cfg.backend.retireWidth, 4u);
+    EXPECT_EQ(cfg.backend.queueDepth, 32u);
     EXPECT_EQ(cfg.mem.l1i.sizeBytes, 16u * 1024);
     EXPECT_EQ(cfg.mem.l1i.assoc, 2u);
-    EXPECT_EQ(cfg.ftqEntries, 32u);
-    EXPECT_TRUE(cfg.bpu.blockBased);
+    EXPECT_EQ(cfg.mem.l1i.blockBytes, 32u);
+    EXPECT_EQ(cfg.mem.l1TagPorts, 2u);
+    EXPECT_EQ(cfg.mem.l2.sizeBytes, 1024u * 1024);
+    EXPECT_EQ(cfg.mem.l2.assoc, 8u);
+    EXPECT_EQ(cfg.mem.l2.blockBytes, 32u);
+    EXPECT_EQ(cfg.mem.l2HitLatency, 12u);
+    EXPECT_EQ(cfg.mem.dramLatency, 70u);
+    EXPECT_EQ(cfg.mem.prefetchBufferEntries, 32u);
     EXPECT_NO_FATAL_FAILURE(cfg.validate());
 }
 
