@@ -17,14 +17,14 @@ void
 tag16Tweak(SimConfig &cfg)
 {
     applyPartitionedBudget(cfg, 1024);
-    cfg.pbtb.tagBits = 16;
+    cfg.bpu.pbtb.tagBits = 16;
 }
 
 void
 tagfullTweak(SimConfig &cfg)
 {
     applyPartitionedBudget(cfg, 1024);
-    cfg.pbtb.tagBits = 0; // full tags
+    cfg.bpu.pbtb.tagBits = 0; // full tags
 }
 
 void

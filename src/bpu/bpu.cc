@@ -7,6 +7,17 @@
 namespace fdip
 {
 
+namespace
+{
+
+/** Direction-predictor geometry. */
+constexpr std::size_t kGshareEntries = 16384;
+constexpr unsigned kHistoryBits = 12;
+constexpr std::size_t kBimodalEntries = 4096;
+constexpr std::size_t kChooserEntries = 4096;
+
+} // namespace
+
 const char *
 predictorKindName(PredictorKind kind)
 {
@@ -19,36 +30,36 @@ predictorKindName(PredictorKind kind)
     return "?";
 }
 
-Bpu::Bpu(TraceWindow &trace_window, const BpuConfig &config,
-         std::unique_ptr<BtbIface> custom_btb)
-    : trace(trace_window), cfg(config),
-      specRas(cfg.rasDepth), archRas(cfg.rasDepth)
+Bpu::Bpu(TraceWindow &trace_window, const BpuConfig &config)
+    : trace(trace_window), specRas(kRasDepth), archRas(kRasDepth)
 {
-    switch (cfg.predictor) {
+    switch (config.predictor) {
       case PredictorKind::Bimodal:
-        dirPred = std::make_unique<BimodalPredictor>(cfg.bimodalEntries);
+        dirPred = std::make_unique<BimodalPredictor>(kBimodalEntries);
         break;
       case PredictorKind::Gshare:
-        dirPred = std::make_unique<GsharePredictor>(
-            cfg.gshareEntries, cfg.historyBits);
+        dirPred = std::make_unique<GsharePredictor>(kGshareEntries,
+                                                    kHistoryBits);
         break;
       case PredictorKind::Local2Level:
         dirPred = std::make_unique<Local2LevelPredictor>();
         break;
       case PredictorKind::Hybrid:
         dirPred = std::make_unique<HybridPredictor>(
-            cfg.gshareEntries, cfg.historyBits, cfg.bimodalEntries,
-            cfg.chooserEntries);
+            kGshareEntries, kHistoryBits, kBimodalEntries,
+            kChooserEntries);
         break;
     }
-    if (cfg.blockBased) {
-        panic_if(custom_btb != nullptr,
-                 "custom BTB is only meaningful without an FTB");
-        ftb_ = std::make_unique<Ftb>(cfg.ftb);
-    } else if (custom_btb) {
-        btb_ = std::move(custom_btb);
-    } else {
-        btb_ = std::make_unique<Btb>(cfg.btb);
+    switch (config.targetBuffer) {
+      case TargetBuffer::Ftb:
+        ftb_ = std::make_unique<Ftb>(config.ftb);
+        break;
+      case TargetBuffer::Btb:
+        btb_ = std::make_unique<Btb>(config.btb);
+        break;
+      case TargetBuffer::Partitioned:
+        btb_ = std::make_unique<PartitionedBtb>(config.pbtb);
+        break;
     }
     for (int i = 0; i <= static_cast<int>(InstClass::IndCall); ++i) {
         stDivergeByClass[i] = stats.registerCounter(
@@ -65,11 +76,11 @@ Bpu::formBlockFtb()
     blk.startPc = specPc;
 
     auto hit = ftb_->lookup(specPc);
-    if (!hit || hit->numInsts > cfg.maxBlockInsts) {
+    if (!hit || hit->numInsts > kMaxFetchBlockInsts) {
         // FTB miss (or a block too long to fetch at once): generate a
         // full-width sequential block; any branch hiding inside will
         // surface as a misfetch.
-        blk.numInsts = cfg.maxBlockInsts;
+        blk.numInsts = kMaxFetchBlockInsts;
         blk.nextFetchPc = specPc + Addr(blk.numInsts) * instBytes;
         stSeqBlocks.inc();
         specPc = blk.nextFetchPc;
@@ -110,7 +121,7 @@ Bpu::formBlockBtb()
 
     // All fetch-width PCs probe the BTB in parallel; the block ends at
     // the first control-flow instruction predicted taken.
-    for (unsigned i = 0; i < cfg.maxBlockInsts; ++i) {
+    for (unsigned i = 0; i < kMaxFetchBlockInsts; ++i) {
         Addr pc_i = blk.startPc + Addr(i) * instBytes;
         auto hit = btb_->lookup(pc_i);
         if (!hit)
@@ -144,7 +155,7 @@ Bpu::formBlockBtb()
     }
 
     if (!blk.endsInCF) {
-        blk.numInsts = cfg.maxBlockInsts;
+        blk.numInsts = kMaxFetchBlockInsts;
         stSeqBlocks.inc();
     } else {
         stBtbBlocks.inc();
@@ -180,7 +191,7 @@ Bpu::verify(FetchBlock &blk)
 
         // Structure training: taken control flow allocates.
         if (isControl(actual.cls) && actual.taken) {
-            if (cfg.blockBased) {
+            if (ftb_) {
                 ftb_->insert(blk.startPc, i + 1, actual.cls,
                              actual.target);
             } else {
@@ -235,7 +246,7 @@ Bpu::verify(FetchBlock &blk)
 FetchBlock
 Bpu::predictBlock()
 {
-    FetchBlock blk = cfg.blockBased ? formBlockFtb() : formBlockBtb();
+    FetchBlock blk = ftb_ ? formBlockFtb() : formBlockBtb();
     stBlocks.inc();
     if (correctPath) {
         verify(blk);
@@ -262,7 +273,7 @@ Bpu::redirect()
 std::uint64_t
 Bpu::targetStructBits() const
 {
-    if (cfg.blockBased)
+    if (ftb_)
         return ftb_->storageBits();
     return btb_->storageBits();
 }

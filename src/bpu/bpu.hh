@@ -25,6 +25,7 @@
 #include "bpu/btb.hh"
 #include "bpu/direction_predictor.hh"
 #include "bpu/ftb.hh"
+#include "bpu/partitioned_btb.hh"
 #include "bpu/ras.hh"
 #include "trace/executor.hh"
 
@@ -80,34 +81,38 @@ enum class PredictorKind : std::uint8_t
 
 const char *predictorKindName(PredictorKind kind);
 
+/** Which target buffer feeds the FTQ: the design axis of the study. */
+enum class TargetBuffer : std::uint8_t
+{
+    Ftb,         ///< basic-block fetch target buffer (the paper)
+    Btb,         ///< unified instruction-indexed BTB
+    Partitioned, ///< offset-partitioned BTB (FDIP Revisited)
+};
+
 struct BpuConfig
 {
-    /** Block-based FTB front-end (the paper) vs conventional BTB. */
-    bool blockBased = true;
+    TargetBuffer targetBuffer = TargetBuffer::Ftb;
     PredictorKind predictor = PredictorKind::Hybrid;
-    unsigned maxBlockInsts = 8;
-    unsigned rasDepth = 32;
 
+    /** Geometry of each target buffer; only the chosen one is built. */
     Ftb::Config ftb;
     Btb::Config btb;
-
-    std::size_t gshareEntries = 16384;
-    unsigned historyBits = 12;
-    std::size_t bimodalEntries = 4096;
-    std::size_t chooserEntries = 4096;
+    PartitionedBtb::Config pbtb;
 };
 
 class Bpu
 {
   public:
+    /** Longest fetch block predicted in one cycle (the fetch width). */
+    static constexpr unsigned kMaxFetchBlockInsts = 8;
+    /** Return-address-stack entries. */
+    static constexpr unsigned kRasDepth = 32;
+
     /**
      * @param trace oracle correct-path stream
-     * @param cfg structure geometry
-     * @param custom_btb optional replacement target buffer (e.g. the
-     *        partitioned BTB extension); only used when !blockBased
+     * @param cfg target-buffer choice and structure geometry
      */
-    Bpu(TraceWindow &trace, const BpuConfig &cfg,
-        std::unique_ptr<BtbIface> custom_btb = nullptr);
+    Bpu(TraceWindow &trace, const BpuConfig &cfg);
 
     /** Produce the next fetch block and advance the predicted path. */
     FetchBlock predictBlock();
@@ -134,7 +139,9 @@ class Bpu
     Cycle nextEventCycle(Cycle now) const { return kNever; }
 
     DirectionPredictor &predictor() { return *dirPred; }
+    /** The FTB, or null unless targetBuffer is Ftb. */
     Ftb *ftb() { return ftb_.get(); }
+    /** The unified or partitioned BTB, or null when the FTB is used. */
     BtbIface *btb() { return btb_.get(); }
 
     /** Storage in the target structure (FTB or BTB), in bits. */
@@ -167,7 +174,6 @@ class Bpu
     void verify(FetchBlock &blk);
 
     TraceWindow &trace;
-    BpuConfig cfg;
     std::unique_ptr<DirectionPredictor> dirPred;
     std::unique_ptr<Ftb> ftb_;
     std::unique_ptr<BtbIface> btb_;

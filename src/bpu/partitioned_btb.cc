@@ -32,14 +32,12 @@ PartitionedBtb::PartitionedBtb(const Config &config)
 }
 
 PartitionedBtb::Config
-PartitionedBtb::makeDefaultConfig(unsigned unified_entries,
-                                  unsigned tag_bits)
+PartitionedBtb::makeDefaultConfig(unsigned unified_entries)
 {
     fatal_if(unified_entries < 64, "partitioned BTB too small");
     fatal_if(!isPowerOf2(unified_entries / 16),
              "unified_entries/16 must be a power of two");
     Config cfg;
-    cfg.tagBits = tag_bits;
     unsigned e = unified_entries;
     // Sizing follows the suite's measured offset distribution:
     // ~79% of taken branches (plus all returns) fit 8-bit offsets,

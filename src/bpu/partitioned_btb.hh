@@ -46,9 +46,9 @@ class PartitionedBtb : public BtbIface
      * 8-bit partition gets 1.5x the unified entry count and the
      * longer-offset partitions get a quarter each.
      * @p unified_entries must make unified_entries/16 a power of two.
+     * Tags keep the Config default of 16 bits.
      */
-    static Config makeDefaultConfig(unsigned unified_entries,
-                                    unsigned tag_bits = 16);
+    static Config makeDefaultConfig(unsigned unified_entries);
 
     std::optional<BtbHit> lookup(Addr pc) override;
     void insert(Addr pc, InstClass cls, Addr target) override;

@@ -6,6 +6,14 @@
 namespace fdip
 {
 
+namespace
+{
+
+/** Cycles from an L1-I (or buffer) hit to instructions streaming. */
+constexpr Cycle kL1HitLatency = 1;
+
+} // namespace
+
 MemHierarchy::MemHierarchy(const MemConfig &config)
     : cfg(config), ownedShared(std::make_unique<SharedMem>(cfg)),
       l1i_(cfg.l1i), l2_(ownedShared->l2),
@@ -200,7 +208,7 @@ MemHierarchy::demandFetch(Addr addr, Cycle now)
 
     if (l1i_.access(block)) {
         res.hitL1 = true;
-        res.readyAt = now + cfg.l1HitLatency;
+        res.readyAt = now + kL1HitLatency;
         return res;
     }
 
@@ -209,7 +217,7 @@ MemHierarchy::demandFetch(Addr addr, Cycle now)
     if (vc.enabled() && vc.extract(block)) {
         installL1(block);
         res.hitL1 = true;
-        res.readyAt = now + cfg.l1HitLatency + 1;
+        res.readyAt = now + kL1HitLatency + 1;
         stVictimHits.inc();
         return res;
     }
@@ -218,7 +226,7 @@ MemHierarchy::demandFetch(Addr addr, Cycle now)
     if (pfBuf.consume(block)) {
         installL1(block);
         res.hitPrefetchBuffer = true;
-        res.readyAt = now + cfg.l1HitLatency;
+        res.readyAt = now + kL1HitLatency;
         stPfbufHits.inc();
         attr_.onConsume(block, now);
         return res;
@@ -228,7 +236,7 @@ MemHierarchy::demandFetch(Addr addr, Cycle now)
     if (streamProbe && streamProbe->probeAndConsume(block, now)) {
         installL1(block);
         res.hitStreamBuffer = true;
-        res.readyAt = now + cfg.l1HitLatency;
+        res.readyAt = now + kL1HitLatency;
         stStreambufHits.inc();
         attr_.onConsume(block, now);
         return res;
@@ -286,7 +294,7 @@ MemHierarchy::issuePrefetch(Addr addr, Cycle now, FillDest dest,
         stPrefetchRedundant.inc();
         return PfIssue::Redundant;
     }
-    if (mshrFile.prefetchesInFlight() >= maxPrefetches ||
+    if (mshrFile.prefetchesInFlight() >= cfg.maxOutstandingPrefetches ||
         mshrFile.full()) {
         stPrefetchMshrStalls.inc();
         return PfIssue::NoResource;

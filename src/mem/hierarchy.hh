@@ -49,7 +49,6 @@ struct MemConfig
     Cache::Config l1i{.name = "l1i", .sizeBytes = 16 * 1024,
                       .assoc = 2, .blockBytes = 32};
     unsigned l1TagPorts = 2;
-    Cycle l1HitLatency = 1;
 
     Cache::Config l2{.name = "l2", .sizeBytes = 1024 * 1024,
                      .assoc = 8, .blockBytes = 32};
@@ -60,6 +59,8 @@ struct MemConfig
     unsigned memBusBytesPerCycle = 4;
 
     unsigned mshrs = 16;
+    /** Cap on prefetches in flight (each holds one of the MSHRs). */
+    unsigned maxOutstandingPrefetches = 8;
     unsigned prefetchBufferEntries = 32;
     /** Victim cache beside the L1-I; 0 disables (the default). */
     unsigned victimCacheEntries = 0;
@@ -155,11 +156,6 @@ class MemHierarchy
     void setStreamProbeClient(StreamProbeClient *client)
     {
         streamProbe = client;
-    }
-
-    void setMaxOutstandingPrefetches(unsigned n)
-    {
-        maxPrefetches = n;
     }
 
     /** Prefetch lifecycle attribution (always on; tracer optional). */
@@ -264,7 +260,6 @@ class MemHierarchy
     StreamFillClient *streamFill = nullptr;
     StreamProbeClient *streamProbe = nullptr;
     unsigned portsUsed = 0;
-    unsigned maxPrefetches = 8;
     unsigned coreId_ = 0;
     /** True when this hierarchy shares its L2/buses with other cores. */
     bool multiCore_ = false;

@@ -6,7 +6,6 @@
 #include "bpu/ftb.hh"
 #include "common/fnv.hh"
 #include "common/logging.hh"
-#include "trace/code_image.hh"
 
 namespace fdip
 {
@@ -27,16 +26,18 @@ slotHash(Addr pc)
 
 ShadowBtbPrefetcher::ShadowBtbPrefetcher(Ftb *ftb_ptr, BtbIface *btb_ptr,
                                          MemHierarchy &mem_ref,
-                                         const CodeImage *image_ptr,
+                                         const Program *prog,
                                          const Config &config)
-    : ftb(ftb_ptr), btb(btb_ptr), mem(mem_ref), image(image_ptr),
-      cfg(config), recentlyScanned(cfg.recentFilterEntries)
+    : ftb(ftb_ptr), btb(btb_ptr), mem(mem_ref), cfg(config),
+      recentlyScanned(cfg.recentFilterEntries)
 {
     fatal_if(ftb == nullptr && btb == nullptr,
              "shadow-btb needs a BTB or FTB to pre-fill");
     fatal_if(cfg.scanWidth == 0, "shadow scan width must be nonzero");
     fatal_if(cfg.queueEntries == 0,
              "shadow scan queue needs at least one entry");
+    if (prog != nullptr)
+        image.emplace(*prog);
 }
 
 std::uint64_t
@@ -57,7 +58,7 @@ ShadowBtbPrefetcher::onDemandAccess(Addr block_addr,
         access.hitStreamBuffer;
     if (!trigger)
         return;
-    if (image == nullptr) {
+    if (!image) {
         // Trace replay carries no static code image to decode from;
         // the scheme degenerates to a no-op (documented).
         stNoImage.inc();

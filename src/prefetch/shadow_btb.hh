@@ -19,9 +19,11 @@
 #define FDIP_PREFETCH_SHADOW_BTB_HH
 
 #include <deque>
+#include <optional>
 
 #include "common/recent_filter.hh"
 #include "prefetch/prefetcher.hh"
+#include "trace/code_image.hh"
 #include "trace/instr.hh"
 
 namespace fdip
@@ -29,7 +31,6 @@ namespace fdip
 
 class Ftb;
 class BtbIface;
-class CodeImage;
 
 class ShadowBtbPrefetcher : public Prefetcher
 {
@@ -54,10 +55,11 @@ class ShadowBtbPrefetcher : public Prefetcher
     };
 
     /** Exactly one of @p ftb / @p btb is non-null (block-based vs
-     *  conventional front-end); @p image may be null (trace replay),
-     *  in which case nothing is ever decoded or pre-filled. */
+     *  conventional front-end). The decoder reads a CodeImage built
+     *  from @p prog; @p prog may be null (trace replay), in which case
+     *  nothing is ever decoded or pre-filled. */
     ShadowBtbPrefetcher(Ftb *ftb, BtbIface *btb, MemHierarchy &mem,
-                        const CodeImage *image, const Config &config);
+                        const Program *prog, const Config &config);
 
     std::string name() const override { return "shadow-btb"; }
     void tick(Cycle now) override;
@@ -99,7 +101,8 @@ class ShadowBtbPrefetcher : public Prefetcher
     Ftb *ftb;
     BtbIface *btb;
     MemHierarchy &mem;
-    const CodeImage *image;
+    /** Empty on trace replay. */
+    std::optional<CodeImage> image;
     Config cfg;
 
     std::deque<Addr> scanQueue;

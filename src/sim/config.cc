@@ -130,27 +130,27 @@ SimConfig::fingerprint() const
     f.u64(fetch.decodeRedirectLatency);
     f.u64(fetch.resolveRedirectLatency);
 
-    f.b(bpu.blockBased);
+    f.u64(static_cast<std::uint64_t>(bpu.targetBuffer));
     f.u64(static_cast<std::uint64_t>(bpu.predictor));
-    f.u64(bpu.maxBlockInsts);
-    f.u64(bpu.rasDepth);
     f.u64(bpu.ftb.sets);
     f.u64(bpu.ftb.ways);
     f.u64(bpu.btb.sets);
     f.u64(bpu.btb.ways);
     f.u64(bpu.btb.tagBits);
     f.u64(bpu.btb.offsetBits);
-    f.u64(bpu.gshareEntries);
-    f.u64(bpu.historyBits);
-    f.u64(bpu.bimodalEntries);
-    f.u64(bpu.chooserEntries);
+    f.u64(bpu.pbtb.partitions.size());
+    for (const auto &part : bpu.pbtb.partitions) {
+        f.u64(part.offsetBits);
+        f.u64(part.sets);
+        f.u64(part.ways);
+    }
+    f.u64(bpu.pbtb.tagBits);
 
     f.u64(backend.retireWidth);
     f.u64(backend.queueDepth);
 
     hashCache(f, mem.l1i);
     f.u64(mem.l1TagPorts);
-    f.u64(mem.l1HitLatency);
     hashCache(f, mem.l2);
     f.u64(mem.l2HitLatency);
     f.u64(mem.dramLatency);
@@ -160,7 +160,7 @@ SimConfig::fingerprint() const
     f.u64(mem.prefetchBufferEntries);
     f.u64(mem.victimCacheEntries);
     f.b(mem.prefetchMayQueueOnBus);
-    f.u64(maxOutstandingPrefetches);
+    f.u64(mem.maxOutstandingPrefetches);
 
     f.b(vm.enable);
     f.u64(vm.pageBytes);
@@ -169,14 +169,12 @@ SimConfig::fingerprint() const
     f.u64(vm.walkLatency);
     f.u64(static_cast<std::uint64_t>(vm.prefetchPolicy));
     f.u64(static_cast<std::uint64_t>(vm.mapping));
-    f.u64(vm.mapSeed);
     f.u64(vm.l2TlbEntries);
     f.u64(vm.l2TlbAssoc);
     f.u64(vm.l2TlbLatency);
     f.u64(vm.numWalkers);
     f.b(vm.tlbPrefetch);
     f.u64(vm.tlbPrefetchWidth);
-    f.u64(vm.tlbPrefetchFilterEntries);
 
     f.u64(static_cast<std::uint64_t>(scheme));
     f.u64(fdp.piqEntries);
@@ -204,15 +202,6 @@ SimConfig::fingerprint() const
     f.u64(shadow.recentFilterEntries);
     f.u64(shadow.bogusNoiseDenom);
 
-    f.b(usePartitionedBtb);
-    f.u64(pbtb.partitions.size());
-    for (const auto &part : pbtb.partitions) {
-        f.u64(part.offsetBits);
-        f.u64(part.sets);
-        f.u64(part.ways);
-    }
-    f.u64(pbtb.tagBits);
-
     f.d(cycleLimitPerInst);
     f.u64(maxCycles);
     // forceTick is excluded: it changes host behaviour only, never
@@ -232,11 +221,7 @@ SimConfig::validate() const
     fatal_if(ftqEntries == 0, "FTQ needs at least one entry");
     fatal_if(backend.queueDepth == 0,
              "backend queue needs at least one entry");
-    fatal_if(bpu.maxBlockInsts == 0, "fetch block size must be nonzero");
     fatal_if(cycleLimitPerInst <= 1.0, "cycle limit too low to finish");
-    fatal_if(usePartitionedBtb && bpu.blockBased,
-             "partitioned BTB requires the conventional (non-FTB) "
-             "front-end");
     fatal_if(fdp.piqEntries == 0, "FDP PIQ needs at least one entry");
     fatal_if(nlp.queueEntries == 0,
              "NLP candidate queue needs at least one entry");
@@ -283,12 +268,8 @@ SimConfig::validate() const
                  "L2 TLB hit latency must beat a full page walk");
     }
     fatal_if(vm.numWalkers > 64, "walker count implausibly high");
-    if (vm.tlbPrefetch) {
-        fatal_if(vm.tlbPrefetchWidth == 0,
-                 "TLB-prefetch width must be nonzero");
-        fatal_if(vm.tlbPrefetchFilterEntries == 0,
-                 "TLB-prefetch filter needs at least one entry");
-    }
+    fatal_if(vm.tlbPrefetch && vm.tlbPrefetchWidth == 0,
+             "TLB-prefetch width must be nonzero");
 }
 
 } // namespace fdip

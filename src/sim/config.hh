@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "bpu/bpu.hh"
-#include "bpu/partitioned_btb.hh"
 #include "core/backend.hh"
 #include "frontend/fetch_engine.hh"
 #include "mem/hierarchy.hh"
@@ -108,7 +107,6 @@ struct SimConfig
     BpuConfig bpu;
     Backend::Config backend;
     MemConfig mem;
-    unsigned maxOutstandingPrefetches = 8;
 
     /** Virtual memory: ITLB, page table, prefetch-translation policy. */
     VmConfig vm;
@@ -120,10 +118,6 @@ struct SimConfig
     OraclePrefetcher::Config oracle;
     ManaPrefetcher::Config mana;
     ShadowBtbPrefetcher::Config shadow;
-
-    /** Extension: conventional front-end with a partitioned BTB. */
-    bool usePartitionedBtb = false;
-    PartitionedBtb::Config pbtb;
 
     /** Abort if a run exceeds this many cycles per instruction. */
     double cycleLimitPerInst = 300.0;

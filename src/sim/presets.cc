@@ -16,32 +16,6 @@ makeBaselineConfig(const std::string &workload, PrefetchScheme scheme)
     if (workload.rfind("trace:", 0) == 0)
         cfg.tracePath = workload.substr(6);
     cfg.scheme = scheme;
-
-    cfg.ftqEntries = 32;
-    cfg.fetch.fetchWidth = 8;
-    cfg.fetch.decodeRedirectLatency = 3;
-    cfg.fetch.resolveRedirectLatency = 12;
-
-    cfg.bpu.blockBased = true;
-    cfg.bpu.maxBlockInsts = 8;
-    cfg.bpu.rasDepth = 32;
-    cfg.bpu.ftb.sets = 1024;
-    cfg.bpu.ftb.ways = 4;
-
-    cfg.backend.retireWidth = 4;
-    cfg.backend.queueDepth = 32;
-
-    cfg.mem.l1i.sizeBytes = 16 * 1024;
-    cfg.mem.l1i.assoc = 2;
-    cfg.mem.l1i.blockBytes = 32;
-    cfg.mem.l1TagPorts = 2;
-    cfg.mem.l2.sizeBytes = 1024 * 1024;
-    cfg.mem.l2.assoc = 8;
-    cfg.mem.l2.blockBytes = 32;
-    cfg.mem.l2HitLatency = 12;
-    cfg.mem.dramLatency = 70;
-    cfg.mem.prefetchBufferEntries = 32;
-
     return cfg;
 }
 
@@ -67,8 +41,7 @@ void
 applyFtbBudget(SimConfig &cfg, unsigned entries)
 {
     fatal_if(entries < 8, "FTB budget too small");
-    cfg.bpu.blockBased = true;
-    cfg.usePartitionedBtb = false;
+    cfg.bpu.targetBuffer = TargetBuffer::Ftb;
     cfg.bpu.ftb.ways = 8;
     cfg.bpu.ftb.sets = std::max(1u, entries / cfg.bpu.ftb.ways);
     fatal_if(!isPowerOf2(cfg.bpu.ftb.sets),
@@ -78,18 +51,15 @@ applyFtbBudget(SimConfig &cfg, unsigned entries)
 void
 applyPartitionedBudget(SimConfig &cfg, unsigned unified_entries)
 {
-    cfg.bpu.blockBased = false;
-    cfg.usePartitionedBtb = true;
-    cfg.pbtb = PartitionedBtb::makeDefaultConfig(unified_entries,
-                                                 /*tag_bits=*/16);
+    cfg.bpu.targetBuffer = TargetBuffer::Partitioned;
+    cfg.bpu.pbtb = PartitionedBtb::makeDefaultConfig(unified_entries);
 }
 
 void
 applyUnifiedBtbBudget(SimConfig &cfg, unsigned entries)
 {
     fatal_if(entries < 8, "BTB budget too small");
-    cfg.bpu.blockBased = false;
-    cfg.usePartitionedBtb = false;
+    cfg.bpu.targetBuffer = TargetBuffer::Btb;
     cfg.bpu.btb.ways = 8;
     cfg.bpu.btb.sets = std::max(1u, entries / cfg.bpu.btb.ways);
     cfg.bpu.btb.tagBits = 0;

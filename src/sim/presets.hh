@@ -16,9 +16,11 @@ namespace fdip
 {
 
 /**
- * The default machine: 16KB 2-way L1-I (32B blocks, 2 tag ports),
- * 1MB L2, FTB-based decoupled front-end with a 32-entry FTQ, hybrid
- * direction predictor, 32-entry prefetch buffer.
+ * The default machine for @p workload and @p scheme. The SimConfig
+ * struct defaults are the baseline: 16KB 2-way L1-I (32B blocks, 2 tag
+ * ports), 1MB L2, FTB-based decoupled front-end with a 32-entry FTQ,
+ * hybrid direction predictor, 32-entry prefetch buffer. A
+ * "trace:<path>" workload also sets tracePath.
  */
 SimConfig makeBaselineConfig(const std::string &workload,
                              PrefetchScheme scheme = PrefetchScheme::None);

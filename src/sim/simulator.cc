@@ -128,7 +128,6 @@ Simulator::buildCore(Core &c, unsigned id)
         // core 0, so a single-core machine is unchanged).
         profile.seed += cfg.seedOffset + id;
         c.prog = buildProgram(profile);
-        c.image = std::make_unique<CodeImage>(*c.prog);
         c.exec = std::make_unique<SyntheticExecutor>(*c.prog, profile);
     }
     // Fast-forward happens before any component sees the stream, so
@@ -138,18 +137,13 @@ Simulator::buildCore(Core &c, unsigned id)
         c.exec->next();
     c.trace = std::make_unique<TraceWindow>(*c.exec);
 
-    std::unique_ptr<BtbIface> custom_btb;
-    if (cfg.usePartitionedBtb)
-        custom_btb = std::make_unique<PartitionedBtb>(cfg.pbtb);
-    c.bpu = std::make_unique<Bpu>(*c.trace, cfg.bpu,
-                                  std::move(custom_btb));
+    c.bpu = std::make_unique<Bpu>(*c.trace, cfg.bpu);
 
     c.mmu = c.prog != nullptr
         ? std::make_unique<Mmu>(cfg.vm, *c.prog)
         : std::make_unique<Mmu>(cfg.vm, trace_code_base, trace_code_end);
     c.mem = std::make_unique<MemHierarchy>(cfg.mem, *shared_, id,
                                            cfg.numCores);
-    c.mem->setMaxOutstandingPrefetches(cfg.maxOutstandingPrefetches);
     c.ftq = std::make_unique<Ftq>(cfg.ftqEntries,
                                   cfg.mem.l1i.blockBytes);
     c.backend = std::make_unique<Backend>(cfg.backend);
@@ -160,8 +154,7 @@ Simulator::buildCore(Core &c, unsigned id)
     if (cfg.vm.enable && cfg.vm.tlbPrefetch) {
         c.tlbPf = std::make_unique<TlbPrefetcher>(
             *c.ftq, *c.mmu,
-            TlbPrefetcher::Config{cfg.vm.tlbPrefetchWidth,
-                                  cfg.vm.tlbPrefetchFilterEntries});
+            TlbPrefetcher::Config{.width = cfg.vm.tlbPrefetchWidth});
     }
 
     switch (cfg.scheme) {
@@ -186,9 +179,9 @@ Simulator::buildCore(Core &c, unsigned id)
       case PrefetchScheme::ShadowBtb:
         // Pre-fills whichever target buffer the front-end runs on
         // (FTB for the block-based default, BTB/partitioned otherwise);
-        // trace replay has no code image, so the decoder idles.
+        // trace replay has no program to decode, so the decoder idles.
         c.prefetchers.push_back(std::make_unique<ShadowBtbPrefetcher>(
-            c.bpu->ftb(), c.bpu->btb(), *c.mem, c.image.get(),
+            c.bpu->ftb(), c.bpu->btb(), *c.mem, c.prog.get(),
             cfg.shadow));
         break;
       case PrefetchScheme::FdpNone:

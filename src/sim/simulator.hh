@@ -12,7 +12,6 @@
 
 #include "common/histogram.hh"
 #include "sim/config.hh"
-#include "trace/code_image.hh"
 #include "trace/executor.hh"
 #include "trace/synth_builder.hh"
 
@@ -148,7 +147,6 @@ class Simulator
 
         /** Synthetic workloads only; null when replaying a trace. */
         std::unique_ptr<Program> prog;
-        std::unique_ptr<CodeImage> image;
         std::unique_ptr<TraceSource> exec;
         std::unique_ptr<TraceWindow> trace;
         std::unique_ptr<Bpu> bpu;
@@ -190,8 +188,8 @@ class Simulator
 
     /** Access for white-box integration tests, routed through
      *  core(i) (default: core 0, so single-core tests read exactly
-     *  the machine they built). program()/codeImage() are only valid
-     *  for synthetic workloads (tracePath empty). */
+     *  the machine they built). program() is only valid for
+     *  synthetic workloads (tracePath empty). */
     Bpu &bpu(std::size_t i = 0) { return *core(i).bpu; }
     Ftq &ftq(std::size_t i = 0) { return *core(i).ftq; }
     MemHierarchy &mem(std::size_t i = 0) { return *core(i).mem; }
@@ -214,7 +212,6 @@ class Simulator
         return *core().prefetchers[i];
     }
     const Program &program() const { return *core().prog; }
-    const CodeImage &codeImage() const { return *core().image; }
     Cycle now() const { return curCycle; }
 
     /** Cycles fast-forwarded by the idle-skip path so far. */

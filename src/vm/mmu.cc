@@ -9,6 +9,14 @@
 namespace fdip
 {
 
+namespace
+{
+
+/** Seed of the scrambled page-frame permutation. */
+constexpr std::uint64_t kPageMapSeed = 0xf0d1;
+
+} // namespace
+
 const char *
 tlbPolicyName(TlbPrefetchPolicy policy)
 {
@@ -22,7 +30,7 @@ tlbPolicyName(TlbPrefetchPolicy policy)
 
 Mmu::Mmu(const VmConfig &config, Addr code_base, Addr code_end)
     : cfg(config),
-      pt(code_base, code_end, cfg.pageBytes, cfg.mapping, cfg.mapSeed),
+      pt(code_base, code_end, cfg.pageBytes, cfg.mapping, kPageMapSeed),
       itlb_("itlb", {cfg.itlbEntries, cfg.itlbAssoc})
 {
     fatal_if(cfg.enable && cfg.walkLatency == 0,

@@ -70,7 +70,6 @@ struct VmConfig
     Cycle walkLatency = 30;
     TlbPrefetchPolicy prefetchPolicy = TlbPrefetchPolicy::Drop;
     PageMapKind mapping = PageMapKind::Identity;
-    std::uint64_t mapSeed = 0xf0d1;
 
     /** Second-level TLB size; 0 disables it (single-level hierarchy,
      *  every ITLB miss is a full walk — the pre-L2 model). */
@@ -89,10 +88,6 @@ struct VmConfig
     bool tlbPrefetch = false;
     /** Translation requests the TLB prefetcher may start per cycle. */
     unsigned tlbPrefetchWidth = 2;
-    /** Recently-probed-page filter (suppresses re-probes); must
-     *  comfortably exceed the FTQ's distinct-page footprint or the
-     *  prefetcher re-probes in a loop. */
-    unsigned tlbPrefetchFilterEntries = 64;
 };
 
 /** Outcome of one demand translation. */

@@ -47,7 +47,9 @@ class TlbPrefetcher
     {
         /** Translation requests (walks/refills) started per cycle. */
         unsigned width = 2;
-        /** Recently-probed-VPN ring filter size. */
+        /** Recently-probed-VPN ring filter size; must comfortably
+         *  exceed the FTQ's distinct-page footprint or the prefetcher
+         *  re-probes in a loop. */
         unsigned filterEntries = 64;
     };
 

@@ -24,15 +24,14 @@ struct Harness
     std::unique_ptr<TraceWindow> win;
     std::unique_ptr<Bpu> bpu;
 
-    explicit Harness(std::unique_ptr<Program> p, BpuConfig cfg = {},
-                     std::unique_ptr<BtbIface> custom = nullptr)
+    explicit Harness(std::unique_ptr<Program> p, BpuConfig cfg = {})
         : prog(std::move(p))
     {
         prof.name = "harness";
         prof.seed = 5;
         exec = std::make_unique<SyntheticExecutor>(*prog, prof);
         win = std::make_unique<TraceWindow>(*exec);
-        bpu = std::make_unique<Bpu>(*win, cfg, std::move(custom));
+        bpu = std::make_unique<Bpu>(*win, cfg);
     }
 
     /** Predict blocks, redirecting immediately on divergence. */
@@ -59,7 +58,7 @@ TEST(Bpu, ColdStartProducesSequentialBlock)
     FetchBlock blk = h.bpu->predictBlock();
     EXPECT_EQ(blk.startPc, h.prog->base);
     EXPECT_FALSE(blk.endsInCF);
-    EXPECT_EQ(blk.numInsts, 8u); // default maxBlockInsts
+    EXPECT_EQ(blk.numInsts, Bpu::kMaxFetchBlockInsts);
     EXPECT_EQ(blk.firstSeq, 0u);
 }
 
@@ -159,7 +158,7 @@ TEST(Bpu, VerifySeqAdvancesDenselyOnCorrectPath)
 TEST(Bpu, BtbModeLearnsTightLoop)
 {
     BpuConfig cfg;
-    cfg.blockBased = false;
+    cfg.targetBuffer = TargetBuffer::Btb;
     cfg.btb.sets = 64;
     cfg.btb.ways = 4;
     Harness h(testutil::makeTightLoop(), cfg);
@@ -173,11 +172,12 @@ TEST(Bpu, BtbModeLearnsTightLoop)
 TEST(Bpu, BtbModeAcceptsPartitionedBtb)
 {
     BpuConfig cfg;
-    cfg.blockBased = false;
-    auto pbtb = std::make_unique<PartitionedBtb>(
-        PartitionedBtb::makeDefaultConfig(1024));
-    PartitionedBtb *raw = pbtb.get();
-    Harness h(testutil::makeCallPattern(), cfg, std::move(pbtb));
+    cfg.targetBuffer = TargetBuffer::Partitioned;
+    cfg.pbtb = PartitionedBtb::makeDefaultConfig(1024);
+    Harness h(testutil::makeCallPattern(), cfg);
+    EXPECT_EQ(h.bpu->ftb(), nullptr);
+    auto *raw = dynamic_cast<PartitionedBtb *>(h.bpu->btb());
+    ASSERT_NE(raw, nullptr);
     h.trainBlocks(500);
     EXPECT_GT(raw->stats.counter("pbtb.lookups"), 0u);
     EXPECT_GT(raw->stats.counter("pbtb.hits"), 0u);
@@ -264,7 +264,7 @@ TEST(Bpu, StorageAccountingPositive)
     EXPECT_GT(ftb_mode.bpu->targetStructBits(), 0u);
 
     BpuConfig cfg;
-    cfg.blockBased = false;
+    cfg.targetBuffer = TargetBuffer::Btb;
     Harness btb_mode(testutil::makeTightLoop(), cfg);
     EXPECT_GT(btb_mode.bpu->targetStructBits(), 0u);
 }
@@ -273,18 +273,4 @@ TEST(BpuDeath, RedirectWithoutDivergence)
 {
     Harness h(testutil::makeTightLoop());
     EXPECT_DEATH(h.bpu->redirect(), "no pending divergence");
-}
-
-TEST(BpuDeath, CustomBtbWithFtbMode)
-{
-    auto prog = testutil::makeTightLoop();
-    WorkloadProfile prof;
-    prof.name = "x";
-    SyntheticExecutor exec(*prog, prof);
-    TraceWindow win(exec);
-    BpuConfig cfg; // blockBased = true
-    auto pbtb = std::make_unique<PartitionedBtb>(
-        PartitionedBtb::makeDefaultConfig(1024));
-    EXPECT_DEATH({ Bpu bpu(win, cfg, std::move(pbtb)); },
-                 "only meaningful");
 }

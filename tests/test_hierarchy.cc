@@ -158,8 +158,8 @@ TEST(Hierarchy, PrefetchBudgetEnforced)
     MemConfig cfg = smallCfg();
     cfg.l2BusBytesPerCycle = 1024; // effectively infinite bandwidth
     cfg.memBusBytesPerCycle = 1024;
+    cfg.maxOutstandingPrefetches = 2;
     MemHierarchy mem(cfg);
-    mem.setMaxOutstandingPrefetches(2);
     mem.tick(0);
     EXPECT_EQ(mem.issuePrefetch(0x60000, 0, FillDest::PrefetchBuffer),
               MemHierarchy::PfIssue::Issued);

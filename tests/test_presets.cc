@@ -15,11 +15,11 @@ TEST(Presets, BaselineMachineShape)
     EXPECT_EQ(cfg.fetch.fetchWidth, 8u);
     EXPECT_EQ(cfg.fetch.decodeRedirectLatency, 3u);
     EXPECT_EQ(cfg.fetch.resolveRedirectLatency, 12u);
-    EXPECT_TRUE(cfg.bpu.blockBased);
+    EXPECT_EQ(cfg.bpu.targetBuffer, TargetBuffer::Ftb);
     EXPECT_EQ(cfg.bpu.ftb.sets, 1024u);
     EXPECT_EQ(cfg.bpu.ftb.ways, 4u);
-    EXPECT_EQ(cfg.bpu.maxBlockInsts, 8u);
-    EXPECT_EQ(cfg.bpu.rasDepth, 32u);
+    EXPECT_EQ(Bpu::kMaxFetchBlockInsts, 8u);
+    EXPECT_EQ(Bpu::kRasDepth, 32u);
     EXPECT_EQ(cfg.backend.retireWidth, 4u);
     EXPECT_EQ(cfg.backend.queueDepth, 32u);
     EXPECT_EQ(cfg.mem.l1i.sizeBytes, 16u * 1024);
@@ -61,7 +61,7 @@ TEST(Presets, PartitionedBudgetUsesLessStorageMoreEntries)
 
         SimConfig pcfg = makeBaselineConfig("gcc");
         applyPartitionedBudget(pcfg, pt.ftbEntries);
-        PartitionedBtb pbtb(pcfg.pbtb);
+        PartitionedBtb pbtb(pcfg.bpu.pbtb);
 
         // The partitioned ensemble must fit within the unified budget
         // and provide >2x the entries.
@@ -76,7 +76,7 @@ TEST(Presets, ApplyFtbBudgetSetsGeometry)
 {
     SimConfig cfg = makeBaselineConfig("gcc");
     applyFtbBudget(cfg, 8192);
-    EXPECT_TRUE(cfg.bpu.blockBased);
+    EXPECT_EQ(cfg.bpu.targetBuffer, TargetBuffer::Ftb);
     EXPECT_EQ(cfg.bpu.ftb.ways, 8u);
     EXPECT_EQ(cfg.bpu.ftb.sets, 1024u);
     EXPECT_NO_FATAL_FAILURE(cfg.validate());
@@ -86,9 +86,8 @@ TEST(Presets, ApplyPartitionedBudgetSwitchesFrontEnd)
 {
     SimConfig cfg = makeBaselineConfig("gcc");
     applyPartitionedBudget(cfg, 1024);
-    EXPECT_FALSE(cfg.bpu.blockBased);
-    EXPECT_TRUE(cfg.usePartitionedBtb);
-    EXPECT_EQ(cfg.pbtb.tagBits, 16u);
+    EXPECT_EQ(cfg.bpu.targetBuffer, TargetBuffer::Partitioned);
+    EXPECT_EQ(cfg.bpu.pbtb.tagBits, 16u);
     EXPECT_NO_FATAL_FAILURE(cfg.validate());
 }
 
@@ -96,8 +95,7 @@ TEST(Presets, ApplyUnifiedBtbBudget)
 {
     SimConfig cfg = makeBaselineConfig("gcc");
     applyUnifiedBtbBudget(cfg, 4096);
-    EXPECT_FALSE(cfg.bpu.blockBased);
-    EXPECT_FALSE(cfg.usePartitionedBtb);
+    EXPECT_EQ(cfg.bpu.targetBuffer, TargetBuffer::Btb);
     EXPECT_EQ(cfg.bpu.btb.sets * cfg.bpu.btb.ways, 4096u);
     EXPECT_NO_FATAL_FAILURE(cfg.validate());
 }

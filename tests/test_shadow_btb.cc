@@ -6,7 +6,6 @@
 #include "bpu/ftb.hh"
 #include "prefetch/shadow_btb.hh"
 #include "test_helpers.hh"
-#include "trace/code_image.hh"
 
 using namespace fdip;
 
@@ -16,11 +15,10 @@ namespace
 struct Rig
 {
     std::unique_ptr<Program> prog = testutil::makeCallPattern();
-    CodeImage img;
     Ftb ftb;
     MemHierarchy mem;
 
-    Rig() : img(*prog), ftb(Ftb::Config{16, 2}), mem(makeCfg()) {}
+    Rig() : ftb(Ftb::Config{16, 2}), mem(makeCfg()) {}
 
     static MemConfig
     makeCfg()
@@ -60,11 +58,11 @@ struct Rig
 TEST(ShadowBtb, FindsPlantedBranchesAndPrefillsFtb)
 {
     Rig rig;
-    ShadowBtbPrefetcher pf(&rig.ftb, nullptr, rig.mem, &rig.img, {});
+    ShadowBtbPrefetcher pf(&rig.ftb, nullptr, rig.mem, rig.prog.get(), {});
 
     // makeCallPattern lays f0 (Call@base+4, Jump@base+12) and f1's
     // CondBr@base+24 inside the first 32B line.
-    Addr base = rig.img.base();
+    Addr base = rig.prog->base;
     pf.onDemandAccess(base, rig.missAccess(), 1);
     rig.drain(pf);
 
@@ -91,9 +89,9 @@ TEST(ShadowBtb, PrefillsConventionalBtbByBranchPc)
 {
     Rig rig;
     Btb btb(Btb::Config{16, 2, 0, 0});
-    ShadowBtbPrefetcher pf(nullptr, &btb, rig.mem, &rig.img, {});
+    ShadowBtbPrefetcher pf(nullptr, &btb, rig.mem, rig.prog.get(), {});
 
-    Addr base = rig.img.base();
+    Addr base = rig.prog->base;
     pf.onDemandAccess(base, rig.missAccess(), 1);
     rig.drain(pf);
 
@@ -108,11 +106,11 @@ TEST(ShadowBtb, SkipsReturnsAndNeverPrefillsOutsideImage)
     Rig rig;
     ShadowBtbPrefetcher::Config cfg;
     cfg.bogusNoiseDenom = 1; // every non-CF slot looks like a branch
-    ShadowBtbPrefetcher pf(&rig.ftb, nullptr, rig.mem, &rig.img, cfg);
+    ShadowBtbPrefetcher pf(&rig.ftb, nullptr, rig.mem, rig.prog.get(), cfg);
 
     // The second line holds f1's tail (plain insts + Return) and runs
     // past the end of the 48-byte image into "data" slots.
-    Addr base = rig.img.base();
+    Addr base = rig.prog->base;
     pf.onDemandAccess(base + 32, rig.missAccess(), 1);
     rig.drain(pf);
 
@@ -126,11 +124,11 @@ TEST(ShadowBtb, SkipsReturnsAndNeverPrefillsOutsideImage)
 TEST(ShadowBtb, DoesNotOverwriteTrainedEntries)
 {
     Rig rig;
-    ShadowBtbPrefetcher pf(&rig.ftb, nullptr, rig.mem, &rig.img, {});
+    ShadowBtbPrefetcher pf(&rig.ftb, nullptr, rig.mem, rig.prog.get(), {});
 
     // The front-end already learned a (different) geometry for the
     // first block; shadow prefill must leave it alone.
-    Addr base = rig.img.base();
+    Addr base = rig.prog->base;
     rig.ftb.insert(base, 7, InstClass::CondBr, base + 0x100);
     pf.onDemandAccess(base, rig.missAccess(), 1);
     rig.drain(pf);
@@ -147,9 +145,9 @@ TEST(ShadowBtb, RecentFilterAndQueueBoundTheScanner)
     Rig rig;
     ShadowBtbPrefetcher::Config cfg;
     cfg.queueEntries = 1;
-    ShadowBtbPrefetcher pf(&rig.ftb, nullptr, rig.mem, &rig.img, cfg);
+    ShadowBtbPrefetcher pf(&rig.ftb, nullptr, rig.mem, rig.prog.get(), cfg);
 
-    Addr base = rig.img.base();
+    Addr base = rig.prog->base;
     pf.onDemandAccess(base, rig.missAccess(), 1);
     pf.onDemandAccess(base + 32, rig.missAccess(), 1); // queue full
     EXPECT_EQ(pf.stats.counter("shadow.queue_drops"), 1u);
@@ -174,9 +172,9 @@ TEST(ShadowBtb, NoImageMeansNoScanning)
 TEST(ShadowBtb, QuiescenceContract)
 {
     Rig rig;
-    ShadowBtbPrefetcher pf(&rig.ftb, nullptr, rig.mem, &rig.img, {});
+    ShadowBtbPrefetcher pf(&rig.ftb, nullptr, rig.mem, rig.prog.get(), {});
     EXPECT_EQ(pf.nextEventCycle(5), kNever);
-    pf.onDemandAccess(rig.img.base(), rig.missAccess(), 1);
+    pf.onDemandAccess(rig.prog->base, rig.missAccess(), 1);
     EXPECT_EQ(pf.nextEventCycle(5), Cycle(6));
     rig.drain(pf);
     EXPECT_EQ(pf.nextEventCycle(60), kNever);

@@ -255,11 +255,3 @@ TEST(SimulatorDeath, InvalidVmKnobsRejected)
                         PageMapKind::Scrambled, /*itlb_entries=*/12); },
         "power of two");
 }
-
-TEST(SimulatorDeath, PartitionedBtbRequiresConventionalFrontEnd)
-{
-    SimConfig cfg = quickCfg("li", PrefetchScheme::None);
-    cfg.usePartitionedBtb = true; // without blockBased=false
-    cfg.pbtb = PartitionedBtb::makeDefaultConfig(1024);
-    EXPECT_DEATH({ Simulator s(cfg); }, "conventional");
-}

@@ -105,7 +105,7 @@ matrixConfig(int i)
     cfg.mem.mshrs = pick(rng, {2u, 4u, 16u});
     cfg.mem.victimCacheEntries = pick(rng, {0u, 8u});
     cfg.mem.prefetchMayQueueOnBus = (i % 5) == 0;
-    cfg.maxOutstandingPrefetches = pick(rng, {2u, 8u});
+    cfg.mem.maxOutstandingPrefetches = pick(rng, {2u, 8u});
 
     // Multi-core axis: half the matrix scales the machine out to 2 or
     // 4 cores sharing the L2/buses/DRAM, so skip parity also covers
