@@ -9,6 +9,7 @@
 
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/table.hh"
@@ -29,11 +30,15 @@ std::string summarizeRun(const SimResults &r);
  * Visit the scalar fields of a result row in canonical order as
  * fn(name, value): cycles and instructions (std::uint64_t), then the
  * derived metrics (double). This is the one field list; both
- * serializeResults() and the --stats-json export render it.
+ * serializeResults() and the --stats-json export render it, and the
+ * Runner writes a failed point's sentinel through it. @p r may be a
+ * const or a mutable SimResults; fn then gets const or mutable
+ * references to its fields.
  */
-template <typename Fn>
+template <typename Results, typename Fn>
+    requires std::is_same_v<std::remove_const_t<Results>, SimResults>
 void
-forEachMetric(const SimResults &r, Fn &&fn)
+forEachMetric(Results &r, Fn &&fn)
 {
     fn("cycles", r.cycles);
     fn("instructions", r.instructions);

@@ -6,11 +6,13 @@
 #include <cstdlib>
 #include <limits>
 #include <thread>
+#include <type_traits>
 
 #include "common/env.hh"
 #include "common/error.hh"
 #include "common/fault.hh"
 #include "common/logging.hh"
+#include "sim/report.hh"
 
 namespace fdip
 {
@@ -106,16 +108,10 @@ Runner::computePoint(const Point &p) const
         o.results.status =
             timed_out ? RunStatus::TimedOut : RunStatus::Failed;
         o.results.failReason = e.what();
-        o.results.ipc = s;
-        o.results.mpki = s;
-        o.results.l2BusUtil = s;
-        o.results.memBusUtil = s;
-        o.results.prefetchAccuracy = s;
-        o.results.prefetchCoverage = s;
-        o.results.prefetchTimely = s;
-        o.results.prefetchLate = s;
-        o.results.prefetchPollution = s;
-        o.results.condMispredictPerKilo = s;
+        forEachMetric(o.results, [s](const char *, auto &value) {
+            if constexpr (std::is_same_v<decltype(value), double &>)
+                value = s;
+        });
         o.failedPoint = true;
         o.timedOut = timed_out;
         o.error = e.what();

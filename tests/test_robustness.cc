@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
@@ -302,6 +303,43 @@ TEST_F(Robustness, FailingPointIsSimulatedOnce)
          at = err.find("failed:", at + 1))
         ++warnings;
     EXPECT_EQ(warnings, 1u) << err;
+}
+
+TEST_F(Robustness, SentinelFillsEveryListedMetric)
+{
+    // A failed point's row carries the sentinel in every double that
+    // forEachMetric() lists, so a metric added to that list renders
+    // FAIL / TIMEOUT instead of a plausible 0.
+    setFatalMode(FatalMode::Throw);
+    SimConfig rejected = smallConfig("li", PrefetchScheme::None);
+    // The partitioned BTB refuses to be built with no partitions.
+    rejected.bpu.targetBuffer = TargetBuffer::Partitioned;
+    SimConfig starved = smallConfig("li", PrefetchScheme::None);
+    starved.maxCycles = 100;
+
+    Runner r(kWarmup, kMeasure);
+    r.disableCache();
+    r.setJobs(1);
+    ::testing::internal::CaptureStderr(); // failures warn
+    const SimResults &fail = r.run(rejected);
+    const SimResults &tout = r.run(starved);
+    ::testing::internal::GetCapturedStderr();
+    ASSERT_EQ(fail.status, RunStatus::Failed);
+    ASSERT_EQ(tout.status, RunStatus::TimedOut);
+
+    std::size_t doubles = 0;
+    forEachMetric(fail, [&doubles](const char *name, auto value) {
+        if constexpr (std::is_same_v<decltype(value), double>) {
+            ++doubles;
+            EXPECT_TRUE(std::isnan(value)) << name;
+        }
+    });
+    EXPECT_GT(doubles, 0u);
+    forEachMetric(tout, [](const char *name, auto value) {
+        if constexpr (std::is_same_v<decltype(value), double>) {
+            EXPECT_TRUE(isTimedOutSentinel(value)) << name;
+        }
+    });
 }
 
 TEST_F(Robustness, SweepSurvivesInjectedThrowAndHang)
