@@ -1,9 +1,10 @@
 /**
  * @file code_image.hh
- * Flat, PC-indexed view of a program's static instructions. The branch
- * prediction unit uses this to walk down *predicted* (possibly wrong)
- * paths: given any PC inside the image it can tell whether the
- * instruction there is a branch and, for direct branches, where it goes.
+ * Flat, PC-indexed view of a program's static instructions: given any
+ * PC inside the image it tells whether the instruction there is a
+ * branch and, for direct branches, where it goes. The shadow-btb
+ * scheme's line decoder is its one reader in the simulator, and builds
+ * the image itself (prefetch/shadow_btb.hh).
  */
 
 #ifndef FDIP_TRACE_CODE_IMAGE_HH
@@ -48,7 +49,8 @@ class CodeImage
 
     /**
      * Static instruction at @p pc, or a NonCF placeholder when the PC
-     * is outside the image (wrong-path walks can run off the code).
+     * is outside the image (a decoded cache line can run past the end
+     * of the code).
      */
     const StaticInst &atOrPlain(Addr pc) const;
 

@@ -10,16 +10,6 @@
 namespace fdip
 {
 
-const char *
-pageMapKindName(PageMapKind kind)
-{
-    switch (kind) {
-      case PageMapKind::Identity: return "identity";
-      case PageMapKind::Scrambled: return "scrambled";
-    }
-    return "?";
-}
-
 PageTable::PageTable(Addr code_base, Addr code_end, unsigned page_bytes,
                      PageMapKind kind, std::uint64_t seed)
     : bytes(page_bytes)

@@ -27,8 +27,6 @@ enum class PageMapKind : std::uint8_t
     Scrambled, ///< seeded permutation of the code's page frames
 };
 
-const char *pageMapKindName(PageMapKind kind);
-
 class PageTable
 {
   public:
