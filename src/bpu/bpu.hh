@@ -103,7 +103,7 @@ struct BpuConfig
 class Bpu
 {
   public:
-    /** Longest fetch block predicted in one cycle (the fetch width). */
+    /** Longest fetch block predicted in one cycle. */
     static constexpr unsigned kMaxFetchBlockInsts = 8;
     /** Return-address-stack entries. */
     static constexpr unsigned kRasDepth = 32;
