@@ -24,7 +24,6 @@ Ftq::push(const FetchBlock &blk)
     if (tracer != nullptr)
         e.pushedAt = tracer->now();
     q.push(e);
-    ++version_;
     stPushedBlocks.inc();
     stPushedInsts.inc(blk.numInsts);
 }
@@ -40,7 +39,6 @@ Ftq::popHead()
     }
     q.pop();
     ++headSeq_;
-    ++version_;
     stPoppedBlocks.inc();
 }
 
@@ -59,7 +57,6 @@ Ftq::flush()
     stFlushedBlocks.inc(q.size());
     headSeq_ += q.size();
     q.clear();
-    ++version_;
 }
 
 void

@@ -4,10 +4,14 @@
  * prediction unit and the fetch engine, and the source of prefetch
  * candidates for fetch-directed prefetching. The head entry is the
  * fetch point; deeper entries are the predicted future fetch stream.
+ * An FtqCursor walks that lookahead one cache block at a time, so a
+ * scanner (FDP, the TLB prefetcher) resumes where it stopped.
  */
 
 #ifndef FDIP_FRONTEND_FTQ_HH
 #define FDIP_FRONTEND_FTQ_HH
+
+#include <algorithm>
 
 #include "common/circular_queue.hh"
 #include "common/histogram.hh"
@@ -56,18 +60,10 @@ class Ftq
     /**
      * Sequence number of entry 0: entries are numbered in push order,
      * and popHead and flush advance it past the entries they remove.
-     * A scan position kept as a sequence number stays valid while the
-     * queue shifts under it.
+     * A scan position kept as a sequence number (FtqCursor) stays
+     * valid while the queue shifts under it.
      */
     std::uint64_t headSeq() const { return headSeq_; }
-
-    /**
-     * Monotonic content-change counter: bumped by push, popHead, and
-     * flush. Scanners whose verdict is a pure function of the queue's
-     * entries (e.g. the TLB prefetcher's fixed-point check) memoize
-     * against it instead of rescanning every cycle.
-     */
-    std::uint64_t version() const { return version_; }
 
     /** Number of cache blocks entry @p i spans. */
     unsigned numCacheBlocks(std::size_t i) const { return q.at(i).numBlocks; }
@@ -114,9 +110,61 @@ class Ftq
     CircularQueue<FtqEntry> q;
     unsigned blockBytes;
     Histogram occupancy;
-    std::uint64_t version_ = 0;
     std::uint64_t headSeq_ = 0;
     Tracer *tracer = nullptr;
+};
+
+/**
+ * A scan position over the FTQ's lookahead (the entries past the fetch
+ * point): a cache block of an entry, the entry named by sequence number
+ * (Ftq::headSeq) so that the position stays put while the queue shifts
+ * under it. Every block before it has been scanned and none from it
+ * on. Once its entry reaches the fetch point or is flushed, the next
+ * block is entry 1's first: every queued block is unscanned again. A
+ * default cursor, and one after restart(), starts there too.
+ */
+class FtqCursor
+{
+  public:
+    /**
+     * Visit the unscanned blocks in order, each by its aligned address,
+     * moving past each one @p visit returns true for. The scan stops
+     * at, and leaves the cursor on, the first block it returns false
+     * for.
+     */
+    template <typename Visit>
+    void
+    scan(const Ftq &ftq, Visit &&visit)
+    {
+        if (seq <= ftq.headSeq()) {
+            seq = ftq.headSeq() + 1;
+            blk = 0;
+        }
+        for (std::size_t i = seq - ftq.headSeq(); i < ftq.size();
+             ++i, ++seq, blk = 0) {
+            for (unsigned n = ftq.numCacheBlocks(i); blk < n; ++blk) {
+                if (!visit(ftq.cacheBlockAddr(i, blk)))
+                    return;
+            }
+        }
+    }
+
+    /** True exactly when no unscanned block remains. */
+    bool
+    done(const Ftq &ftq) const
+    {
+        return std::max(seq, ftq.headSeq() + 1) >=
+               ftq.headSeq() + ftq.size();
+    }
+
+    /** Forget all progress: the next block is entry 1's first. */
+    void restart() { seq = 0; }
+
+  private:
+    /** Entry number of the next block; at or below headSeq it has
+     *  left the lookahead, and the scan restarts at entry 1. */
+    std::uint64_t seq = 0;
+    unsigned blk = 0;
 };
 
 } // namespace fdip

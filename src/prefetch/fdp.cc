@@ -1,7 +1,5 @@
 #include "prefetch/fdp.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 #include "obs/tracer.hh"
 
@@ -107,62 +105,51 @@ FdpPrefetcher::scanFtq(Cycle now)
             tr->instant("pf_enqueue", kTidPrefetch, "block", block);
     };
     // Entry 0 is the fetch point (being demand fetched); deeper
-    // entries are the prefetch candidates. Resume at the saved
-    // position unless its entry has since become the fetch point or
-    // been flushed: then every remaining entry is unscanned.
-    if (scanSeq <= ftq.headSeq()) {
-        scanSeq = ftq.headSeq() + 1;
-        scanBlock = 0;
-    }
-    for (std::size_t i = scanSeq - ftq.headSeq(); i < ftq.size(); ++i) {
-        unsigned n_blocks = ftq.numCacheBlocks(i);
-        while (scanBlock < n_blocks) {
-            if (examined >= cfg.scanWidth || piq_.full())
-                return;
-            Addr cand = ftq.cacheBlockAddr(i, scanBlock);
-            // Candidates are virtual; physically-tagged filter probes
-            // (L1 tags, MSHRs) peek the page table functionally.
-            Addr pcand = translateFunctional(cand);
-            ++examined;
-            stCandidates.inc();
+    // entries are the prefetch candidates. The cursor resumes where
+    // the last cycle stopped, or at entry 1 once its entry has become
+    // the fetch point or been flushed.
+    cursor.scan(ftq, [&](Addr cand) {
+        if (examined >= cfg.scanWidth || piq_.full())
+            return false;
+        // Candidates are virtual; physically-tagged filter probes
+        // (L1 tags, MSHRs) peek the page table functionally.
+        Addr pcand = translateFunctional(cand);
+        ++examined;
+        stCandidates.inc();
 
-            if (recentlyRequested.contains(cand) || piq_.contains(cand) ||
-                mem.prefetchRedundant(pcand)) {
-                stDedupDropped.inc();
-                ++scanBlock;
-                continue;
-            }
-
-            switch (mode_) {
-              case CpfMode::None:
-              case CpfMode::Remove:
-                enqueue(cand);
-                break;
-              case CpfMode::Enqueue:
-              case CpfMode::EnqueueAggressive:
-                if (!mem.reserveTagPort()) {
-                    stEnqueueNoPort.inc();
-                    if (mode_ == CpfMode::Enqueue) {
-                        // Conservative: no idle port, no enqueue.
-                        return;
-                    }
-                    enqueue(cand); // aggressive: enqueue unprobed
-                    break;
-                }
-                [[fallthrough]]; // probe on the reserved port
-              case CpfMode::Ideal:
-                stCpfProbes.inc();
-                if (mem.tagProbe(pcand))
-                    stCpfFiltered.inc();
-                else
-                    enqueue(cand);
-                break;
-            }
-            ++scanBlock;
+        if (recentlyRequested.contains(cand) || piq_.contains(cand) ||
+            mem.prefetchRedundant(pcand)) {
+            stDedupDropped.inc();
+            return true;
         }
-        ++scanSeq; // entry i fully scanned
-        scanBlock = 0;
-    }
+
+        switch (mode_) {
+          case CpfMode::None:
+          case CpfMode::Remove:
+            enqueue(cand);
+            break;
+          case CpfMode::Enqueue:
+          case CpfMode::EnqueueAggressive:
+            if (!mem.reserveTagPort()) {
+                stEnqueueNoPort.inc();
+                if (mode_ == CpfMode::Enqueue) {
+                    // Conservative: no idle port, no enqueue.
+                    return false;
+                }
+                enqueue(cand); // aggressive: enqueue unprobed
+                break;
+            }
+            [[fallthrough]]; // probe on the reserved port
+          case CpfMode::Ideal:
+            stCpfProbes.inc();
+            if (mem.tagProbe(pcand))
+                stCpfFiltered.inc();
+            else
+                enqueue(cand);
+            break;
+        }
+        return true;
+    });
 }
 
 void
@@ -180,10 +167,8 @@ FdpPrefetcher::nextEventCycle(Cycle now) const
     // leftover tag ports.
     if (mode_ == CpfMode::Remove && piq_.probedPrefix() < piq_.size())
         return now + 1;
-    // Unscanned candidates remain while the scan position (entry 1
-    // at the earliest) names an entry that is still queued.
-    std::uint64_t scan_from = std::max(scanSeq, ftq.headSeq() + 1);
-    if (!piq_.full() && scan_from < ftq.headSeq() + ftq.size())
+    // Unscanned candidates remain.
+    if (!piq_.full() && !cursor.done(ftq))
         return now + 1;
     // The head translates or issues next cycle, or waits on its walk.
     return piq_.empty() ? kNever : translationWakeCycle(piq_.front().tr, now);

@@ -5,7 +5,8 @@
  * Every cycle the prefetch engine scans FTQ entries past the fetch
  * point, converts them into candidate cache-block addresses, filters
  * them, and enqueues survivors into the PIQ. The scan resumes where
- * the previous cycle's stopped, so each candidate is examined once.
+ * the previous cycle's stopped (an FtqCursor, as the TLB prefetcher's
+ * does), so each candidate is examined once.
  * The PIQ issues prefetches to the L2 over the (idle) L2 bus; fills
  * land in the fully-associative prefetch buffer probed by demand
  * fetches.
@@ -104,14 +105,8 @@ class FdpPrefetcher : public Prefetcher
     Piq piq_;
     /** Blocks recently enqueued: a candidate found here is dropped. */
     RecentFilter recentlyRequested;
-    /**
-     * Scan position: the next candidate is block @c scanBlock of FTQ
-     * entry number @c scanSeq (see Ftq::headSeq). Every entry before
-     * it is scanned, none after it is. Once the entry reaches the
-     * fetch point or is flushed, the scan restarts at entry 1.
-     */
-    std::uint64_t scanSeq = 1;
-    unsigned scanBlock = 0;
+    /** The next candidate: every block before it has been examined. */
+    FtqCursor cursor;
 };
 
 } // namespace fdip

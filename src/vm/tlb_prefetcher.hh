@@ -15,29 +15,32 @@
  * The prefetcher is fire-and-forget: it never waits on the walks it
  * starts, so it charges no per-cycle stall counters and its
  * chargeIdleCycles() is a no-op. A recently-probed-page ring filter
- * (with an O(1) membership mirror) keeps it from re-requesting the
- * same FTQ pages every cycle; pages are marked probed whatever the
- * outcome, so a quiescent machine (static FTQ, no fills) reaches a
- * fixed point where tick() provably does nothing — which is exactly
- * what nextEventCycle() reports, keeping event-driven idle-cycle
- * skipping bit-identical. The fixed-point verdict is memoized
- * against Ftq::version() so steady-state cycles cost O(1) instead of
- * a full rescan.
+ * keeps it from re-requesting the same FTQ pages every cycle; pages
+ * are marked probed whatever the outcome.
+ *
+ * The scan is an FtqCursor, as FDP's is, with one invariant: every
+ * block before the cursor has its page in the filter. tick() resumes
+ * at the cursor, and nextEventCycle() checks forward from a copy of
+ * it, so a static FTQ costs nothing to rescan. Pages leave the filter
+ * only when a probe evicts one, and that may make a passed block
+ * eligible again: a tick that evicts restarts the cursor at entry 1.
+ * Each tick therefore probes exactly the pages a full rescan of the
+ * lookahead would, and a quiescent machine (static FTQ, no probes)
+ * reaches the fixed point nextEventCycle() reports as kNever, which
+ * keeps event-driven idle-cycle skipping bit-identical.
  */
 
 #ifndef FDIP_VM_TLB_PREFETCHER_HH
 #define FDIP_VM_TLB_PREFETCHER_HH
 
-#include <unordered_set>
-
 #include "common/recent_filter.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "frontend/ftq.hh"
 
 namespace fdip
 {
 
-class Ftq;
 class Mmu;
 
 class TlbPrefetcher
@@ -47,9 +50,12 @@ class TlbPrefetcher
     {
         /** Translation requests (walks/refills) started per cycle. */
         unsigned width = 2;
-        /** Recently-probed-VPN ring filter size; must comfortably
-         *  exceed the FTQ's distinct-page footprint or the prefetcher
-         *  re-probes in a loop. */
+        /**
+         * Recently-probed-VPN ring filter size. A page is probed again
+         * only once it leaves the filter, whatever the ITLB holds: a
+         * filter that outlives the ITLB stops re-warming pages the
+         * ITLB has since evicted, and a smaller one re-probes more.
+         */
         unsigned filterEntries = 64;
     };
 
@@ -62,8 +68,7 @@ class TlbPrefetcher
      * Quiescence protocol: now + 1 while any FTQ page past the fetch
      * point is not yet in the probe filter (tick() would probe it),
      * kNever otherwise. The filter only changes when tick() probes,
-     * so a kNever verdict is stable across a skipped window (and is
-     * memoized until the FTQ's content version changes).
+     * so a kNever verdict is stable across a skipped window.
      */
     Cycle nextEventCycle(Cycle now) const;
 
@@ -74,22 +79,13 @@ class TlbPrefetcher
     StatSet::Counter stTlbHot = stats.registerCounter("tlbpf.tlb_hot");
     StatSet::Counter stRequests = stats.registerCounter("tlbpf.requests");
 
-    bool recentlyProbed(Addr vpn) const;
-    void markProbed(Addr vpn);
-    /** Pure scan: is every FTQ page past the fetch point filtered? */
-    bool atFixedPoint() const;
-
     const Ftq &ftq;
     Mmu &mmu;
     Config cfg;
     RecentFilter recentVpns;
-    /** O(1) membership mirror of the ring (which never holds a VPN
-     *  twice, so erasing each evicted VPN keeps the mirror exact). */
-    std::unordered_set<Addr> recentSet;
-    /** Memoized "nothing left to probe" verdict, valid while the FTQ
-     *  version is unchanged (probing invalidates it). */
-    mutable bool idleValid = false;
-    mutable std::uint64_t idleVersion = 0;
+    /** The next block to check: every block before it has its page
+     *  in recentVpns. */
+    FtqCursor cursor;
 };
 
 } // namespace fdip

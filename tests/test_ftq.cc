@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "frontend/ftq.hh"
 
 using namespace fdip;
@@ -17,6 +19,28 @@ mkBlock(Addr start, unsigned n)
     b.numInsts = n;
     b.validLen = n;
     return b;
+}
+
+/** Scan up to @p n blocks with @p c; returns their addresses. */
+std::vector<Addr>
+take(FtqCursor &c, const Ftq &ftq, std::size_t n)
+{
+    std::vector<Addr> out;
+    c.scan(ftq, [&](Addr block) {
+        if (out.size() == n)
+            return false;
+        out.push_back(block);
+        return true;
+    });
+    return out;
+}
+
+/** The block @p c would scan next (invalidAddr if none). */
+Addr
+peek(FtqCursor c, const Ftq &ftq)
+{
+    std::vector<Addr> next = take(c, ftq, 1);
+    return next.empty() ? invalidAddr : next[0];
 }
 
 } // namespace
@@ -75,6 +99,83 @@ TEST(Ftq, HeadSeqNumbersEntriesInPushOrder)
     ftq.push(mkBlock(0x5000, 8));
     ftq.popHead();
     EXPECT_EQ(ftq.headSeq(), 5u);
+}
+
+TEST(FtqCursor, ResumesMidEntryAcrossAHeadPop)
+{
+    Ftq ftq(4, 32);
+    ftq.push(mkBlock(0x1000, 8));  // #0: the fetch point
+    ftq.push(mkBlock(0x2000, 8));  // #1: one block
+    ftq.push(mkBlock(0x3000, 24)); // #2: three blocks
+    FtqCursor c;
+    EXPECT_EQ(take(c, ftq, 2), (std::vector<Addr>{0x2000, 0x3000}));
+    EXPECT_EQ(peek(c, ftq), 0x3020u); // stopped on the block it refused
+    // #1 becomes the fetch point and #2 shifts to index 1: the cursor
+    // stays on #2's second block.
+    ftq.popHead();
+    EXPECT_EQ(take(c, ftq, 9), (std::vector<Addr>{0x3020, 0x3040}));
+    EXPECT_TRUE(c.done(ftq));
+}
+
+TEST(FtqCursor, RestartsWhenItsEntryBecomesTheFetchPoint)
+{
+    Ftq ftq(4, 32);
+    ftq.push(mkBlock(0x1000, 8));  // #0
+    ftq.push(mkBlock(0x2000, 24)); // #1: three blocks
+    ftq.push(mkBlock(0x3000, 8));  // #2
+    FtqCursor c;
+    EXPECT_EQ(take(c, ftq, 1), (std::vector<Addr>{0x2000}));
+    // #1, a third scanned, is now the fetch point: the scan restarts
+    // at entry 1, which is #2.
+    ftq.popHead();
+    EXPECT_EQ(take(c, ftq, 9), (std::vector<Addr>{0x3000}));
+}
+
+TEST(FtqCursor, RestartsWhenItsEntryIsFlushed)
+{
+    Ftq ftq(4, 32);
+    ftq.push(mkBlock(0x1000, 8));
+    ftq.push(mkBlock(0x2000, 8));
+    ftq.push(mkBlock(0x3000, 24));
+    FtqCursor mid;
+    take(mid, ftq, 2); // on the third entry's second block
+    FtqCursor end;
+    take(end, ftq, 9);
+    ftq.flush();
+    EXPECT_TRUE(mid.done(ftq));
+    EXPECT_TRUE(end.done(ftq));
+    // The refilled queue is unscanned for both, however far each got.
+    ftq.push(mkBlock(0x4000, 8));
+    ftq.push(mkBlock(0x5000, 24));
+    for (FtqCursor *c : {&mid, &end}) {
+        EXPECT_EQ(take(*c, ftq, 9),
+                  (std::vector<Addr>{0x5000, 0x5020, 0x5040}));
+    }
+}
+
+TEST(FtqCursor, DoneExactlyWhenNoBlockRemains)
+{
+    Ftq ftq(4, 32);
+    FtqCursor c;
+    EXPECT_TRUE(c.done(ftq)); // empty
+    ftq.push(mkBlock(0x1000, 8));
+    EXPECT_TRUE(c.done(ftq)); // only the fetch point
+    ftq.push(mkBlock(0x2000 + 5 * instBytes, 8)); // straddles: 2 blocks
+    EXPECT_FALSE(c.done(ftq));
+    take(c, ftq, 1);
+    EXPECT_FALSE(c.done(ftq)); // the entry's last block remains
+    take(c, ftq, 1);
+    EXPECT_TRUE(c.done(ftq));
+    // A push adds unscanned blocks after the scanned ones.
+    ftq.push(mkBlock(0x3000, 8));
+    EXPECT_FALSE(c.done(ftq));
+    EXPECT_EQ(peek(c, ftq), 0x3000u);
+    take(c, ftq, 1);
+    EXPECT_TRUE(c.done(ftq));
+    // restart() forgets it all.
+    c.restart();
+    EXPECT_FALSE(c.done(ftq));
+    EXPECT_EQ(peek(c, ftq), 0x2000u);
 }
 
 TEST(Ftq, CacheBlockEnumerationAligned)

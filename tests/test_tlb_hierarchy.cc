@@ -7,13 +7,18 @@
  *  - demand walks queueing ahead of (and upgrading) prefetch walks at
  *    walker saturation, with exact demand completion times,
  *  - walk-id freshness for the prefetchers' live-polling contract,
- *  - translation lookahead warming the TLBs from the FTQ.
+ *  - translation lookahead warming the TLBs from the FTQ, and its
+ *    cursor probing exactly what a full rescan of the FTQ probes.
  */
 
 #include <gtest/gtest.h>
 
+#include "common/fnv.hh"
+#include "common/random.hh"
+#include "common/recent_filter.hh"
 #include "frontend/ftq.hh"
 #include "sim/presets.hh"
+#include "sim/report.hh"
 #include "sim/runner.hh"
 #include "vm/mmu.hh"
 #include "vm/tlb_prefetcher.hh"
@@ -49,6 +54,134 @@ Addr
 page(unsigned i)
 {
     return kBase + Addr(i) * kPage;
+}
+
+/**
+ * The TLB prefetcher's algorithm without a cursor: tick() and
+ * nextEventCycle() rescan every block past the fetch point, every
+ * time. TlbPrefetcher must probe exactly what this probes.
+ */
+class RescanTlbPrefetcher
+{
+  public:
+    RescanTlbPrefetcher(const Ftq &ftq, Mmu &mmu,
+                        const TlbPrefetcher::Config &cfg)
+        : ftq(ftq), mmu(mmu), width(cfg.width), recent(cfg.filterEntries)
+    {}
+
+    void
+    tick(Cycle now)
+    {
+        unsigned started = 0;
+        for (std::size_t i = 1; i < ftq.size(); ++i) {
+            for (unsigned k = 0; k < ftq.numCacheBlocks(i); ++k) {
+                Addr vaddr = ftq.cacheBlockAddr(i, k);
+                Addr vpn = mmu.pageTable().vpn(vaddr);
+                if (recent.contains(vpn))
+                    continue;
+                recent.insert(vpn);
+                ++probes;
+                if (mmu.tlbPrefetchTranslate(vaddr, now).status ==
+                    PfTranslation::Status::Ready) {
+                    ++tlbHot;
+                    continue;
+                }
+                ++requests;
+                if (++started >= width)
+                    return;
+            }
+        }
+    }
+
+    Cycle
+    nextEventCycle(Cycle now) const
+    {
+        for (std::size_t i = 1; i < ftq.size(); ++i) {
+            for (unsigned k = 0; k < ftq.numCacheBlocks(i); ++k) {
+                Addr vpn = mmu.pageTable().vpn(ftq.cacheBlockAddr(i, k));
+                if (!recent.contains(vpn))
+                    return now + 1;
+            }
+        }
+        return kNever;
+    }
+
+    std::uint64_t probes = 0;
+    std::uint64_t tlbHot = 0;
+    std::uint64_t requests = 0;
+
+  private:
+    const Ftq &ftq;
+    Mmu &mmu;
+    unsigned width;
+    RecentFilter recent;
+};
+
+struct Differential
+{
+    /** First cycle the two prefetchers disagreed on; 0 if none. */
+    Cycle firstMismatch = 0;
+    /** Pages the reference probed. */
+    std::uint64_t probes = 0;
+};
+
+/**
+ * Drive a TlbPrefetcher and a RescanTlbPrefetcher, each on its own
+ * FTQ and MMU, through one random sequence of pushes, pops and
+ * flushes over twelve pages, comparing nextEventCycle() and the
+ * tlbpf counters every cycle. Pops demand-translate the fetch point,
+ * so the ITLB churns and probes find it both hot and cold.
+ */
+Differential
+runDifferential(const VmConfig &vm, const TlbPrefetcher::Config &cfg,
+                std::uint64_t seed, Cycle cycles)
+{
+    constexpr unsigned kPages = 12;
+    Addr code_end = kBase + (kPages + 2) * vm.pageBytes;
+    Mmu cur_mmu(vm, kBase, code_end);
+    Mmu ref_mmu(vm, kBase, code_end);
+    Ftq cur_ftq(8, 32);
+    Ftq ref_ftq(8, 32);
+    TlbPrefetcher cur(cur_ftq, cur_mmu, cfg);
+    RescanTlbPrefetcher ref(ref_ftq, ref_mmu, cfg);
+    Rng rng(seed);
+    auto agree = [&](Cycle now) {
+        return cur.nextEventCycle(now) == ref.nextEventCycle(now) &&
+               cur.stats.counter("tlbpf.probes") == ref.probes &&
+               cur.stats.counter("tlbpf.tlb_hot") == ref.tlbHot &&
+               cur.stats.counter("tlbpf.requests") == ref.requests;
+    };
+    Differential d;
+    for (Cycle now = 1; now <= cycles && d.firstMismatch == 0; ++now) {
+        std::uint64_t op = rng.below(100);
+        if (op < 45 && !cur_ftq.full()) {
+            FetchBlock b;
+            b.startPc = kBase + rng.below(kPages * vm.pageBytes / instBytes) *
+                                    instBytes;
+            b.numInsts = unsigned(rng.range(1, 16));
+            b.validLen = b.numInsts;
+            cur_ftq.push(b);
+            ref_ftq.push(b);
+        } else if (op < 85 && !cur_ftq.empty()) {
+            Addr pc = cur_ftq.head().blk.startPc;
+            cur_mmu.demandTranslate(pc, now);
+            ref_mmu.demandTranslate(pc, now);
+            cur_ftq.popHead();
+            ref_ftq.popHead();
+        } else if (op < 87) {
+            cur_ftq.flush();
+            ref_ftq.flush();
+        }
+        bool before = agree(now);
+        cur.tick(now);
+        ref.tick(now);
+        cur_mmu.tick(now);
+        ref_mmu.tick(now);
+        if (!before || !agree(now))
+            d.firstMismatch = now;
+    }
+    d.probes = ref.probes;
+    return d;
 }
 
 } // namespace
@@ -301,6 +434,69 @@ TEST(TlbPrefetcher, L2ResidentPagesRefillInsteadOfWalking)
     EXPECT_EQ(pf.stats.counter("tlbpf.requests"), 1u);
     mmu.tick(13); // 5 + 8-cycle L2 refill
     EXPECT_TRUE(mmu.tlbHolds(page(1)));
+}
+
+TEST(TlbPrefetcher, CursorProbesWhatAFullRescanProbes)
+{
+    // Filters of 1-6 entries over twelve pages: probes evict, and an
+    // eviction may re-expose a page the cursor has passed. Odd seeds
+    // use pages of two cache blocks, so most entries span several
+    // pages and a block the cursor skips in error changes a verdict.
+    for (unsigned filter = 1; filter <= 6; ++filter) {
+        for (unsigned width = 1; width <= 3; ++width) {
+            for (unsigned l2 : {0u, 16u}) {
+                for (unsigned walkers = 0; walkers <= 2; ++walkers) {
+                    VmConfig vm =
+                        hierVm(TlbPrefetchPolicy::Wait, l2, walkers);
+                    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+                        vm.pageBytes = seed % 2 != 0 ? 64 : kPage;
+                        Differential d =
+                            runDifferential(vm, {width, filter}, seed, 3000);
+                        EXPECT_EQ(d.firstMismatch, 0u)
+                            << "filter " << filter << " width " << width
+                            << " l2 " << l2 << " walkers " << walkers
+                            << " seed " << seed;
+                        EXPECT_GT(d.probes, filter); // some evicted
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(TlbPrefetcher, SmallFilterMachineSkipsAsItTicks)
+{
+    // perfbench's walk_replay machine (vortex, scheme none, 16-entry
+    // ITLB, 200-cycle walks), live rather than replayed, with core
+    // 0's TLB prefetcher rebuilt around an 8-entry filter so that
+    // probes evict and the cursor restarts. Skipping idle cycles must
+    // not change a byte, and the digest and probe count are those of
+    // the full-rescan prefetcher the cursor replaced.
+    auto run = [](bool force_tick) {
+        SimConfig cfg = makeBaselineConfig("vortex", PrefetchScheme::None);
+        applyVmConfig(cfg, TlbPrefetchPolicy::Wait, PageMapKind::Scrambled,
+                      /*itlb_entries=*/16);
+        cfg.vm.walkLatency = 200;
+        applyTlbHierarchy(cfg, /*l2_entries=*/0, /*num_walkers=*/0,
+                          /*tlb_prefetch=*/true);
+        cfg.warmupInsts = 10 * 1000;
+        cfg.measureInsts = 60 * 1000;
+        cfg.forceTick = force_tick;
+        Simulator sim(cfg);
+        Simulator::Core &c = sim.core(0);
+        c.tlbPf = std::make_unique<TlbPrefetcher>(
+            *c.ftq, *c.mmu,
+            TlbPrefetcher::Config{.width = cfg.vm.tlbPrefetchWidth,
+                                  .filterEntries = 8});
+        return sim.run();
+    };
+    SimResults skipped = run(false);
+    SimResults ticked = run(true);
+    std::string text = serializeResults(skipped);
+    EXPECT_EQ(text, serializeResults(ticked));
+    EXPECT_EQ(skipped.stats.value("tlbpf.probes"), 113.0);
+    EXPECT_EQ(fnv1aHash(text), 0x4e3632d07e8464b6ull)
+        << std::hex << fnv1aHash(text);
 }
 
 TEST(TlbHierarchy, SimulatorRunsTranslatedWithHierarchyAndPrefetch)
