@@ -132,11 +132,13 @@ TEST_P(ExecutorSuite, TraceIsConsistentWithImage)
         const StaticInst &si = img.at(ti.pc);
         ASSERT_EQ(ti.cls, si.cls);
         // Direct control flow targets the static target.
-        if (isDirect(ti.cls) && isControl(ti.cls))
+        if (isDirect(ti.cls) && isControl(ti.cls)) {
             ASSERT_EQ(ti.target, si.target);
+        }
         // Unconditional control flow is always taken.
-        if (isUnconditional(ti.cls))
+        if (isUnconditional(ti.cls)) {
             ASSERT_TRUE(ti.taken);
+        }
         prev = ti;
     }
 }

@@ -44,8 +44,9 @@ TEST(InstClass, DirectVsIndirectPartition)
         bool direct = isDirect(cls);
         bool indirect = isIndirect(cls);
         EXPECT_FALSE(direct && indirect) << instClassName(cls);
-        if (cls != InstClass::Return)
+        if (cls != InstClass::Return) {
             EXPECT_TRUE(direct || indirect) << instClassName(cls);
+        }
     }
 }
 

@@ -471,8 +471,9 @@ TEST(NextEvent, WholeMachinePropertyNeverAtOrBeforeNow)
             EXPECT_GT(sim.fetchEngine().nextEventCycle(now), now);
             EXPECT_GT(sim.ftq().nextEventCycle(now), now);
             EXPECT_GT(sim.bpu().nextEventCycle(now), now);
-            if (sim.tlbPrefetcher() != nullptr)
+            if (sim.tlbPrefetcher() != nullptr) {
                 EXPECT_GT(sim.tlbPrefetcher()->nextEventCycle(now), now);
+            }
             for (std::size_t p = 0; p < sim.numPrefetchers(); ++p)
                 EXPECT_GT(sim.prefetcher(p).nextEventCycle(now), now);
         }
