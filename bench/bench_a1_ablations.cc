@@ -97,7 +97,6 @@ makeSpec()
 {
     ExperimentSpec s;
     s.id = "R-A1";
-    s.binary = "bench_a1_ablations";
     s.title = "design ablations (FDP remove-CPF unless noted)";
     s.shape =
         "buffer fills save bandwidth vs direct L1 fills; letting "

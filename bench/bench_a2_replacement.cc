@@ -77,7 +77,6 @@ makeSpec()
 {
     ExperimentSpec s;
     s.id = "R-A2";
-    s.binary = "bench_a2_replacement";
     s.title = "L1-I replacement policy x {baseline, FDP remove}";
     s.shape =
         "LRU is the best baseline; FDP's relative gain is largely "

@@ -134,7 +134,6 @@ makeSpec()
 {
     ExperimentSpec s;
     s.id = "R-A3";
-    s.binary = "bench_a3_predictors";
     s.title = "direction predictor x {baseline, FDP remove}";
     s.shape =
         "better prediction -> fewer wrong-path fetches -> higher "

@@ -75,7 +75,6 @@ makeSpec()
 {
     ExperimentSpec s;
     s.id = "R-F10";
-    s.binary = "bench_f10_cache_sweep";
     s.title = "L1-I capacity sweep (8..64KB) x {none, FDP remove}";
     s.shape =
         "baseline MPKI and FDP's speedup both collapse as the cache "

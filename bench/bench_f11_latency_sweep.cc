@@ -85,7 +85,6 @@ makeSpec()
 {
     ExperimentSpec s;
     s.id = "R-F11";
-    s.binary = "bench_f11_latency_sweep";
     s.title = "memory latency sweep (FDP remove-CPF, large set)";
     s.shape =
         "FDP's gmean speedup grows monotonically with miss latency";

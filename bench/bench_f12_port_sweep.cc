@@ -71,7 +71,6 @@ makeSpec()
 {
     ExperimentSpec s;
     s.id = "R-F12";
-    s.binary = "bench_f12_port_sweep";
     s.title = "CPF tag-port sweep (enqueue and remove vs ideal)";
     s.shape =
         "with a single port (fully consumed by demand fetch) the "

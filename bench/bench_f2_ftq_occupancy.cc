@@ -42,7 +42,6 @@ makeSpec()
 {
     ExperimentSpec s;
     s.id = "R-F2";
-    s.binary = "bench_f2_ftq_occupancy";
     s.title = "FTQ occupancy distribution (32-entry FTQ, no prefetch)";
     s.shape =
         "the FTQ is rarely empty; occupancy piles up high whenever the "

@@ -81,7 +81,6 @@ makeSpec()
 {
     ExperimentSpec s;
     s.id = "R-F4";
-    s.binary = "bench_f4_nlp_sb";
     s.title = "NLP and stream-buffer speedup over no-prefetch";
     s.shape =
         "both help on large-footprint workloads; more stream buffers "

@@ -46,7 +46,6 @@ makeSpec()
 {
     ExperimentSpec s;
     s.id = "R-F5";
-    s.binary = "bench_f5_fdp_filters";
     s.title = "FDP speedup by CPF variant vs NLP";
     s.shape =
         "every FDP variant beats NLP; CPF variants match or beat "

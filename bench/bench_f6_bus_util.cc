@@ -53,7 +53,6 @@ makeSpec()
 {
     ExperimentSpec s;
     s.id = "R-F6";
-    s.binary = "bench_f6_bus_util";
     s.title = "L2-bus utilization per scheme";
     s.shape =
         "no-filter FDP burns by far the most bandwidth; CPF variants "

@@ -45,7 +45,6 @@ makeSpec()
 {
     ExperimentSpec s;
     s.id = "R-F7";
-    s.binary = "bench_f7_accuracy_coverage";
     s.title = "prefetch accuracy and coverage per scheme";
     s.shape =
         "CPF lifts FDP accuracy far above the no-filter variant while "

@@ -73,7 +73,6 @@ makeSpec()
 {
     ExperimentSpec s;
     s.id = "R-F8";
-    s.binary = "bench_f8_pfbuf_sweep";
     s.title = "prefetch buffer size sweep (FDP remove-CPF)";
     s.shape =
         "speedup grows with buffer size and saturates around 32 "

@@ -72,7 +72,6 @@ makeSpec()
 {
     ExperimentSpec s;
     s.id = "R-F9";
-    s.binary = "bench_f9_ftq_sweep";
     s.title = "FTQ depth sweep (FDP remove-CPF vs baseline FTQ=32)";
     s.shape =
         "tiny FTQs cripple FDP (no lookahead); gains saturate by a "

@@ -45,7 +45,6 @@ makeSpec()
 {
     ExperimentSpec s;
     s.id = "R-T1";
-    s.binary = "bench_t1_workloads";
     s.title = "workload characterization (no-prefetch baseline)";
     s.shape =
         "large-footprint workloads (burg..vortex) show high L1-I MPKI; "

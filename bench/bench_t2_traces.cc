@@ -3,8 +3,8 @@
  * warmup/ROI-phased frontend (docs/TRACES.md).
  *
  * Workloads come from FDIP_TRACE_PATHS (colon-separated trace paths —
- * native v1/v2 or ChampSim format, dispatched on extension). Without
- * it, the bench self-captures small native traces of two synthetic
+ * native v2 or ChampSim format, dispatched on extension). Without it,
+ * the spec self-captures small native traces of two synthetic
  * workloads into the temp directory on first use, so the sweep always
  * has something real to replay.
  *
@@ -133,7 +133,6 @@ makeSpec()
 
     ExperimentSpec s;
     s.id = "X-T3";
-    s.binary = "bench_t2_traces";
     s.title = "trace-file workloads with warmup/ROI phases";
     s.shape =
         "FDP speedups on replayed traces mirror the synthetic suite; "

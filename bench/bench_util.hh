@@ -1,13 +1,13 @@
 /**
  * @file bench_util.hh
- * Shared plumbing for the experiment-reproduction binaries: run
- * lengths, the scheme sets each figure uses, and output helpers.
+ * Shared plumbing for the experiment specs: run lengths, the scheme
+ * sets each figure uses, and output helpers.
  *
- * Each bench declares its sweep as an ExperimentSpec
+ * Each bench_*.cc declares its sweep as an ExperimentSpec
  * (sim/experiment.hh) and registers it with
- * FDIP_REGISTER_EXPERIMENT; the shared driver in experiment_main.cc
- * parses arguments, expands the grid, runs the sweep, and calls the
- * bench's render callback.
+ * FDIP_REGISTER_EXPERIMENT; fdip_experiments (experimentMain) parses
+ * arguments, expands the grids, runs the sweep, and calls each spec's
+ * render callback.
  */
 
 #ifndef FDIP_BENCH_BENCH_UTIL_HH

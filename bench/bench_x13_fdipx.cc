@@ -95,7 +95,6 @@ makeSpec()
 {
     ExperimentSpec s;
     s.id = "X-F13";
-    s.binary = "bench_x13_fdipx";
     s.title = "FDIP gain vs BTB budget: unified FTB vs partitioned";
     s.shape =
         "the partitioned 16-bit-tag design wins clearly at small "

@@ -53,7 +53,6 @@ makeSpec()
 {
     ExperimentSpec s;
     s.id = "X-F14";
-    s.binary = "bench_x14_tag_compression";
     s.title = "16-bit folded-XOR tags vs full tags (smallest BTB)";
     s.shape =
         "the compressed tag costs almost nothing: the folded XOR "

@@ -117,7 +117,6 @@ makeSpec()
 {
     ExperimentSpec s;
     s.id = "R-X15";
-    s.binary = "bench_x15_itlb";
     s.title =
         "ITLB sweep (FDP remove-CPF, scrambled pages, 30-cycle walks)";
     s.shape =

@@ -205,7 +205,6 @@ makeSpec()
 {
     ExperimentSpec s;
     s.id = "R-X16";
-    s.binary = "bench_x16_tlb_hierarchy";
     s.title = "TLB-hierarchy sweep (L2 TLB x walkers x policy, FDP "
               "remove-CPF)";
     s.shape =

@@ -163,7 +163,6 @@ makeSpec()
 {
     ExperimentSpec s;
     s.id = "R-X17";
-    s.binary = "bench_x17_multicore";
     s.title = "Multi-core scale-out (cores x shared-L2 size x "
               "prefetch scheme)";
     s.shape =

@@ -246,7 +246,6 @@ makeSpec()
 {
     ExperimentSpec s;
     s.id = "R-X18";
-    s.binary = "bench_x18_prefetcher_zoo";
     s.title = "Competitor prefetcher zoo (FDP vs MANA vs shadow-branch "
               "BTB prefill vs NLP/stream)";
     s.shape =

@@ -63,7 +63,6 @@ makeSpec()
 {
     ExperimentSpec s;
     s.id = "X-T2";
-    s.binary = "bench_x2_btb_storage";
     s.title = "unified block-based BTB vs partitioned-BTB storage";
     s.shape =
         "the partitioned ensemble fits ~2.4x the entries of the "

@@ -88,7 +88,6 @@ makeSpec()
 {
     ExperimentSpec s;
     s.id = "X-F3";
-    s.binary = "bench_x3_offset_dist";
     s.title = "dynamic branch target offset-width distribution";
     s.shape =
         "short offsets dominate; returns and indirect branches form "

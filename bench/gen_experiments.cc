@@ -1,70 +1,17 @@
 /**
  * @file gen_experiments.cc
- * Experiment-catalog generator: links every bench's ExperimentSpec
- * translation unit and emits docs/EXPERIMENTS.md from the registry.
- *
- *   fdip_experiments                  print the catalog markdown
- *   fdip_experiments --check <path>   exit 1 if <path> drifts from
- *                                     the registry (CI guard)
- *   fdip_experiments --list           one summary line per experiment
- *   fdip_experiments --describe <id>  full description of one spec
+ * fdip_experiments, the one experiment executable: links every
+ * bench_*.cc ExperimentSpec and hands the registry to
+ * experimentMain() (sim/experiment.hh), which runs experiments
+ * (`run <id>...`, `run --all`), emits docs/EXPERIMENTS.md, checks it
+ * for drift (--check), and introspects specs (--list, --describe).
  */
 
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
-
-#include "common/logging.hh"
 #include "sim/experiment.hh"
-
-using namespace fdip;
 
 int
 main(int argc, char **argv)
 {
-    auto specs = ExperimentRegistry::instance().all();
-    fatal_if(specs.empty(), "no experiments registered");
-
-    if (argc >= 2 && std::strcmp(argv[1], "--list") == 0) {
-        std::fputs(listExperiments(specs).c_str(), stdout);
-        return 0;
-    }
-
-    if (argc >= 2 && std::strcmp(argv[1], "--describe") == 0) {
-        fatal_if(argc < 3, "--describe requires an experiment id");
-        const ExperimentSpec *spec =
-            ExperimentRegistry::instance().find(argv[2]);
-        fatal_if(spec == nullptr, "unknown experiment id '%s' "
-                 "(try --list)", argv[2]);
-        std::fputs(describeExperiment(*spec).c_str(), stdout);
-        return 0;
-    }
-
-    std::string md = experimentCatalogMarkdown(specs);
-
-    if (argc >= 2 && std::strcmp(argv[1], "--check") == 0) {
-        fatal_if(argc < 3, "--check requires a path");
-        std::ifstream in(argv[2], std::ios::binary);
-        fatal_if(!in, "--check: cannot read '%s'", argv[2]);
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        if (buf.str() == md) {
-            std::fprintf(stderr, "%s matches the spec registry\n",
-                         argv[2]);
-            return 0;
-        }
-        std::fprintf(stderr,
-                     "%s drifted from the experiment registry.\n"
-                     "Regenerate it with:\n"
-                     "    ./build/fdip_experiments > %s\n",
-                     argv[2], argv[2]);
-        return 1;
-    }
-
-    fatal_if(argc >= 2, "unknown argument '%s' (expected --check/"
-             "--list/--describe or no arguments)", argv[1]);
-
-    std::fputs(md.c_str(), stdout);
-    return 0;
+    return fdip::experimentMain(fdip::ExperimentRegistry::instance().all(),
+                                argc, argv);
 }

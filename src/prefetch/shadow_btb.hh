@@ -49,7 +49,7 @@ class ShadowBtbPrefetcher : public Prefetcher
          * (deterministic, in-image) target. On the canonical 4-byte
          * code space decode is exact, so the default is 0 (no bogus
          * prefills); the knob is the variable-length-ISA noise model
-         * swept by bench_x18's shadow-noise axis.
+         * swept by R-X18's shadow-noise axis.
          */
         unsigned bogusNoiseDenom = 0;
     };

@@ -69,7 +69,7 @@ struct SimConfig
     std::optional<WorkloadProfile> customProfile;
     /**
      * When non-empty, the workload is replayed from this trace file
-     * (native v1/v2 via TraceFileReader, or ChampSim format via
+     * (native v2 via TraceFileReader, or ChampSim format via
      * ChampSimTraceReader — dispatched on extension) instead of the
      * synthetic executor; @c workload is then only a label. See
      * docs/TRACES.md.

@@ -8,6 +8,7 @@
 #include <limits>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <tuple>
 
 #include "common/env.hh"
@@ -118,7 +119,7 @@ metricsJson(const SimResults &r)
  * object with the run lengths and a record per declared point. Every
  * read is a memo hit (the sweep just ran), so this adds no simulation
  * time; the fingerprint ties each record back to the exact SimConfig,
- * letting downstream tooling join records across binaries and cache
+ * letting downstream tooling join records across runs and cache
  * entries. A multi-core point carries its per-core rows.
  */
 std::string
@@ -128,8 +129,6 @@ statsJson(const ExperimentSpec &spec, const Sweep &sweep,
     std::string out = "{\n";
     out += strprintf("  \"experiment\": \"%s\",\n",
                      jsonEscape(spec.id).c_str());
-    out += strprintf("  \"binary\": \"%s\",\n",
-                     jsonEscape(spec.binary).c_str());
     out += strprintf("  \"warmup\": %llu,\n",
                      static_cast<unsigned long long>(warmup));
     out += strprintf("  \"measure\": %llu,\n",
@@ -194,8 +193,7 @@ ExperimentRegistry::instance()
 void
 ExperimentRegistry::add(ExperimentSpec spec)
 {
-    fatal_if(spec.id.empty() || spec.binary.empty(),
-             "experiment spec needs an id and a binary name");
+    fatal_if(spec.id.empty(), "experiment spec needs an id");
     fatal_if(find(spec.id) != nullptr,
              "duplicate experiment id '%s'", spec.id.c_str());
     specs.push_back(std::move(spec));
@@ -253,13 +251,13 @@ forEachGridPoint(
     }
 }
 
-Sweep::Sweep(Runner &runner, const ExperimentSpec &spec)
+Sweep::Sweep(Runner &runner, const ExperimentSpec &spec,
+             std::uint64_t warmup, std::uint64_t measure)
     : runner_(runner), specId_(spec.id)
 {
-    forEachGridPoint(spec, [this](const std::string &w, PrefetchScheme s,
-                                  const TweakVariant &v) {
-        SimConfig cfg = gridConfig(w, s, runner_.warmupInsts(),
-                                   runner_.measureInsts(), v.tweak);
+    forEachGridPoint(spec, [&](const std::string &w, PrefetchScheme s,
+                               const TweakVariant &v) {
+        SimConfig cfg = gridConfig(w, s, warmup, measure, v.tweak);
         auto [it, fresh] =
             index_.emplace(std::make_tuple(w, s, v.key), points_.size());
         if (fresh)
@@ -322,7 +320,6 @@ describeExperiment(const ExperimentSpec &spec)
 {
     std::string out;
     out += spec.id + ": " + spec.title + "\n";
-    out += "  binary:     " + spec.binary + "\n";
     out += "  reproduces: " + spec.paperRef + "\n";
     if (!spec.question.empty())
         out += "  question:   " + spec.question + "\n";
@@ -361,9 +358,8 @@ listExperiments(const std::vector<const ExperimentSpec *> &specs)
 {
     std::string out;
     for (const ExperimentSpec *s : specs) {
-        out += strprintf("%-7s %-28s %5zu points  %s\n", s->id.c_str(),
-                         s->binary.c_str(), countDistinctPoints(*s),
-                         s->title.c_str());
+        out += strprintf("%-7s %5zu points  %s\n", s->id.c_str(),
+                         countDistinctPoints(*s), s->title.c_str());
     }
     return out;
 }
@@ -376,29 +372,33 @@ experimentCatalogMarkdown(
     md += "# Experiment catalog\n\n";
     md += "<!-- Generated by fdip_experiments from the ExperimentSpec\n"
           "     registry (sim/experiment.hh). Do not edit by hand.\n"
-          "     Regenerate with:\n"
-          "         ./build/fdip_experiments > docs/EXPERIMENTS.md\n"
-          "     CI fails when this file drifts from the registry. -->\n"
+          "     Regenerate with (X-T3's default trace paths follow\n"
+          "     TMPDIR):\n"
+          "         TMPDIR=/tmp FDIP_TRACE_PATHS= \\\n"
+          "             ./build/fdip_experiments > docs/EXPERIMENTS.md\n"
+          "     test_experiment fails when this file drifts from the\n"
+          "     registry. -->\n"
           "\n";
-    md += "Every figure and table of the reproduction is one bench\n"
-          "binary whose sweep is declared once, as data, in an\n"
-          "`ExperimentSpec` (`src/sim/experiment.hh`). Each binary\n"
-          "supports `--jobs N`, `--warmup N`, `--measure N`,\n"
-          "`--list`, and `--describe`. \"Points\" counts distinct\n"
-          "simulations: grid points that build the same machine\n"
-          "(the same config fingerprint) share one; with `FDIP_CACHE_DIR`\n"
-          "set, points already simulated by *any* binary are served\n"
-          "from the on-disk result cache.\n\n";
+    md += "Every figure and table of the reproduction is one experiment\n"
+          "whose sweep is declared once, as data, in an\n"
+          "`ExperimentSpec` (`src/sim/experiment.hh`).\n"
+          "`fdip_experiments run <id>...` (or `run --all`) simulates\n"
+          "them on one runner and takes `--jobs N`, `--warmup N`,\n"
+          "`--measure N`; `--list` and `--describe <id>` introspect.\n"
+          "\"Points\" counts distinct simulations: grid points that\n"
+          "build the same machine (the same config fingerprint) share\n"
+          "one, within an experiment and across the experiments of one\n"
+          "run; with `FDIP_CACHE_DIR` set, points an earlier run\n"
+          "simulated are served from the on-disk result cache.\n\n";
 
-    md += "| id | binary | reproduces | points | title |\n";
-    md += "|----|--------|------------|-------:|-------|\n";
+    md += "| id | reproduces | points | title |\n";
+    md += "|----|------------|-------:|-------|\n";
     for (const ExperimentSpec *s : specs) {
         std::string points =
             s->grids.empty() ? "-"
                              : strprintf("%zu",
                                          countDistinctPoints(*s));
-        md += strprintf("| %s | `%s` | %s | %s | %s |\n",
-                        s->id.c_str(), s->binary.c_str(),
+        md += strprintf("| %s | %s | %s | %s |\n", s->id.c_str(),
                         s->paperRef.c_str(), points.c_str(),
                         s->title.c_str());
     }
@@ -407,7 +407,6 @@ experimentCatalogMarkdown(
     for (const ExperimentSpec *s : specs) {
         md += strprintf("## %s: %s\n\n", s->id.c_str(),
                         s->title.c_str());
-        md += strprintf("- **binary:** `%s`\n", s->binary.c_str());
         md += strprintf("- **reproduces:** %s\n", s->paperRef.c_str());
         if (!s->question.empty())
             md += strprintf("- **question:** %s\n", s->question.c_str());
@@ -459,111 +458,253 @@ experimentCatalogMarkdown(
 namespace
 {
 
-/** experimentMain() minus the fatal-mode bracket around it. */
-int
-runExperiment(const ExperimentSpec &spec, int argc, char **argv)
-{
-    std::uint64_t warmup = spec.warmup;
-    std::uint64_t measure = spec.measure;
-    unsigned jobs = Runner::defaultJobs();
-    bool list = false, describe = false;
-    std::string statsJsonPath;
+constexpr const char *kUsage =
+    "usage: fdip_experiments [--check PATH | --list | --describe ID | "
+    "run (ID... | --all) [--jobs N] [--warmup N] [--measure N] "
+    "[--stats-json PATH]]";
 
-    for (int i = 1; i < argc; ++i) {
-        auto needsValue = [&](const char *flag) {
-            fatal_if(i + 1 >= argc, "%s requires a value", flag);
+/** One parsed experimentMain() command line. */
+struct Command
+{
+    enum class Kind { Catalog, Check, List, Describe, Run };
+    Kind kind = Kind::Catalog;
+    std::string checkPath;
+    /** "" when --stats-json is not given. */
+    std::string statsJsonPath;
+    /** --describe's id, or run's ids. */
+    std::vector<std::string> ids;
+    bool all = false;
+    std::optional<unsigned> jobs;
+    std::optional<std::uint64_t> warmup;
+    std::optional<std::uint64_t> measure;
+};
+
+Command
+parseCommand(int argc, char **argv)
+{
+    Command cmd;
+    int i = 1;
+    if (argc > 1 && std::strcmp(argv[1], "run") == 0) {
+        cmd.kind = Command::Kind::Run;
+        i = 2;
+    }
+    auto setKind = [&cmd](Command::Kind kind, const char *flag) {
+        fatal_if(cmd.kind != Command::Kind::Catalog,
+                 "%s cannot be combined with another command", flag);
+        cmd.kind = kind;
+    };
+    for (; i < argc; ++i) {
+        const char *arg = argv[i];
+        auto needsValue = [&]() {
+            fatal_if(i + 1 >= argc, "%s requires a value", arg);
             return argv[++i];
         };
-        auto uintValue = [&](const char *flag) {
-            const char *text = needsValue(flag);
+        auto uintValue = [&]() {
+            const char *text = needsValue();
             std::optional<std::uint64_t> v = parseUint(text);
-            fatal_if(!v, "%s: '%s' is not a non-negative integer", flag,
+            fatal_if(!v, "%s: '%s' is not a non-negative integer", arg,
                      text);
             return *v;
         };
-        if (std::strcmp(argv[i], "--jobs") == 0) {
-            std::uint64_t n = uintValue("--jobs");
+        if (std::strcmp(arg, "--list") == 0) {
+            setKind(Command::Kind::List, arg);
+        } else if (std::strcmp(arg, "--describe") == 0) {
+            setKind(Command::Kind::Describe, arg);
+            cmd.ids.push_back(needsValue());
+        } else if (std::strcmp(arg, "--check") == 0) {
+            setKind(Command::Kind::Check, arg);
+            cmd.checkPath = needsValue();
+        } else if (std::strcmp(arg, "--jobs") == 0) {
+            std::uint64_t n = uintValue();
             fatal_if(n == 0 || n > std::numeric_limits<unsigned>::max(),
                      "--jobs must be between 1 and %u",
                      std::numeric_limits<unsigned>::max());
-            jobs = static_cast<unsigned>(n);
-        } else if (std::strcmp(argv[i], "--warmup") == 0) {
-            warmup = uintValue("--warmup");
-        } else if (std::strcmp(argv[i], "--measure") == 0) {
-            measure = uintValue("--measure");
-            fatal_if(measure == 0, "--measure must be >= 1");
-        } else if (std::strcmp(argv[i], "--list") == 0) {
-            list = true;
-        } else if (std::strcmp(argv[i], "--describe") == 0) {
-            describe = true;
-        } else if (std::strcmp(argv[i], "--stats-json") == 0) {
-            statsJsonPath = needsValue("--stats-json");
+            cmd.jobs = static_cast<unsigned>(n);
+        } else if (std::strcmp(arg, "--warmup") == 0) {
+            cmd.warmup = uintValue();
+        } else if (std::strcmp(arg, "--measure") == 0) {
+            cmd.measure = uintValue();
+            fatal_if(*cmd.measure == 0, "--measure must be >= 1");
+        } else if (std::strcmp(arg, "--stats-json") == 0) {
+            cmd.statsJsonPath = needsValue();
+        } else if (std::strcmp(arg, "--all") == 0) {
+            cmd.all = true;
+        } else if (cmd.kind == Command::Kind::Run && arg[0] != '-') {
+            cmd.ids.push_back(arg);
         } else {
-            fatal("unknown argument '%s' (expected --jobs/--warmup/"
-                  "--measure/--list/--describe/--stats-json)", argv[i]);
+            fatal("unknown argument '%s' (%s)", arg, kUsage);
         }
     }
+    if (cmd.kind == Command::Kind::Run) {
+        fatal_if(cmd.all == !cmd.ids.empty(),
+                 "run takes experiment ids or --all, not both or "
+                 "neither (%s)", kUsage);
+    } else {
+        fatal_if(cmd.all || cmd.jobs || cmd.warmup || cmd.measure ||
+                     !cmd.statsJsonPath.empty(),
+                 "--all/--jobs/--warmup/--measure/--stats-json apply to "
+                 "run only (%s)", kUsage);
+    }
+    return cmd;
+}
 
-    if (list) {
-        put(listExperiments({&spec}));
+const ExperimentSpec &
+findSpec(const std::vector<const ExperimentSpec *> &specs,
+         const std::string &id)
+{
+    for (const ExperimentSpec *s : specs) {
+        if (s->id == id)
+            return *s;
+    }
+    fatal("unknown experiment id '%s' (try --list)", id.c_str());
+}
+
+/** --check: 0 when @p path holds the catalog of @p specs, else 1. */
+int
+checkCatalog(const std::vector<const ExperimentSpec *> &specs,
+             const std::string &path)
+{
+    std::string md = experimentCatalogMarkdown(specs);
+    std::ifstream in(path, std::ios::binary);
+    fatal_if(!in, "--check: cannot read '%s'", path.c_str());
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    if (buf.str() == md) {
+        std::fprintf(stderr, "%s matches the spec registry\n",
+                     path.c_str());
         return 0;
     }
-    if (describe) {
-        put(describeExperiment(spec));
-        return 0;
+    std::fprintf(stderr,
+                 "%s drifted from the experiment registry.\n"
+                 "Regenerate it with:\n"
+                 "    TMPDIR=/tmp FDIP_TRACE_PATHS= "
+                 "./build/fdip_experiments > %s\n",
+                 path.c_str(), path.c_str());
+    return 1;
+}
+
+/**
+ * The "failed points:" block of one sweep: each distinct point of it
+ * that raised SimError, in the order the spec declares it, under the
+ * variant name the spec gives it. "" when every point ran cleanly.
+ */
+std::string
+failedPointsText(const Sweep &sweep)
+{
+    std::string out;
+    std::set<std::uint64_t> listed;
+    for (const Sweep::Point &p : sweep.points()) {
+        const SimResults &r = sweep.run(p.workload, p.scheme, p.variant);
+        if (r.status == RunStatus::Ok ||
+            !listed.insert(p.cfg.fingerprint()).second)
+            continue;
+        out += strprintf("  %s (%s, %s, '%s'): %s\n",
+                         r.status == RunStatus::TimedOut ? "TIMEOUT"
+                                                         : "FAIL",
+                         p.cfg.workload.c_str(), schemeName(p.cfg.scheme),
+                         p.variant.c_str(), r.failReason.c_str());
     }
+    return out.empty() ? out : "\nfailed points:\n" + out;
+}
 
-    put(experimentBanner(spec.id, spec.title, spec.shape));
+/** `run`: every chosen spec's Sweep on one Runner, one runPending(). */
+int
+runExperiments(const std::vector<const ExperimentSpec *> &specs,
+               const Command &cmd)
+{
+    std::vector<const ExperimentSpec *> chosen;
+    if (cmd.all)
+        chosen = specs;
+    for (const std::string &id : cmd.ids)
+        chosen.push_back(&findSpec(specs, id));
+    fatal_if(!cmd.statsJsonPath.empty() && chosen.size() != 1,
+             "--stats-json exports one experiment; run names %zu",
+             chosen.size());
 
-    Runner runner(warmup, measure);
-    runner.setJobs(jobs);
-    Sweep sweep(runner, spec);
+    // Each Sweep brings its spec's run lengths; the Runner's own are
+    // unused.
+    Runner runner;
+    if (cmd.jobs)
+        runner.setJobs(*cmd.jobs);
+    std::vector<Sweep> sweeps;
+    sweeps.reserve(chosen.size());
+    for (const ExperimentSpec *spec : chosen) {
+        sweeps.emplace_back(runner, *spec,
+                            cmd.warmup.value_or(spec->warmup),
+                            cmd.measure.value_or(spec->measure));
+    }
     bool swept = runner.pendingRuns() > 0;
     runner.runPending();
     if (swept)
         put(runner.sweepSummary());
-    if (spec.render)
-        spec.render(sweep);
-    const auto &failures = runner.failures();
-    if (!failures.empty()) {
-        std::string out = "\nfailed points:\n";
-        for (const auto &f : failures) {
-            out += strprintf("  %s (%s, %s, '%s'): %s\n",
-                             f.timedOut ? "TIMEOUT" : "FAIL",
-                             f.workload.c_str(), f.scheme.c_str(),
-                             f.variant.c_str(), f.error.c_str());
-        }
-        put(out);
+
+    for (std::size_t i = 0; i < chosen.size(); ++i) {
+        const ExperimentSpec &spec = *chosen[i];
+        put(experimentBanner(spec.id, spec.title, spec.shape));
+        if (spec.render)
+            spec.render(sweeps[i]);
+        put(failedPointsText(sweeps[i]));
     }
-    if (!statsJsonPath.empty()) {
-        std::ofstream out(statsJsonPath,
+
+    if (!cmd.statsJsonPath.empty()) {
+        const ExperimentSpec &spec = *chosen[0];
+        std::ofstream out(cmd.statsJsonPath,
                           std::ios::binary | std::ios::trunc);
         fatal_if(!out, "cannot open --stats-json file '%s'",
-                 statsJsonPath.c_str());
-        out << statsJson(spec, sweep, warmup, measure);
+                 cmd.statsJsonPath.c_str());
+        out << statsJson(spec, sweeps[0],
+                         cmd.warmup.value_or(spec.warmup),
+                         cmd.measure.value_or(spec.measure));
         fatal_if(!out, "failed writing --stats-json file '%s'",
-                 statsJsonPath.c_str());
-        std::printf("stats: wrote %s\n", statsJsonPath.c_str());
+                 cmd.statsJsonPath.c_str());
+        std::printf("stats: wrote %s\n", cmd.statsJsonPath.c_str());
     }
     // 0 = clean; 3 = the sweep completed but some points failed (the
-    // table above has FAIL/TIMEOUT cells).
-    return failures.empty() ? 0 : 3;
+    // tables above have FAIL/TIMEOUT cells).
+    return runner.failures().empty() ? 0 : 3;
+}
+
+/** experimentMain() minus the fatal-mode bracket around it. */
+int
+runCommand(const std::vector<const ExperimentSpec *> &specs, int argc,
+           char **argv)
+{
+    fatal_if(specs.empty(), "no experiments registered");
+    Command cmd = parseCommand(argc, argv);
+    switch (cmd.kind) {
+      case Command::Kind::Catalog:
+        put(experimentCatalogMarkdown(specs));
+        return 0;
+      case Command::Kind::Check:
+        return checkCatalog(specs, cmd.checkPath);
+      case Command::Kind::List:
+        put(listExperiments(specs));
+        return 0;
+      case Command::Kind::Describe:
+        put(describeExperiment(findSpec(specs, cmd.ids[0])));
+        return 0;
+      case Command::Kind::Run:
+        return runExperiments(specs, cmd);
+    }
+    return 1;
 }
 
 } // namespace
 
 int
-experimentMain(const ExperimentSpec &spec, int argc, char **argv)
+experimentMain(const std::vector<const ExperimentSpec *> &specs,
+               int argc, char **argv)
 {
     // In Throw mode fatal() and the watchdogs raise SimError: inside a
     // grid point the Runner turns it into a FAIL/TIMEOUT cell, and one
-    // raised anywhere else (a bad flag, a render reading an undeclared
-    // point) ends the run here.
+    // raised anywhere else (a bad flag, a tweak failing while a point
+    // is built, a render reading an undeclared point) ends the command
+    // here.
     const FatalMode caller_mode = fatalMode();
     setFatalMode(FatalMode::Throw);
     int rc = 1;
     try {
-        rc = runExperiment(spec, argc, argv);
+        rc = runCommand(specs, argc, argv);
     } catch (const SimError &e) {
         std::fflush(stdout);
         std::fprintf(stderr, "fatal: %s\n", e.what());

@@ -1,23 +1,23 @@
 /**
  * @file experiment.hh
- * Declarative experiment grids: every figure-reproduction binary
- * states its sweep as one ExperimentSpec — axes (workloads x schemes
- * x knob variants), run lengths, and a render callback for its custom
- * table columns — and a single driver expands the spec into Runner
+ * Declarative experiment grids: every figure reproduction states its
+ * sweep as one ExperimentSpec — axes (workloads x schemes x knob
+ * variants), run lengths, and a render callback for its custom table
+ * columns — and one executable expands the specs into Runner
  * enqueues, executes the sweep, and prints the tables.
  *
  * The spec is the only statement of the grid. experimentMain builds
  * every point's SimConfig once (a Sweep); the render callback reads
  * points back by their (workload, scheme, variant) name, never by
  * re-stating a tweak, and the Runner identifies each point by its
- * config fingerprint.
+ * config fingerprint, so a point several specs declare is simulated
+ * once per run.
  *
  * The same registry powers:
- *  - a generic bench main() (bench/experiment_main.cc) giving every
- *    binary --jobs/--warmup/--measure plus --list/--describe,
- *  - the experiment-catalog generator (bench/gen_experiments.cc) that
- *    emits docs/EXPERIMENTS.md, and
- *  - the expansion-parity tests (tests/test_experiment.cc).
+ *  - the one experiment executable, fdip_experiments
+ *    (bench/gen_experiments.cc): `run <id>...`, the catalog
+ *    (docs/EXPERIMENTS.md), --list and --describe, and
+ *  - the expansion-parity and CLI tests (tests/test_experiment.cc).
  */
 
 #ifndef FDIP_SIM_EXPERIMENT_HH
@@ -67,7 +67,6 @@ class Sweep;
 struct ExperimentSpec
 {
     std::string id;       ///< e.g. "R-F9"
-    std::string binary;   ///< bench executable, e.g. "bench_f9_ftq_sweep"
     std::string title;    ///< banner headline
     std::string shape;    ///< banner "expected shape" text
     std::string paperRef; ///< which paper figure/table this reproduces
@@ -138,10 +137,12 @@ class Sweep
         SimConfig cfg;
     };
 
-    /** Materialize every grid point of @p spec and enqueue it on
-     *  @p runner; runner.runPending() then simulates them. A name the
-     *  grids bind to two different machines is fatal. */
-    Sweep(Runner &runner, const ExperimentSpec &spec);
+    /** Materialize every grid point of @p spec at the given run
+     *  lengths and enqueue it on @p runner; runner.runPending() then
+     *  simulates them. A name the grids bind to two different
+     *  machines is fatal. */
+    Sweep(Runner &runner, const ExperimentSpec &spec,
+          std::uint64_t warmup, std::uint64_t measure);
 
     /** Results of a declared point; fatal for a name the spec's grids
      *  never declare. */
@@ -186,19 +187,30 @@ std::string experimentCatalogMarkdown(
     const std::vector<const ExperimentSpec *> &specs);
 
 /**
- * Shared bench main: parses --jobs/--warmup/--measure (run overrides),
- * --list/--describe (spec introspection, no simulation), and
- * --stats-json PATH (machine-readable per-point export after the
- * sweep), prints the banner, expands + runs the sweep, prints the
- * footer, then delegates to spec.render.
+ * The experiment command line, over @p specs (fdip_experiments passes
+ * the whole registry):
+ *
+ *   (no arguments)       print the catalog markdown
+ *   --check PATH         exit 1 if PATH drifts from the catalog
+ *   --list               one summary line per spec
+ *   --describe ID        full description of one spec
+ *   run ID... | run --all [--jobs N] [--warmup N] [--measure N]
+ *                        [--stats-json PATH]
+ *
+ * `run` builds each named spec's Sweep on one Runner, at that spec's
+ * own run lengths unless --warmup/--measure override them, and
+ * simulates every distinct point once. It prints one sweep footer,
+ * then each spec's banner, tables and failed points, in order.
+ * --stats-json exports the per-point metrics of a single spec.
  *
  * Runs in FatalMode::Throw and restores the caller's mode on return.
- * Returns 0 for a clean sweep, 3 when the sweep completed around
- * failed points (FAIL/TIMEOUT cells), and 1 after printing
- * "fatal: ..." for a SimError raised outside any grid point, such as
- * a malformed flag value.
+ * Returns 0 for a clean run, 3 when the sweep completed around failed
+ * points (FAIL/TIMEOUT cells), and 1 after printing "fatal: ..." for
+ * a SimError raised outside any grid point, such as a malformed flag,
+ * an unknown id or a tweak that fails while a point is built.
  */
-int experimentMain(const ExperimentSpec &spec, int argc, char **argv);
+int experimentMain(const std::vector<const ExperimentSpec *> &specs,
+                   int argc, char **argv);
 
 } // namespace fdip
 

@@ -1,6 +1,6 @@
 /**
  * @file report.hh
- * Formatting helpers shared by the benchmark harness binaries, and the
+ * Formatting helpers shared by the experiment tables, and the
  * one text format of a SimResults (serializeResults / parseResults).
  */
 
@@ -18,7 +18,8 @@
 namespace fdip
 {
 
-/** "experiment banner" printed at the top of every bench binary. */
+/** "experiment banner" printed at the top of every experiment's
+ *  tables. */
 std::string experimentBanner(const std::string &id,
                              const std::string &title,
                              const std::string &paper_shape);

@@ -264,7 +264,7 @@ ResultCache::store(std::uint64_t fingerprint, std::uint64_t warmup_insts,
 {
     std::string path = entryPath(fingerprint, warmup_insts,
                                  measure_insts);
-    // Write-then-rename keeps concurrently sharing binaries safe: a
+    // Write-then-rename keeps concurrently sharing processes safe: a
     // reader sees either no entry or a complete one, never a torn
     // write. Same-key writers race benignly (identical content).
     static std::atomic<unsigned long long> serial{0};

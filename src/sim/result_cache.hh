@@ -1,11 +1,10 @@
 /**
  * @file result_cache.hh
- * On-disk cache of completed simulation results, shared across bench
- * binaries.
+ * On-disk cache of completed simulation results, shared across runs.
  *
- * Every figure-reproduction binary re-simulates the same
- * (workload, scheme) baselines; this cache lets a full figure
- * regeneration reuse them across processes. Entries are keyed by
+ * Experiments re-simulate the same (workload, scheme) baselines; one
+ * run simulates each once (the Runner's memo), and this cache lets
+ * later runs reuse them across processes. Entries are keyed by
  * SimConfig::fingerprint() — the order-independent hash of every knob
  * that affects simulated behaviour — plus the run lengths, so an
  * entry produced by a different *config* is never served. The
@@ -16,8 +15,8 @@
  *
  * The cache is enabled by pointing FDIP_CACHE_DIR at a directory;
  * FDIP_NO_CACHE=1 disables it even when the directory is set. Writes
- * are atomic (temp file + rename), so concurrent bench binaries can
- * share one directory.
+ * are atomic (temp file + rename), so concurrent runs can share one
+ * directory.
  *
  * Hardening (docs/ROBUSTNESS.md): corrupt or stale entries are
  * quarantined — renamed aside with a `.bad` suffix and counted — so

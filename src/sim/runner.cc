@@ -309,7 +309,7 @@ Runner::sweepSummary() const
         skip_pct);
     // Two reuse layers, reported separately so they cannot be
     // conflated: "memo hits" were deduped inside this process,
-    // "cache hits" were loaded from the cross-binary disk cache.
+    // "cache hits" were loaded from the cross-run disk cache.
     out += strprintf("reuse: %zu memo hits (in-process dedup); ",
                      numMemoHits);
     if (diskCache) {

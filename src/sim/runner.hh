@@ -1,7 +1,8 @@
 /**
  * @file runner.hh
- * Experiment runner: executes grid points with memoization, so a bench
- * binary never simulates the same machine twice.
+ * Experiment runner: executes grid points with memoization, so one run
+ * never simulates the same machine twice, however many experiments
+ * declare it.
  *
  * A grid point's identity is its SimConfig::fingerprint(), which
  * covers the run lengths: the in-process memo, the on-disk result
@@ -10,17 +11,17 @@
  * one machine share one simulation and no label can be served another
  * machine's results.
  *
- * Grid points are independent simulations, so a bench can enqueue()
- * its whole grid up front and runPending() executes the points on a
+ * Grid points are independent simulations, so a run can enqueue()
+ * every grid up front and runPending() executes the points on a
  * thread pool (--jobs N / FDIP_JOBS, default: hardware concurrency).
  * run() then serves every point from the in-process memo, keeping
  * table output deterministic regardless of execution order.
  *
  * Two reuse layers with distinct names:
  *  - the **memo** (in-process): the per-Runner map that dedups grid
- *    points inside one binary;
+ *    points inside one run;
  *  - the **result cache** (on-disk, sim/result_cache.hh): shares
- *    completed results *across* binaries. Enabled by FDIP_CACHE_DIR;
+ *    completed results *across* runs. Enabled by FDIP_CACHE_DIR;
  *    FDIP_NO_CACHE=1 turns it off.
  */
 
@@ -154,9 +155,6 @@ class Runner
     /** Entries the on-disk cache's size-budget GC evicted at open. */
     std::size_t cacheEvicted() const;
 
-    std::uint64_t warmupInsts() const { return warmup; }
-    std::uint64_t measureInsts() const { return measure; }
-
     std::size_t memoizedRuns() const { return memo.size(); }
     std::size_t pendingRuns() const { return pending.size(); }
 
@@ -234,7 +232,7 @@ class Runner
     /** In-process memo: every completed point, by fingerprint. */
     std::map<std::uint64_t, SimResults> memo;
     std::vector<Point> pending;
-    /** Cross-binary on-disk result cache; nullptr when disabled. */
+    /** Cross-run on-disk result cache; nullptr when disabled. */
     std::unique_ptr<ResultCache> diskCache = ResultCache::fromEnv();
 
     /** Reuse counters (whole Runner lifetime). */

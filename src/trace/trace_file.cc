@@ -16,15 +16,6 @@ namespace
 /** Read-buffer size: bounded memory however long the trace is. */
 constexpr std::size_t kReadBufBytes = 64 * 1024;
 
-/**
- * Code-range reserve reported for v1 files, whose header predates the
- * range fields: base matches the synthetic Program default, and the
- * span is generous enough for every workload the v1 writer ever
- * produced (docs/TRACES.md).
- */
-constexpr Addr kV1CodeBase = 0x400000;
-constexpr std::uint64_t kV1CodeReserveBytes = 32ULL * 1024 * 1024;
-
 [[noreturn]] void
 corrupt(const std::string &path, const char *fmt, ...)
 {
@@ -160,31 +151,13 @@ TraceFileReader::TraceFileReader(const std::string &path)
     if (file == nullptr)
         throw SimError("cannot open trace file '" + path + "'");
 
-    // The two header layouts share their first 24 bytes; read those,
-    // then the v2 tail once the version is known.
-    TraceFileHeaderV1 common;
-    if (std::fread(&common, sizeof(common), 1, file) != 1)
+    if (std::fread(&header, sizeof(header), 1, file) != 1)
         corrupt(path_, "too short for a header");
-    if (common.magic != traceFileMagic)
+    if (header.magic != traceFileMagic)
         corrupt(path_, "not a trace file (bad magic)");
-    header.magic = common.magic;
-    header.version = common.version;
-    header.reserved = common.reserved;
-    header.numInsts = common.numInsts;
-    if (common.version == 1) {
-        headerBytes = sizeof(TraceFileHeaderV1);
-        header.codeBase = kV1CodeBase;
-        header.codeEnd = kV1CodeBase + kV1CodeReserveBytes;
-    } else if (common.version == traceFileVersion) {
-        headerBytes = sizeof(TraceFileHeader);
-        std::uint64_t range[2];
-        if (std::fread(range, sizeof(range), 1, file) != 1)
-            corrupt(path_, "too short for a v2 header");
-        header.codeBase = range[0];
-        header.codeEnd = range[1];
-    } else {
-        corrupt(path_, "version %u unsupported (reader knows 1 and %u)",
-                common.version, traceFileVersion);
+    if (header.version != traceFileVersion) {
+        corrupt(path_, "version %u unsupported (reader knows %u)",
+                header.version, traceFileVersion);
     }
     if (header.numInsts == 0)
         corrupt(path_, "empty (zero instructions)");
@@ -199,7 +172,7 @@ TraceFileReader::~TraceFileReader()
 void
 TraceFileReader::rewindToFirstRecord()
 {
-    if (std::fseek(file, static_cast<long>(headerBytes), SEEK_SET) != 0)
+    if (std::fseek(file, static_cast<long>(sizeof(header)), SEEK_SET) != 0)
         corrupt(path_, "seek failed");
     bufPos = 0;
     bufLen = 0;
@@ -231,25 +204,15 @@ TraceFileReader::readBytes(void *out, std::size_t n)
 }
 
 TraceInstr
-TraceFileReader::decodeV1()
+TraceFileReader::next()
 {
-    TraceFileRecordV1 rec;
-    readBytes(&rec, sizeof(rec));
-    if (rec.cls > static_cast<std::uint8_t>(InstClass::IndCall)) {
-        corrupt(path_, "corrupt record %llu (class %u)",
-                static_cast<unsigned long long>(position), rec.cls);
-    }
-    TraceInstr ti;
-    ti.pc = rec.pc;
-    ti.target = rec.target;
-    ti.cls = static_cast<InstClass>(rec.cls);
-    ti.taken = rec.taken != 0;
-    return ti;
-}
+    FaultInjector &faults = FaultInjector::instance();
+    if (faults.any())
+        faults.maybeTruncateTrace(position, path_);
 
-TraceInstr
-TraceFileReader::decodeV2()
-{
+    if (position == header.numInsts)
+        rewindToFirstRecord();
+
     TraceFileRecordV2 rec;
     readBytes(&rec, sizeof(rec));
     if ((rec.pcAndFlags & 0x2) != 0 || rec.reserved != 0 ||
@@ -287,21 +250,6 @@ TraceFileReader::decodeV2()
         }
         ti.target = invalidAddr;
     }
-    return ti;
-}
-
-TraceInstr
-TraceFileReader::next()
-{
-    FaultInjector &faults = FaultInjector::instance();
-    if (faults.any())
-        faults.maybeTruncateTrace(position, path_);
-
-    if (position == header.numInsts)
-        rewindToFirstRecord();
-
-    TraceInstr ti =
-        header.version == 1 ? decodeV1() : decodeV2();
     ++position;
     return ti;
 }

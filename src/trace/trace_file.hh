@@ -7,13 +7,9 @@
  * converted — see trace/champsim.hh) traces drive the simulator
  * exactly like the synthetic executor.
  *
- * Two format versions share one magic:
+ * One format version, 2; the reader rejects every other:
  *
- *  v1 (legacy, read-only): 24-byte header {magic, version, reserved,
- *     numInsts}; fixed 24-byte records {u64 pc, u64 target, u8 cls,
- *     u8 taken, pad[6]}. No code-range metadata.
- *
- *  v2 (current, written by TraceFileWriter): 40-byte header that adds
+ *  v2 (written by TraceFileWriter): 40-byte header that carries
  *     the code range the trace's PCs inhabit — {u64 magic,
  *     u32 version=2, u32 reserved, u64 numInsts, u64 codeBase,
  *     u64 codeEnd} — so a replaying simulator can build its MMU page
@@ -54,24 +50,13 @@
 namespace fdip
 {
 
-/** Magic bytes at the start of every trace file (all versions). */
+/** Magic bytes at the start of every trace file. */
 constexpr std::uint64_t traceFileMagic = 0x46444950'54524331ULL;
 
-/** Current (written) trace-file format version. */
+/** The trace-file format version, the only one read or written. */
 constexpr std::uint32_t traceFileVersion = 2;
 
-/** v1 header: no code-range metadata. Retained for reading. */
-struct TraceFileHeaderV1
-{
-    std::uint64_t magic = traceFileMagic;
-    std::uint32_t version = 1;
-    std::uint32_t reserved = 0;
-    std::uint64_t numInsts = 0;
-};
-
-static_assert(sizeof(TraceFileHeaderV1) == 24, "v1 header layout");
-
-/** v2 header: adds the code range [codeBase, codeEnd) of the PCs. */
+/** v2 header, with the code range [codeBase, codeEnd) of the PCs. */
 struct TraceFileHeader
 {
     std::uint64_t magic = traceFileMagic;
@@ -83,18 +68,6 @@ struct TraceFileHeader
 };
 
 static_assert(sizeof(TraceFileHeader) == 40, "v2 header layout");
-
-/** v1 record: plain (pc, target, cls, taken). Retained for reading. */
-struct TraceFileRecordV1
-{
-    std::uint64_t pc;
-    std::uint64_t target;
-    std::uint8_t cls;
-    std::uint8_t taken;
-    std::uint8_t pad[6];
-};
-
-static_assert(sizeof(TraceFileRecordV1) == 24, "v1 record layout");
 
 /** v2 record: delta-encoded; see the file comment for field rules. */
 struct TraceFileRecordV2
@@ -170,8 +143,8 @@ class FileTraceSource : public TraceSource
 };
 
 /**
- * Replays a recorded trace (v1 or v2) through a fixed-size read
- * buffer. When the stream is exhausted the reader loops back to the
+ * Replays a recorded v2 trace through a fixed-size read buffer.
+ * When the stream is exhausted the reader loops back to the
  * first record (experiments need endless streams); loopCount()
  * reports how often that happened. Every structural defect — bad
  * magic, unknown version, truncated stream, corrupt record fields —
@@ -190,10 +163,8 @@ class TraceFileReader : public FileTraceSource
 
     std::uint64_t numInsts() const { return header.numInsts; }
     std::uint64_t loopCount() const { return loops; }
-    std::uint32_t version() const { return header.version; }
 
-    /** v2: from the header. v1 files carry no range; a fixed reserve
-     *  region is reported instead (see trace_file.cc). */
+    /** The code range, from the header. */
     Addr codeBase() const override { return header.codeBase; }
     Addr codeEnd() const override { return header.codeEnd; }
 
@@ -202,12 +173,9 @@ class TraceFileReader : public FileTraceSource
     /** Copy @p n bytes out of the read buffer, refilling from the
      *  file as needed; SimError on short read. */
     void readBytes(void *out, std::size_t n);
-    TraceInstr decodeV1();
-    TraceInstr decodeV2();
 
     std::FILE *file = nullptr;
     TraceFileHeader header;
-    std::size_t headerBytes = 0;
     std::uint64_t position = 0;
     std::uint64_t loops = 0;
     std::string path_;

@@ -159,7 +159,7 @@ TEST(ResultCache, HitParityVsFreshSimulation)
     const SimResults &fresh =
         producer.run("gcc", PrefetchScheme::FdpRemove);
 
-    // Consumer: a separate Runner ("another binary") sharing the dir.
+    // Consumer: a separate Runner ("another run") sharing the dir.
     Runner consumer(10 * 1000, 30 * 1000);
     consumer.setCacheDir(dir);
     consumer.setJobs(1);

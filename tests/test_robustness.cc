@@ -701,7 +701,6 @@ tinySpec()
 {
     ExperimentSpec spec;
     spec.id = "T-ROBUST";
-    spec.binary = "test_robustness";
     spec.title = "robustness exit-code probe";
     spec.shape = "n/a";
     spec.paperRef = "n/a";
@@ -716,15 +715,20 @@ tinySpec()
     return spec;
 }
 
+/** `run <id>` over @p spec alone. */
+int
+runSpec(const ExperimentSpec &spec)
+{
+    const char *argv[] = {"test_robustness", "run", spec.id.c_str()};
+    return experimentMain({&spec}, 3, const_cast<char **>(argv));
+}
+
 } // namespace
 
 TEST_F(Robustness, ExperimentExitCodeDistinguishesFailedSweeps)
 {
-    const char *argv[] = {"test_robustness"};
-    auto args = const_cast<char **>(argv);
-
     ::testing::internal::CaptureStdout();
-    int clean_rc = experimentMain(tinySpec(), 1, args);
+    int clean_rc = runSpec(tinySpec());
     std::string clean_out = ::testing::internal::GetCapturedStdout();
     EXPECT_EQ(clean_rc, 0);
     EXPECT_EQ(clean_out.find("failed points:"), std::string::npos);
@@ -732,7 +736,7 @@ TEST_F(Robustness, ExperimentExitCodeDistinguishesFailedSweeps)
     FaultInjector::instance().configure("throw@0");
     ::testing::internal::CaptureStdout();
     ::testing::internal::CaptureStderr();
-    int faulted_rc = experimentMain(tinySpec(), 1, args);
+    int faulted_rc = runSpec(tinySpec());
     ::testing::internal::GetCapturedStderr();
     std::string faulted_out = ::testing::internal::GetCapturedStdout();
     FaultInjector::instance().reset();
@@ -753,11 +757,9 @@ TEST_F(Robustness, ExperimentExitCodeCoversTraceStreamDeath)
     spec.grids[0].workloads = {"trace:" + path};
 
     FaultInjector::instance().configure("truncate-trace@0x1000");
-    const char *argv[] = {"test_robustness"};
-    auto args = const_cast<char **>(argv);
     ::testing::internal::CaptureStdout();
     ::testing::internal::CaptureStderr();
-    int rc = experimentMain(spec, 1, args);
+    int rc = runSpec(spec);
     ::testing::internal::GetCapturedStderr();
     std::string out = ::testing::internal::GetCapturedStdout();
     FaultInjector::instance().reset();
@@ -777,11 +779,9 @@ TEST_F(Robustness, ExperimentIsolatesWatchdogExpiry)
     spec.grids[0].variants = {{"ceiling", "100-cycle ceiling",
                                [](SimConfig &c) { c.maxCycles = 100; }}};
 
-    const char *argv[] = {"test_robustness"};
-    auto args = const_cast<char **>(argv);
     ::testing::internal::CaptureStdout();
     ::testing::internal::CaptureStderr();
-    int rc = experimentMain(spec, 1, args);
+    int rc = runSpec(spec);
     ::testing::internal::GetCapturedStderr();
     std::string out = ::testing::internal::GetCapturedStdout();
 

@@ -518,7 +518,7 @@ TEST(TlbHierarchy, SimulatorRunsTranslatedWithHierarchyAndPrefetch)
 TEST(TlbHierarchy, MoreWalkersAndBiggerL2NeverSlowTheMachine)
 {
     // Monotonicity smoke: widening either hierarchy axis must not
-    // lose IPC (the full sweep is bench_x16_tlb_hierarchy).
+    // lose IPC (the full sweep is R-X16).
     auto run = [](unsigned l2, unsigned walkers) {
         SimConfig cfg =
             makeBaselineConfig("gcc", PrefetchScheme::FdpRemove);

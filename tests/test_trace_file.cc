@@ -1,4 +1,4 @@
-/** Tests for binary trace record/replay (v1 + v2 formats). */
+/** Tests for binary trace record/replay (the v2 format). */
 
 #include <gtest/gtest.h>
 
@@ -34,17 +34,14 @@ miniProfile()
 
 } // namespace
 
-// The on-disk layouts are a compatibility contract: pin both versions'
-// header/record sizes and the v2 field rules so drift between the doc
-// in trace_file.hh and the shipped structs cannot recur.
-TEST(TraceFile, PinsBothFormatVersions)
+// The on-disk layout is a compatibility contract: pin the header and
+// record sizes and the field rules so drift between the doc in
+// trace_file.hh and the shipped structs cannot recur.
+TEST(TraceFile, PinsFormatLayout)
 {
-    EXPECT_EQ(sizeof(TraceFileHeaderV1), 24u);
-    EXPECT_EQ(sizeof(TraceFileRecordV1), 24u);
     EXPECT_EQ(sizeof(TraceFileHeader), 40u);
     EXPECT_EQ(sizeof(TraceFileRecordV2), 16u);
     EXPECT_EQ(traceFileVersion, 2u);
-    EXPECT_EQ(TraceFileHeaderV1{}.magic, traceFileMagic);
     EXPECT_EQ(TraceFileHeader{}.magic, traceFileMagic);
     EXPECT_EQ(traceRecordHasTarget, 1ull);
     EXPECT_EQ(traceFarTargetSentinel,
@@ -59,10 +56,16 @@ TEST(TraceFile, RoundTripPreservesInstructions)
     writeTraceFile(tmp.path, writer_src, 500, prog->base,
                    prog->codeEnd());
 
+    TraceFileHeader written;
+    std::FILE *f = std::fopen(tmp.path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fread(&written, sizeof(written), 1, f), 1u);
+    std::fclose(f);
+    EXPECT_EQ(written.version, traceFileVersion);
+
     SyntheticExecutor ref(*prog, miniProfile());
     TraceFileReader reader(tmp.path);
     EXPECT_EQ(reader.numInsts(), 500u);
-    EXPECT_EQ(reader.version(), traceFileVersion);
     EXPECT_EQ(reader.codeBase(), prog->base);
     EXPECT_EQ(reader.codeEnd(), prog->codeEnd());
     for (int i = 0; i < 500; ++i) {
@@ -136,14 +139,18 @@ TEST(TraceFile, RejectsTruncatedHeader)
     EXPECT_THROW({ TraceFileReader r(tmp.path); }, SimError);
 }
 
+// Version 1 (24-byte header, no code range) is no longer read either.
 TEST(TraceFile, RejectsUnsupportedVersion)
 {
-    TempPath tmp("badver");
-    TraceFileHeader h;
-    h.version = 99;
-    h.numInsts = 1;
-    std::FILE *f = std::fopen(tmp.path.c_str(), "wb");
-    std::fwrite(&h, sizeof(h), 1, f);
-    std::fclose(f);
-    EXPECT_THROW({ TraceFileReader r(tmp.path); }, SimError);
+    for (std::uint32_t version : {1u, 99u}) {
+        TempPath tmp("badver");
+        TraceFileHeader h;
+        h.version = version;
+        h.numInsts = 1;
+        std::FILE *f = std::fopen(tmp.path.c_str(), "wb");
+        std::fwrite(&h, sizeof(h), 1, f);
+        std::fclose(f);
+        EXPECT_THROW({ TraceFileReader r(tmp.path); }, SimError)
+            << "version " << version;
+    }
 }

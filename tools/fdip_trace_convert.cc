@@ -1,15 +1,13 @@
 /**
  * @file fdip_trace_convert.cc
- * Convert a trace into the native v2 format (docs/TRACES.md):
+ * Convert a ChampSim trace into the native v2 format (docs/TRACES.md):
  *
  *   fdip_trace_convert --in workload.champsim.trace.xz \
  *       --out workload.fdip.trace [--max-insts <n>]
  *
- * ChampSim inputs stream through the canonicalizing reader (one full
- * pass unless capped); native v1 inputs are rewritten record for
- * record, gaining the v2 delta encoding and code-range header. The
- * output header's code range is backpatched to the tight extent the
- * input actually used.
+ * The input streams through the canonicalizing reader (one full pass
+ * unless capped). The output header's code range is backpatched to the
+ * tight extent the input actually used.
  */
 
 #include <cstdio>
@@ -63,45 +61,33 @@ main(int argc, char **argv)
     }
     if (in.empty() || out.empty() || max_insts == 0)
         usage(argv[0]);
+    if (!fdip::isChampSimTracePath(in)) {
+        std::fprintf(stderr, "%s: '%s' is not a ChampSim trace "
+                     "(*.champsim.trace or *.champsimtrace, optionally "
+                     ".xz/.gz)\n", argv[0], in.c_str());
+        return 1;
+    }
 
     try {
         fdip::TraceFileWriter writer(out);
-        fdip::Addr code_base = 0;
-        fdip::Addr code_end = 0;
-
-        if (fdip::isChampSimTracePath(in)) {
-            fdip::ChampSimTraceReader reader(in);
-            // One full pass over the source: the reader loops
-            // seamlessly, so stop when it enters its second pass and
-            // the canonical instructions of the first are drained.
-            while (writer.written() < max_insts &&
-                   (reader.sourcePasses() == 0 || reader.hasPending())) {
-                writer.append(reader.next());
-            }
-            code_base = reader.codeBase();
-            code_end = reader.allocatedEnd();
-            std::printf("converted %llu champsim records -> %llu "
-                        "canonical insts\n",
-                        static_cast<unsigned long long>(
-                            reader.recordsRead()),
-                        static_cast<unsigned long long>(writer.written()));
-        } else {
-            fdip::TraceFileReader reader(in);
-            std::uint64_t n = std::min(max_insts, reader.numInsts());
-            for (std::uint64_t i = 0; i < n; ++i)
-                writer.append(reader.next());
-            code_base = reader.codeBase();
-            code_end = reader.codeEnd();
-            std::printf("rewrote %llu insts (input v%u -> v%u)\n",
-                        static_cast<unsigned long long>(n),
-                        reader.version(), fdip::traceFileVersion);
+        fdip::ChampSimTraceReader reader(in);
+        // One full pass over the source: the reader loops seamlessly,
+        // so stop when it enters its second pass and the canonical
+        // instructions of the first are drained.
+        while (writer.written() < max_insts &&
+               (reader.sourcePasses() == 0 || reader.hasPending())) {
+            writer.append(reader.next());
         }
+        std::printf("converted %llu champsim records -> %llu "
+                    "canonical insts\n",
+                    static_cast<unsigned long long>(reader.recordsRead()),
+                    static_cast<unsigned long long>(writer.written()));
 
-        writer.setCodeRange(code_base, code_end);
+        writer.setCodeRange(reader.codeBase(), reader.allocatedEnd());
         writer.close();
         std::printf("wrote %s (code [%#llx, %#llx))\n", out.c_str(),
-                    static_cast<unsigned long long>(code_base),
-                    static_cast<unsigned long long>(code_end));
+                    static_cast<unsigned long long>(reader.codeBase()),
+                    static_cast<unsigned long long>(reader.allocatedEnd()));
     } catch (const fdip::SimError &e) {
         std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
         return 1;
