@@ -31,10 +31,11 @@ main(int argc, char **argv)
             cfg.ftqEntries = depth;
         };
         std::string key = "d" + std::to_string(depth);
-        double sp = runner.speedup(workload, PrefetchScheme::FdpRemove,
-                                   key, tweak);
+        const SimResults &base =
+            runner.run(workload, PrefetchScheme::None, key, tweak);
         const SimResults &r = runner.run(
             workload, PrefetchScheme::FdpRemove, key, tweak);
+        double sp = speedupOver(base, r);
         t.addRow({AsciiTable::integer(depth),
                   AsciiTable::pct(sp),
                   AsciiTable::pct(r.prefetchCoverage),

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/logging.hh"
 
@@ -47,6 +48,13 @@ envUint(const char *name, std::uint64_t fallback,
         return fallback;
     }
     return v;
+}
+
+bool
+envFlag(const char *name)
+{
+    const char *env = std::getenv(name);
+    return env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0;
 }
 
 } // namespace fdip

@@ -1,13 +1,14 @@
 /**
  * @file env.hh
- * Shared, validated parsing of unsigned integers from the outside: the
- * FDIP_* environment knobs and the bench command-line flags.
+ * Shared parsing of values from the outside: the FDIP_* environment
+ * knobs and the bench command-line flags.
  *
  * Every numeric knob goes through envUint() so a malformed value (a
  * typo, a stray unit suffix, a negative number) is surfaced as one
  * clear warn() naming the variable, the rejected text, and the
  * documented fallback — never silently accepted the way atoi-style
- * parsing would. See docs/ENVVARS.md for the knob catalog.
+ * parsing would. Every on/off knob goes through envFlag(). See
+ * docs/ENVVARS.md for the knob catalog.
  */
 
 #ifndef FDIP_COMMON_ENV_HH
@@ -34,6 +35,10 @@ std::optional<std::uint64_t> parseUint(const char *text);
  */
 std::uint64_t envUint(const char *name, std::uint64_t fallback,
                       std::uint64_t min_value = 0);
+
+/** The environment variable @p name as a switch: unset, empty or "0"
+ *  is off, any other value is on. */
+bool envFlag(const char *name);
 
 } // namespace fdip
 

@@ -57,8 +57,9 @@ struct ExperimentGrid
     std::vector<std::string> workloads;
     std::vector<PrefetchScheme> schemes;
     std::vector<TweakVariant> variants;
-    /** true: enqueueSpeedup() (adds the no-prefetch baseline each
-     *  speedup() needs); false: plain enqueue(). */
+    /** true: each (workload, scheme, variant) point also enqueues its
+     *  no-prefetch baseline, which Sweep::speedup() divides by;
+     *  false: only the listed schemes. */
     bool withBaseline = true;
 };
 

@@ -15,7 +15,6 @@
 
 #include "common/build_id.hh"
 #include "common/env.hh"
-#include "common/fault.hh"
 #include "common/fnv.hh"
 #include "common/logging.hh"
 #include "sim/report.hh"
@@ -202,10 +201,8 @@ ResultCache::collectGarbage(std::uint64_t budget_bytes)
 std::unique_ptr<ResultCache>
 ResultCache::fromEnv()
 {
-    if (const char *off = std::getenv("FDIP_NO_CACHE")) {
-        if (*off != '\0' && std::strcmp(off, "0") != 0)
-            return nullptr;
-    }
+    if (envFlag("FDIP_NO_CACHE"))
+        return nullptr;
     const char *dir = std::getenv("FDIP_CACHE_DIR");
     if (!dir || *dir == '\0')
         return nullptr;
@@ -273,10 +270,6 @@ ResultCache::store(std::uint64_t fingerprint, std::uint64_t warmup_insts,
                                 serial.fetch_add(1) + 1);
     std::string text = encodeCacheEntry(fingerprint, warmup_insts,
                                         measure_insts, r);
-    if (FaultInjector::instance().corruptThisStore()) {
-        warn("fault injection: tearing cache entry '%s'", path.c_str());
-        text.resize(text.size() / 2);
-    }
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out) {

@@ -10,7 +10,6 @@
 
 #include "common/env.hh"
 #include "common/error.hh"
-#include "common/fault.hh"
 #include "common/logging.hh"
 #include "sim/report.hh"
 
@@ -69,10 +68,6 @@ Runner::Outcome
 Runner::computePoint(const Point &p) const
 {
     try {
-        // Declare the point to the fault injector for the duration of
-        // the simulation; with FDIP_FAULT unset this is two
-        // thread-local stores.
-        FaultInjector::PointScope scope(p.index);
         Outcome o;
         const SimConfig &cfg = p.cfg;
         // A loaded entry carries no host gauges: sweep footers account
@@ -98,9 +93,8 @@ Runner::computePoint(const Point &p) const
         // sentinels are NaNs (the timed-out one tagged) so derived
         // ratios/means degrade to NaN as well.
         bool timed_out = dynamic_cast<const SimTimeout *>(&e) != nullptr;
-        warn("point %zu (%s, %s, '%s') failed: %s", p.index,
-             p.cfg.workload.c_str(), schemeName(p.cfg.scheme),
-             p.variant.c_str(), e.what());
+        warn("point (%s, %s, '%s') failed: %s", p.cfg.workload.c_str(),
+             schemeName(p.cfg.scheme), p.variant.c_str(), e.what());
         double s = timed_out ? timedOutSentinel() : failedSentinel();
         Outcome o;
         o.results.workload = p.cfg.workload;
@@ -166,7 +160,7 @@ Runner::run(const SimConfig &cfg, const std::string &variant)
     if (it != memo.end())
         return it->second;
 
-    Point p{cfg, fp, variant, nextPointIndex++};
+    Point p{cfg, fp, variant};
     Outcome o = computePoint(p);
     accountCacheOutcome(o);
     recordHealth(p, o);
@@ -184,7 +178,7 @@ Runner::enqueue(const SimConfig &cfg, const std::string &variant)
         ++numMemoHits;
         return;
     }
-    pending.push_back(Point{cfg, fp, variant, nextPointIndex++});
+    pending.push_back(Point{cfg, fp, variant});
 }
 
 const SimResults &
@@ -195,29 +189,11 @@ Runner::run(const std::string &workload, PrefetchScheme scheme,
                variant);
 }
 
-double
-Runner::speedup(const std::string &workload, PrefetchScheme scheme,
-                const std::string &variant, const Tweak &tweak)
-{
-    const SimResults &base =
-        run(workload, PrefetchScheme::None, variant, tweak);
-    const SimResults &with = run(workload, scheme, variant, tweak);
-    return speedupOver(base, with);
-}
-
 void
 Runner::enqueue(const std::string &workload, PrefetchScheme scheme,
                 const std::string &variant, const Tweak &tweak)
 {
     enqueue(gridConfig(workload, scheme, warmup, measure, tweak), variant);
-}
-
-void
-Runner::enqueueSpeedup(const std::string &workload, PrefetchScheme scheme,
-                       const std::string &variant, const Tweak &tweak)
-{
-    enqueue(workload, PrefetchScheme::None, variant, tweak);
-    enqueue(workload, scheme, variant, tweak);
 }
 
 std::vector<std::uint64_t>

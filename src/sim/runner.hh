@@ -104,23 +104,10 @@ class Runner
                           const std::string &variant = "",
                           const Tweak &tweak = nullptr);
 
-    /** Speedup of (workload, scheme [, tweak]) over the no-prefetch
-     *  baseline with the same tweak applied. */
-    double speedup(const std::string &workload, PrefetchScheme scheme,
-                   const std::string &variant = "",
-                   const Tweak &tweak = nullptr);
-
     /** enqueue() of the gridConfig() for (workload, scheme, tweak). */
     void enqueue(const std::string &workload, PrefetchScheme scheme,
                  const std::string &variant = "",
                  const Tweak &tweak = nullptr);
-
-    /** enqueue() both the scheme point and its no-prefetch baseline,
-     *  as speedup() will request them. */
-    void enqueueSpeedup(const std::string &workload,
-                        PrefetchScheme scheme,
-                        const std::string &variant = "",
-                        const Tweak &tweak = nullptr);
 
     /**
      * Execute all queued points and memoize their results. Points run
@@ -193,9 +180,6 @@ class Runner
         SimConfig cfg;
         std::uint64_t fingerprint = 0;
         std::string variant;
-        /** Deterministic distinct-point ordinal (enqueue/run order);
-         *  the index FDIP_FAULT's throw@/hang@ faults address. */
-        std::size_t index = 0;
     };
 
     /** One executed-or-loaded grid point. */
@@ -247,9 +231,6 @@ class Runner
     /** Idle-skip totals over the batch (simulated cycles). */
     std::uint64_t sweepSkippedCycles = 0;
     std::uint64_t sweepTotalCycles = 0;
-
-    /** Next Point::index (distinct points only, enqueue/run order). */
-    std::size_t nextPointIndex = 0;
 
     /** Failure isolation (whole Runner lifetime). */
     std::vector<FailedPoint> failed;

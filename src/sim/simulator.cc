@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <limits>
 
 #include "common/env.hh"
 #include "common/error.hh"
-#include "common/fault.hh"
 #include "common/logging.hh"
 #include "obs/telemetry.hh"
 #include "trace/champsim.hh"
@@ -19,16 +17,6 @@ namespace fdip
 
 namespace
 {
-
-/** FDIP_NO_SKIP=1 (anything but "" / "0") forces per-cycle ticking. */
-bool
-envForceTick()
-{
-    const char *env = std::getenv("FDIP_NO_SKIP");
-    if (env == nullptr || env[0] == '\0')
-        return false;
-    return !(env[0] == '0' && env[1] == '\0');
-}
 
 constexpr const char kTracePrefix[] = "trace:";
 
@@ -80,7 +68,7 @@ Simulator::Simulator(const SimConfig &config)
         cores_.push_back(std::move(c));
     }
 
-    forceTick = cfg.forceTick || envForceTick();
+    forceTick = cfg.forceTick || envFlag("FDIP_NO_SKIP");
 
     ObsConfig obs = cfg.obs;
     obs.applyEnv();
@@ -463,14 +451,6 @@ Simulator::run()
     auto host_start = std::chrono::steady_clock::now();
     double wall_limit_s =
         static_cast<double>(envUint("FDIP_SIM_TIMEOUT_S", 0));
-
-    // Fault-injection hooks (no-ops unless FDIP_FAULT armed a fault
-    // for the sweep point this thread declared via PointScope).
-    FaultInjector &faults = FaultInjector::instance();
-    if (faults.any()) {
-        faults.maybeThrow();
-        faults.maybeHang(wall_limit_s);
-    }
 
     std::uint64_t total_insts = cfg.warmupInsts + cfg.measureInsts;
     Cycle cycle_cap = static_cast<Cycle>(

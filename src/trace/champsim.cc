@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/error.hh"
-#include "common/fault.hh"
 #include "common/logging.hh"
 
 namespace fdip
@@ -407,10 +406,6 @@ ChampSimTraceReader::readRecord(ChampSimRecord &rec)
 TraceInstr
 ChampSimTraceReader::next()
 {
-    FaultInjector &faults = FaultInjector::instance();
-    if (faults.any())
-        faults.maybeTruncateTrace(rawRecords, path_);
-
     while (pending.empty())
         refill();
     TraceInstr ti = pending.front();

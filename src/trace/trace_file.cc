@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/error.hh"
-#include "common/fault.hh"
 #include "common/logging.hh"
 
 namespace fdip
@@ -206,10 +205,6 @@ TraceFileReader::readBytes(void *out, std::size_t n)
 TraceInstr
 TraceFileReader::next()
 {
-    FaultInjector &faults = FaultInjector::instance();
-    if (faults.any())
-        faults.maybeTruncateTrace(position, path_);
-
     if (position == header.numInsts)
         rewindToFirstRecord();
 

@@ -150,12 +150,12 @@ TEST(ExperimentExpansion, MatchesHandWrittenMirror)
     mirror.disableCache();
     for (unsigned entries : {2u, 4u, 8u, 16u, 32u, 64u}) {
         for (const auto &name : largeFootprintNames()) {
-            mirror.enqueueSpeedup(
-                name, PrefetchScheme::FdpRemove,
-                "ftq" + std::to_string(entries),
-                [entries](SimConfig &cfg) {
-                    cfg.ftqEntries = entries;
-                });
+            auto ftq = [entries](SimConfig &cfg) {
+                cfg.ftqEntries = entries;
+            };
+            std::string key = "ftq" + std::to_string(entries);
+            mirror.enqueue(name, PrefetchScheme::None, key, ftq);
+            mirror.enqueue(name, PrefetchScheme::FdpRemove, key, ftq);
         }
     }
 

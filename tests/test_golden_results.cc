@@ -16,13 +16,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/env.hh"
 #include "sim/presets.hh"
 #include "sim/report.hh"
 #include "sim/runner.hh"
@@ -117,9 +117,7 @@ TEST(GoldenResults, GridMatchesCheckedInBaseline)
 {
     std::string got = renderGrid();
 
-    const char *update = std::getenv("FDIP_UPDATE_GOLDEN");
-    if (update != nullptr && update[0] != '\0' &&
-        !(update[0] == '0' && update[1] == '\0')) {
+    if (envFlag("FDIP_UPDATE_GOLDEN")) {
         std::ofstream out(kGoldenPath, std::ios::binary);
         ASSERT_TRUE(out.good()) << "cannot write " << kGoldenPath;
         out << got;

@@ -43,10 +43,11 @@ TEST(Runner, DistinctTweakKeysDistinctRuns)
 TEST(Runner, SpeedupAgainstBaseline)
 {
     Runner r(20 * 1000, 80 * 1000);
-    double s = r.speedup("gcc", PrefetchScheme::FdpRemove);
+    const SimResults &base = r.run("gcc", PrefetchScheme::None);
+    double s = speedupOver(base, r.run("gcc", PrefetchScheme::FdpRemove));
     EXPECT_GT(s, 0.0);
     // Baseline against itself is zero.
-    EXPECT_DOUBLE_EQ(r.speedup("gcc", PrefetchScheme::None), 0.0);
+    EXPECT_DOUBLE_EQ(speedupOver(base, base), 0.0);
 }
 
 TEST(Runner, EnqueueThenRunPendingFillsMemo)
@@ -71,10 +72,11 @@ TEST(Runner, EnqueueThenRunPendingFillsMemo)
     EXPECT_EQ(r.pendingRuns(), 0u);
 }
 
-TEST(Runner, EnqueueSpeedupQueuesBaseline)
+TEST(Runner, SchemeAndItsBaselineAreTwoPoints)
 {
     Runner r(20 * 1000, 60 * 1000);
-    r.enqueueSpeedup("li", PrefetchScheme::FdpRemove);
+    r.enqueue("li", PrefetchScheme::None);
+    r.enqueue("li", PrefetchScheme::FdpRemove);
     EXPECT_EQ(r.pendingRuns(), 2u); // scheme + no-prefetch baseline
 }
 

@@ -9,13 +9,13 @@
  * component's nextEventCycle()/chargeIdleCycles() pair.
  */
 
-#include <cstdlib>
 #include <random>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/env.hh"
 #include "sim/presets.hh"
 #include "sim/report.hh"
 #include "sim/runner.hh"
@@ -48,16 +48,6 @@ firstDiff(const std::string &a, const std::string &b)
     }
     return a.size() == b.size() ? "(no line diff found)"
                                 : "(outputs differ in length)";
-}
-
-/** True when FDIP_NO_SKIP already forces ticking process-wide (the
- *  CI re-run); skip-side assertions are vacuous in that case. */
-bool
-envNoSkip()
-{
-    const char *env = std::getenv("FDIP_NO_SKIP");
-    return env != nullptr && env[0] != '\0' &&
-        !(env[0] == '0' && env[1] == '\0');
 }
 
 template <typename T>
@@ -176,7 +166,7 @@ TEST(TickSkip, DifferentialParityAcrossRandomizedMatrix)
     }
     // The matrix must actually exercise the fast path, or the parity
     // assertions above prove nothing.
-    if (!envNoSkip()) {
+    if (!envFlag("FDIP_NO_SKIP")) {
         EXPECT_GT(total_skipped, 0u);
     }
 }
@@ -233,7 +223,7 @@ TEST(TickSkip, ForceTickDisablesSkipping)
 
 TEST(TickSkip, StallHeavyConfigSkipsMostCycles)
 {
-    if (envNoSkip())
+    if (envFlag("FDIP_NO_SKIP"))
         GTEST_SKIP() << "FDIP_NO_SKIP forces per-cycle ticking";
     // ITLB Wait policy with a long walk and a tiny ITLB: fetch spends
     // most of its time stalled on page walks, which is exactly the

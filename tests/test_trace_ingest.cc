@@ -28,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/env.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
 #include "sim/presets.hh"
@@ -196,9 +197,7 @@ TEST(ChampSimDecode, GoldenFixtureDecode)
     for (const TraceInstr &ti : decodeFixture(84))
         got += formatInstr(ti);
 
-    const char *update = std::getenv("FDIP_UPDATE_GOLDEN");
-    if (update != nullptr && update[0] != '\0' &&
-        !(update[0] == '0' && update[1] == '\0')) {
+    if (envFlag("FDIP_UPDATE_GOLDEN")) {
         std::ofstream out(kGoldenPath, std::ios::binary);
         ASSERT_TRUE(out.good()) << "cannot write " << kGoldenPath;
         out << got;
