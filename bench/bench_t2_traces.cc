@@ -150,8 +150,7 @@ makeSpec()
                 /*withBaseline=*/true}};
     s.notes =
         "set FDIP_TRACE_PATHS=<path>[:<path>...] to sweep your own "
-        "traces; results cache on the trace *path*, so replace the "
-        "file rather than editing in place (docs/TRACES.md)";
+        "traces (docs/TRACES.md)";
 
     s.render = [workloads, variants](const Sweep &sweep) {
         AsciiTable t({"workload", "variant", "scheme", "IPC",

@@ -53,9 +53,10 @@ metadataBytes(PrefetchScheme s, const SimConfig &cfg)
 {
     switch (s) {
       case PrefetchScheme::Nlp:
-        return cfg.nlp.queueEntries * 6;
+        return NlpPrefetcher::kQueueEntries * 6;
       case PrefetchScheme::StreamBuffer:
-        return std::uint64_t(cfg.sb.numBuffers) * (cfg.sb.depth + 1) * 6;
+        return std::uint64_t(cfg.sb.numBuffers) *
+            (StreamBufferPrefetcher::kDepth + 1) * 6;
       case PrefetchScheme::FdpNone:
       case PrefetchScheme::FdpEnqueue:
       case PrefetchScheme::FdpEnqueueAggressive:

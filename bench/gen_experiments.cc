@@ -3,8 +3,8 @@
  * fdip_experiments, the one experiment executable: links every
  * bench_*.cc ExperimentSpec and hands the registry to
  * experimentMain() (sim/experiment.hh), which runs experiments
- * (`run <id>...`, `run --all`), emits docs/EXPERIMENTS.md, checks it
- * for drift (--check), and introspects specs (--list, --describe).
+ * (`run <id>...`, `run --all`), emits docs/EXPERIMENTS.md, and
+ * introspects specs (--list, --describe).
  */
 
 #include "sim/experiment.hh"

@@ -102,9 +102,8 @@ FetchEngine::tick(Cycle now)
 
         if (e.blk.diverges && idx == e.blk.culpritIdx) {
             panic_if(redirectPending(), "two outstanding redirects");
-            Cycle lat = e.blk.decodeFixable
-                ? cfg.decodeRedirectLatency
-                : cfg.resolveRedirectLatency;
+            Cycle lat = e.blk.decodeFixable ? kDecodeRedirectLatency
+                                            : kResolveRedirectLatency;
             redirectAt = now + lat;
             stRedirectsScheduled.inc();
             if (e.blk.decodeFixable)

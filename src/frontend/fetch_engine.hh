@@ -24,13 +24,14 @@ namespace fdip
 class FetchEngine
 {
   public:
+    /** Redirect latency for decode-fixable misfetches. */
+    static constexpr Cycle kDecodeRedirectLatency = 3;
+    /** Redirect latency for execute-resolved mispredictions. */
+    static constexpr Cycle kResolveRedirectLatency = 12;
+
     struct Config
     {
         unsigned fetchWidth = 8;
-        /** Redirect latency for decode-fixable misfetches. */
-        Cycle decodeRedirectLatency = 3;
-        /** Redirect latency for execute-resolved mispredictions. */
-        Cycle resolveRedirectLatency = 12;
     };
 
     FetchEngine(Ftq &ftq, MemHierarchy &mem, Backend &backend,

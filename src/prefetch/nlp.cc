@@ -6,7 +6,7 @@ namespace fdip
 {
 
 NlpPrefetcher::NlpPrefetcher(MemHierarchy &mem_ref, const Config &config)
-    : QueuedPrefetcher(mem_ref, "nlp", config.queueEntries), cfg(config)
+    : QueuedPrefetcher(mem_ref, "nlp", kQueueEntries), cfg(config)
 {
     fatal_if(cfg.degree == 0, "NLP degree must be nonzero");
 }

@@ -16,12 +16,13 @@ namespace fdip
 class NlpPrefetcher : public QueuedPrefetcher
 {
   public:
+    /** Pending-candidate queue size. */
+    static constexpr std::size_t kQueueEntries = 8;
+
     struct Config
     {
         /** Sequential blocks requested per trigger. */
         unsigned degree = 1;
-        /** Pending-candidate queue size. */
-        std::size_t queueEntries = 8;
     };
 
     NlpPrefetcher(MemHierarchy &mem, const Config &config);

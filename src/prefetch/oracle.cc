@@ -10,7 +10,7 @@ OraclePrefetcher::OraclePrefetcher(TraceWindow &trace_ref,
                                    MemHierarchy &mem_ref,
                                    const Config &config)
     : trace(trace_ref), bpu(bpu_ref), mem(mem_ref), cfg(config),
-      recentlyRequested(cfg.recentFilterEntries)
+      recentlyRequested(kRecentFilterEntries)
 {
     fatal_if(cfg.lookaheadInsts == 0, "oracle needs lookahead");
 }
@@ -36,7 +36,7 @@ OraclePrefetcher::tick(Cycle now)
 {
     // Issue pending candidates over the idle bus.
     unsigned issued = 0;
-    while (issued < cfg.issueWidth && !pending.empty()) {
+    while (issued < kIssueWidth && !pending.empty()) {
         // The oracle is an upper bound: assume a perfect ITLB and
         // translate functionally instead of paying walk latency.
         Addr cand = translateFunctional(pending.front());
@@ -60,8 +60,8 @@ OraclePrefetcher::tick(Cycle now)
         scanSeq = base;
     InstSeqNum limit = base + cfg.lookaheadInsts;
     unsigned examined = 0;
-    while (scanSeq < limit && examined < cfg.scanWidth &&
-           pending.size() < 2 * cfg.scanWidth) {
+    while (scanSeq < limit && examined < kScanWidth &&
+           pending.size() < 2 * kScanWidth) {
         Addr block = mem.l1i().blockAlign(trace.at(scanSeq).pc);
         Addr pblock = translateFunctional(block);
         ++scanSeq;

@@ -24,15 +24,17 @@ namespace fdip
 class OraclePrefetcher : public Prefetcher
 {
   public:
+    /** Candidates examined per cycle. */
+    static constexpr unsigned kScanWidth = 4;
+    /** Issue attempts per cycle. */
+    static constexpr unsigned kIssueWidth = 2;
+    /** Recently requested blocks the scan skips. */
+    static constexpr unsigned kRecentFilterEntries = 32;
+
     struct Config
     {
         /** Lookahead window in instructions. */
         unsigned lookaheadInsts = 256;
-        /** Candidates examined per cycle. */
-        unsigned scanWidth = 4;
-        /** Issue attempts per cycle. */
-        unsigned issueWidth = 2;
-        unsigned recentFilterEntries = 32;
     };
 
     OraclePrefetcher(TraceWindow &trace, const Bpu &bpu,

@@ -29,11 +29,10 @@ ShadowBtbPrefetcher::ShadowBtbPrefetcher(Ftb *ftb_ptr, BtbIface *btb_ptr,
                                          const Program *prog,
                                          const Config &config)
     : ftb(ftb_ptr), btb(btb_ptr), mem(mem_ref), cfg(config),
-      recentlyScanned(cfg.recentFilterEntries)
+      recentlyScanned(kRecentFilterEntries)
 {
     fatal_if(ftb == nullptr && btb == nullptr,
              "shadow-btb needs a BTB or FTB to pre-fill");
-    fatal_if(cfg.scanWidth == 0, "shadow scan width must be nonzero");
     fatal_if(cfg.queueEntries == 0,
              "shadow scan queue needs at least one entry");
     if (prog != nullptr)
@@ -45,7 +44,7 @@ ShadowBtbPrefetcher::metadataBytes(const Config &config)
 {
     // 48-bit line addresses: 6 bytes per queue/filter slot. The
     // prefill store itself is the front-end's existing BTB/FTB.
-    return (config.queueEntries + config.recentFilterEntries) * 6;
+    return (config.queueEntries + kRecentFilterEntries) * 6;
 }
 
 void
@@ -124,7 +123,7 @@ ShadowBtbPrefetcher::prefill(Addr block_start, Addr pc, InstClass cls,
 void
 ShadowBtbPrefetcher::tick(Cycle now)
 {
-    unsigned budget = cfg.scanWidth;
+    unsigned budget = kScanWidth;
     unsigned slots_per_line = mem.l1i().config().blockBytes / instBytes;
     while (budget > 0 && !scanQueue.empty()) {
         Addr line = scanQueue.front();

@@ -35,14 +35,15 @@ class BtbIface;
 class ShadowBtbPrefetcher : public Prefetcher
 {
   public:
+    /** Instruction slots decoded per cycle. */
+    static constexpr unsigned kScanWidth = 8;
+    /** Recently scanned lines that are not queued again. */
+    static constexpr unsigned kRecentFilterEntries = 32;
+
     struct Config
     {
-        /** Instruction slots decoded per cycle. */
-        unsigned scanWidth = 8;
         /** Pending cache-line scan queue size. */
         std::size_t queueEntries = 8;
-        /** Recently-scanned line filter (0 disables). */
-        unsigned recentFilterEntries = 32;
         /**
          * Model branch-looking data bytes: 1-in-N non-CF slots is
          * treated as a branch and pre-filled with a synthesized

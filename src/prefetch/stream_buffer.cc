@@ -8,10 +8,9 @@ namespace fdip
 StreamBufferPrefetcher::StreamBufferPrefetcher(MemHierarchy &mem_ref,
                                                const Config &config)
     : mem(mem_ref), cfg(config), buffers(cfg.numBuffers),
-      missHistory(cfg.missHistoryEntries)
+      missHistory(kMissHistoryEntries)
 {
     fatal_if(cfg.numBuffers == 0, "need at least one stream buffer");
-    fatal_if(cfg.depth == 0, "stream buffer depth must be nonzero");
     mem.setStreamFillClient(this);
     mem.setStreamProbeClient(this);
 }
@@ -165,7 +164,7 @@ StreamBufferPrefetcher::nextEventCycle(Cycle now) const
         // cycle; a waiting one wakes at its page-walk completion
         // (kNever while the walk is queued for a walker — the MMU's
         // events cover the start).
-        if (!b.active || b.requestInFlight || b.slots.size() >= cfg.depth)
+        if (!b.active || b.requestInFlight || b.slots.size() >= kDepth)
             continue;
         Cycle wake = translationWakeCycle(b.tr, now);
         if (wake == now + 1)
@@ -184,7 +183,7 @@ StreamBufferPrefetcher::chargeIdleCycles(Cycle now, Cycle cycles)
     // inside a charged window).
     std::uint64_t waiting = 0;
     for (const Buffer &b : buffers) {
-        if (b.active && !b.requestInFlight && b.slots.size() < cfg.depth &&
+        if (b.active && !b.requestInFlight && b.slots.size() < kDepth &&
             translationWaiting(b.tr)) {
             ++waiting;
         }
@@ -200,7 +199,7 @@ StreamBufferPrefetcher::tick(Cycle now)
     for (std::uint32_t bi = 0; bi < buffers.size(); ++bi) {
         Buffer &b = buffers[bi];
         if (!b.active || b.requestInFlight ||
-            b.slots.size() >= cfg.depth) {
+            b.slots.size() >= kDepth) {
             continue;
         }
         switch (resolveTranslation(b.tr, b.nextAddr, now)) {

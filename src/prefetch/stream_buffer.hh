@@ -25,13 +25,16 @@ class StreamBufferPrefetcher : public Prefetcher,
                                public StreamProbeClient
 {
   public:
+    /** Blocks each buffer holds or has in flight. */
+    static constexpr unsigned kDepth = 4;
+    /** Recent true misses the allocation filter remembers. */
+    static constexpr unsigned kMissHistoryEntries = 16;
+
     struct Config
     {
         unsigned numBuffers = 4;
-        unsigned depth = 4;
         /** Allocate only on the second of two sequential misses. */
         bool allocationFilter = true;
-        unsigned missHistoryEntries = 16;
     };
 
     StreamBufferPrefetcher(MemHierarchy &mem, const Config &config);

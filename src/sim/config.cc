@@ -1,6 +1,7 @@
 #include "sim/config.hh"
 
 #include <cstring>
+#include <string_view>
 
 #include "common/fnv.hh"
 #include "common/intmath.hh"
@@ -97,6 +98,13 @@ schemeFromName(const std::string &name)
     return std::nullopt;
 }
 
+std::string
+traceLabelPath(const std::string &label)
+{
+    constexpr std::string_view prefix = "trace:";
+    return label.starts_with(prefix) ? label.substr(prefix.size()) : "";
+}
+
 bool
 schemeIsFdp(PrefetchScheme scheme)
 {
@@ -127,8 +135,6 @@ SimConfig::fingerprint() const
     f.u64(ftqEntries);
 
     f.u64(fetch.fetchWidth);
-    f.u64(fetch.decodeRedirectLatency);
-    f.u64(fetch.resolveRedirectLatency);
 
     f.u64(static_cast<std::uint64_t>(bpu.targetBuffer));
     f.u64(static_cast<std::uint64_t>(bpu.predictor));
@@ -174,7 +180,6 @@ SimConfig::fingerprint() const
     f.u64(vm.l2TlbLatency);
     f.u64(vm.numWalkers);
     f.b(vm.tlbPrefetch);
-    f.u64(vm.tlbPrefetchWidth);
 
     f.u64(static_cast<std::uint64_t>(scheme));
     f.u64(fdp.piqEntries);
@@ -183,23 +188,15 @@ SimConfig::fingerprint() const
     f.u64(fdp.recentFilterEntries);
     f.b(fdp.fillIntoL1);
     f.u64(nlp.degree);
-    f.u64(nlp.queueEntries);
     f.u64(sb.numBuffers);
-    f.u64(sb.depth);
     f.b(sb.allocationFilter);
-    f.u64(sb.missHistoryEntries);
     f.u64(oracle.lookaheadInsts);
-    f.u64(oracle.scanWidth);
-    f.u64(oracle.issueWidth);
-    f.u64(oracle.recentFilterEntries);
     f.u64(mana.regionBlocks);
     f.u64(mana.tableSets);
     f.u64(mana.tableWays);
     f.u64(mana.queueEntries);
     f.u64(mana.chainLength);
-    f.u64(shadow.scanWidth);
     f.u64(shadow.queueEntries);
-    f.u64(shadow.recentFilterEntries);
     f.u64(shadow.bogusNoiseDenom);
 
     f.d(cycleLimitPerInst);
@@ -223,10 +220,6 @@ SimConfig::validate() const
              "backend queue needs at least one entry");
     fatal_if(cycleLimitPerInst <= 1.0, "cycle limit too low to finish");
     fatal_if(fdp.piqEntries == 0, "FDP PIQ needs at least one entry");
-    fatal_if(nlp.queueEntries == 0,
-             "NLP candidate queue needs at least one entry");
-    fatal_if(sb.allocationFilter && sb.missHistoryEntries == 0,
-             "stream-buffer allocation filter needs a miss history");
     fatal_if(mana.regionBlocks == 0 || mana.regionBlocks > 64 ||
                  !isPowerOf2(mana.regionBlocks),
              "MANA region size must be a power-of-two block count "
@@ -238,38 +231,19 @@ SimConfig::validate() const
              "MANA replay queue needs at least one entry");
     fatal_if(mana.chainLength == 0,
              "MANA chain length must be at least 1");
-    fatal_if(shadow.scanWidth == 0,
-             "shadow-btb scan width must be nonzero");
     fatal_if(shadow.queueEntries == 0,
              "shadow-btb scan queue needs at least one entry");
-    // VM knobs are checked even with vm.enable off: the simulator
-    // builds the MMU (page table + ITLB) unconditionally.
-    fatal_if(!isPowerOf2(vm.pageBytes),
-             "VM page size must be a power of two");
+    // VM knobs are checked even with vm.enable off. Every simulation
+    // builds the MMU, whose page table and TLBs check their own
+    // geometry (and the MMU its L2-TLB latency) as they are built.
     fatal_if(vm.pageBytes < mem.l1i.blockBytes,
              "VM pages must be at least one cache block");
-    fatal_if(vm.itlbEntries == 0, "ITLB needs at least one entry");
-    fatal_if(vm.itlbAssoc == 0 || vm.itlbEntries % vm.itlbAssoc != 0,
-             "ITLB entries must divide evenly into ways");
-    fatal_if(!isPowerOf2(vm.itlbEntries / vm.itlbAssoc),
-             "ITLB set count must be a power of two");
     fatal_if(vm.walkLatency == 0, "page-walk latency must be nonzero");
     fatal_if(vm.walkLatency > 10000,
              "page-walk latency implausibly high");
-    if (vm.l2TlbEntries > 0) {
-        fatal_if(vm.l2TlbAssoc == 0 ||
-                     vm.l2TlbEntries % vm.l2TlbAssoc != 0,
-                 "L2 TLB entries must divide evenly into ways");
-        fatal_if(!isPowerOf2(vm.l2TlbEntries / vm.l2TlbAssoc),
-                 "L2 TLB set count must be a power of two");
-        fatal_if(vm.l2TlbLatency == 0,
-                 "L2 TLB hit latency must be nonzero");
-        fatal_if(vm.l2TlbLatency >= vm.walkLatency,
-                 "L2 TLB hit latency must beat a full page walk");
-    }
+    fatal_if(vm.l2TlbEntries > 0 && vm.l2TlbLatency >= vm.walkLatency,
+             "L2 TLB hit latency must beat a full page walk");
     fatal_if(vm.numWalkers > 64, "walker count implausibly high");
-    fatal_if(vm.tlbPrefetch && vm.tlbPrefetchWidth == 0,
-             "TLB-prefetch width must be nonzero");
 }
 
 } // namespace fdip

@@ -58,6 +58,10 @@ const std::vector<PrefetchScheme> &allPrefetchSchemes();
 /** The registered scheme whose schemeName() is @p name, if any. */
 std::optional<PrefetchScheme> schemeFromName(const std::string &name);
 
+/** The file a "trace:<path>" workload label replays; "" for any other
+ *  label (a suite or custom profile name). */
+std::string traceLabelPath(const std::string &label);
+
 struct SimConfig
 {
     std::string workload = "gcc";

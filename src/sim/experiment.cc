@@ -8,7 +8,6 @@
 #include <limits>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <tuple>
 
 #include "common/env.hh"
@@ -389,7 +388,8 @@ experimentCatalogMarkdown(
           "build the same machine (the same config fingerprint) share\n"
           "one, within an experiment and across the experiments of one\n"
           "run; with `FDIP_CACHE_DIR` set, points an earlier run\n"
-          "simulated are served from the on-disk result cache.\n\n";
+          "simulated are served from the on-disk result cache,\n"
+          "except points that replay a trace file.\n\n";
 
     md += "| id | reproduces | points | title |\n";
     md += "|----|------------|-------:|-------|\n";
@@ -459,16 +459,15 @@ namespace
 {
 
 constexpr const char *kUsage =
-    "usage: fdip_experiments [--check PATH | --list | --describe ID | "
+    "usage: fdip_experiments [--list | --describe ID | "
     "run (ID... | --all) [--jobs N] [--warmup N] [--measure N] "
     "[--stats-json PATH]]";
 
 /** One parsed experimentMain() command line. */
 struct Command
 {
-    enum class Kind { Catalog, Check, List, Describe, Run };
+    enum class Kind { Catalog, List, Describe, Run };
     Kind kind = Kind::Catalog;
-    std::string checkPath;
     /** "" when --stats-json is not given. */
     std::string statsJsonPath;
     /** --describe's id, or run's ids. */
@@ -511,9 +510,6 @@ parseCommand(int argc, char **argv)
         } else if (std::strcmp(arg, "--describe") == 0) {
             setKind(Command::Kind::Describe, arg);
             cmd.ids.push_back(needsValue());
-        } else if (std::strcmp(arg, "--check") == 0) {
-            setKind(Command::Kind::Check, arg);
-            cmd.checkPath = needsValue();
         } else if (std::strcmp(arg, "--jobs") == 0) {
             std::uint64_t n = uintValue();
             fatal_if(n == 0 || n > std::numeric_limits<unsigned>::max(),
@@ -557,30 +553,6 @@ findSpec(const std::vector<const ExperimentSpec *> &specs,
             return *s;
     }
     fatal("unknown experiment id '%s' (try --list)", id.c_str());
-}
-
-/** --check: 0 when @p path holds the catalog of @p specs, else 1. */
-int
-checkCatalog(const std::vector<const ExperimentSpec *> &specs,
-             const std::string &path)
-{
-    std::string md = experimentCatalogMarkdown(specs);
-    std::ifstream in(path, std::ios::binary);
-    fatal_if(!in, "--check: cannot read '%s'", path.c_str());
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    if (buf.str() == md) {
-        std::fprintf(stderr, "%s matches the spec registry\n",
-                     path.c_str());
-        return 0;
-    }
-    std::fprintf(stderr,
-                 "%s drifted from the experiment registry.\n"
-                 "Regenerate it with:\n"
-                 "    TMPDIR=/tmp FDIP_TRACE_PATHS= "
-                 "./build/fdip_experiments > %s\n",
-                 path.c_str(), path.c_str());
-    return 1;
 }
 
 /**
@@ -675,8 +647,6 @@ runCommand(const std::vector<const ExperimentSpec *> &specs, int argc,
       case Command::Kind::Catalog:
         put(experimentCatalogMarkdown(specs));
         return 0;
-      case Command::Kind::Check:
-        return checkCatalog(specs, cmd.checkPath);
       case Command::Kind::List:
         put(listExperiments(specs));
         return 0;

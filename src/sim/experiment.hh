@@ -192,7 +192,6 @@ std::string experimentCatalogMarkdown(
  * the whole registry):
  *
  *   (no arguments)       print the catalog markdown
- *   --check PATH         exit 1 if PATH drifts from the catalog
  *   --list               one summary line per spec
  *   --describe ID        full description of one spec
  *   run ID... | run --all [--jobs N] [--warmup N] [--measure N]

@@ -13,8 +13,7 @@ makeBaselineConfig(const std::string &workload, PrefetchScheme scheme)
     cfg.workload = workload;
     // "trace:<path>" names a trace-file workload: the full label keys
     // memos/result rows, the path drives the replay (docs/TRACES.md).
-    if (workload.rfind("trace:", 0) == 0)
-        cfg.tracePath = workload.substr(6);
+    cfg.tracePath = traceLabelPath(workload);
     cfg.scheme = scheme;
     return cfg;
 }

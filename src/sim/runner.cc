@@ -1,14 +1,13 @@
 #include "sim/runner.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <thread>
 #include <type_traits>
 
-#include "common/env.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
 #include "sim/report.hh"
@@ -43,11 +42,6 @@ Runner::Runner(std::uint64_t warmup_insts, std::uint64_t measure_insts)
 unsigned
 Runner::defaultJobs()
 {
-    // Fallback 0 = auto-detect: a malformed FDIP_JOBS warns and falls
-    // back to hardware concurrency, same as leaving it unset.
-    std::uint64_t n = envUint("FDIP_JOBS", 0, 1);
-    if (n >= 1)
-        return static_cast<unsigned>(n);
     unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;
 }
@@ -64,15 +58,33 @@ Runner::cacheEvicted() const
     return diskCache ? diskCache->evicted() : 0;
 }
 
+namespace
+{
+
+/** @p cfg replays a trace file on some core. Its fingerprint names the
+ *  file's path, not its bytes, so a cache entry could outlive them. */
+bool
+replaysTraceFile(const SimConfig &cfg)
+{
+    return !cfg.tracePath.empty() ||
+        std::any_of(cfg.coreWorkloads.begin(), cfg.coreWorkloads.end(),
+                    [](const std::string &w) {
+                        return !traceLabelPath(w).empty();
+                    });
+}
+
+} // namespace
+
 Runner::Outcome
 Runner::computePoint(const Point &p) const
 {
     try {
         Outcome o;
         const SimConfig &cfg = p.cfg;
+        o.cacheable = diskCache != nullptr && !replaysTraceFile(cfg);
         // A loaded entry carries no host gauges: sweep footers account
         // only the simulations that actually executed.
-        if (diskCache) {
+        if (o.cacheable) {
             if (auto cached = diskCache->load(
                     p.fingerprint, cfg.warmupInsts, cfg.measureInsts)) {
                 o.results = std::move(*cached);
@@ -81,7 +93,7 @@ Runner::computePoint(const Point &p) const
             }
         }
         o.results = simulate(cfg);
-        if (diskCache) {
+        if (o.cacheable) {
             diskCache->store(p.fingerprint, cfg.warmupInsts,
                              cfg.measureInsts, o.results);
         }
@@ -118,7 +130,7 @@ Runner::accountCacheOutcome(const Outcome &o)
 {
     // Failed points touched the cache but produced nothing reusable;
     // they are reported on the health line, not as misses.
-    if (!diskCache || o.failedPoint)
+    if (!o.cacheable || o.failedPoint)
         return;
     if (o.diskHit)
         ++numCacheHits;

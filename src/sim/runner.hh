@@ -13,7 +13,7 @@
  *
  * Grid points are independent simulations, so a run can enqueue()
  * every grid up front and runPending() executes the points on a
- * thread pool (--jobs N / FDIP_JOBS, default: hardware concurrency).
+ * thread pool (--jobs N, default: hardware concurrency).
  * run() then serves every point from the in-process memo, keeping
  * table output deterministic regardless of execution order.
  *
@@ -22,7 +22,9 @@
  *    points inside one run;
  *  - the **result cache** (on-disk, sim/result_cache.hh): shares
  *    completed results *across* runs. Enabled by FDIP_CACHE_DIR;
- *    FDIP_NO_CACHE=1 turns it off.
+ *    FDIP_NO_CACHE=1 turns it off. A point that replays a trace file
+ *    bypasses it: the fingerprint names the file's path, not its
+ *    bytes, and a file rewritten in place keeps its path.
  */
 
 #ifndef FDIP_SIM_RUNNER_HH
@@ -114,8 +116,9 @@ class Runner
      * concurrently on jobs() threads (in enqueue order when jobs()
      * is 1). Simulations are deterministic and share no state, so the
      * memo ends up identical to a serial sweep. When the on-disk
-     * result cache is enabled, each point is first looked up there
-     * (and stored back after simulating a miss).
+     * result cache is enabled, each point that replays no trace file
+     * is first looked up there (and stored back after simulating a
+     * miss).
      */
     void runPending();
 
@@ -123,7 +126,7 @@ class Runner
     void setJobs(unsigned n) { numJobs = n == 0 ? 1 : n; }
     unsigned jobs() const { return numJobs; }
 
-    /** FDIP_JOBS env var if set, else hardware concurrency. */
+    /** Hardware concurrency, at least 1. */
     static unsigned defaultJobs();
 
     /**
@@ -159,7 +162,8 @@ class Runner
      *  grid points, shared baselines). */
     std::size_t memoHits() const { return numMemoHits; }
     /** Points served from / simulated into the on-disk result cache
-     *  across all runPending()/run() calls so far. */
+     *  across all runPending()/run() calls so far. A point that
+     *  replays a trace file is neither. */
     std::size_t cacheHits() const { return numCacheHits; }
     std::size_t cacheMisses() const { return numCacheMisses; }
 
@@ -186,6 +190,8 @@ class Runner
     struct Outcome
     {
         SimResults results;
+        /** The point went through the on-disk cache: a hit or a miss. */
+        bool cacheable = false;
         bool diskHit = false;
         /** The simulation raised SimError; results is a sentinel. */
         bool failedPoint = false;
@@ -196,7 +202,8 @@ class Runner
     /**
      * Serve @p p from the on-disk cache, or simulate (and store) —
      * with failure isolation: a point that raises SimError returns a
-     * sentinel Outcome instead of propagating.
+     * sentinel Outcome instead of propagating. A point that replays a
+     * trace file is simulated and neither loaded nor stored.
      */
     Outcome computePoint(const Point &p) const;
 

@@ -18,14 +18,6 @@ namespace fdip
 namespace
 {
 
-constexpr const char kTracePrefix[] = "trace:";
-
-bool
-isTraceLabel(const std::string &label)
-{
-    return label.rfind(kTracePrefix, 0) == 0;
-}
-
 /** Bucket-wise sum of per-core histograms (same geometry per config). */
 Histogram
 sumHistograms(const std::vector<const Histogram *> &hists)
@@ -94,10 +86,8 @@ Simulator::buildCore(Core &c, unsigned id)
     c.id = id;
     c.workload = cfg.coreWorkloads.empty() ? cfg.workload
         : cfg.coreWorkloads[id];
-    std::string trace_path = cfg.tracePath;
-    if (!cfg.coreWorkloads.empty())
-        trace_path = isTraceLabel(c.workload)
-            ? c.workload.substr(sizeof(kTracePrefix) - 1) : "";
+    std::string trace_path = cfg.coreWorkloads.empty()
+        ? cfg.tracePath : traceLabelPath(c.workload);
 
     Addr trace_code_base = 0;
     Addr trace_code_end = 0;
@@ -140,9 +130,8 @@ Simulator::buildCore(Core &c, unsigned id)
     c.fetch->setMmu(c.mmu.get());
 
     if (cfg.vm.enable && cfg.vm.tlbPrefetch) {
-        c.tlbPf = std::make_unique<TlbPrefetcher>(
-            *c.ftq, *c.mmu,
-            TlbPrefetcher::Config{.width = cfg.vm.tlbPrefetchWidth});
+        c.tlbPf = std::make_unique<TlbPrefetcher>(*c.ftq, *c.mmu,
+                                                  TlbPrefetcher::Config{});
     }
 
     switch (cfg.scheme) {

@@ -86,8 +86,6 @@ struct VmConfig
     /** Decoupled TLB prefetcher: walk the FTQ ahead of the block
      *  prefetcher and warm ITLB/L2-TLB translations. */
     bool tlbPrefetch = false;
-    /** Translation requests the TLB prefetcher may start per cycle. */
-    unsigned tlbPrefetchWidth = 2;
 };
 
 /** Outcome of one demand translation. */

@@ -293,11 +293,8 @@ TEST(ExperimentMain, TweakFailureIsFatalInEveryCommand)
     s.grids[0].variants = {{"", "failing tweak", [](SimConfig &) {
                                 throw SimError("cannot capture trace");
                             }}};
-    std::string docs = ::testing::TempDir() + "fdip-catalog-check.md";
     std::vector<std::vector<const char *>> commands = {
-        {"--list"}, {"--describe", "T-TWEAK"}, {}, {"--check",
-                                                    docs.c_str()},
-        {"run", "T-TWEAK"}};
+        {"--list"}, {"--describe", "T-TWEAK"}, {}, {"run", "T-TWEAK"}};
     for (const auto &args : commands) {
         CliResult r = runCli({&s}, args);
         EXPECT_EQ(r.rc, 1) << r.out;
@@ -328,6 +325,8 @@ TEST(ExperimentMain, MalformedCommandsAreFatal)
         {{"--list", "--jobs", "2"}, "fatal: --all/--jobs"},
         {{"--list", "--describe", "T-A"}, "fatal: --describe cannot"},
         {{"T-A"}, "fatal: unknown argument 'T-A'"},
+        {{"--check", "docs/EXPERIMENTS.md"},
+         "fatal: unknown argument '--check'"},
     };
     for (const Case &c : cases) {
         CliResult r = runCli({&a, &b}, c.args);
@@ -490,7 +489,10 @@ TEST(ExperimentCatalog, MatchesCheckedInDocs)
 {
     EXPECT_EQ(experimentCatalogMarkdown(ExperimentRegistry::instance().all()),
               readFile(FDIP_TESTS_DIR "/../docs/EXPERIMENTS.md"))
-        << "docs/EXPERIMENTS.md drifted from the experiment registry";
+        << "docs/EXPERIMENTS.md drifted from the experiment registry. "
+           "Regenerate it with:\n"
+           "    TMPDIR=/tmp FDIP_TRACE_PATHS= ./build/fdip_experiments > "
+           "docs/EXPERIMENTS.md";
 }
 
 TEST(ExperimentIntrospection, MatchesGoldens)

@@ -24,9 +24,7 @@ struct Rig
     Rig()
         : mcfg(makeCfg()), mem(mcfg), ftq(8, 32),
           backend({.retireWidth = 8, .queueDepth = 64}),
-          fetch(ftq, mem, backend, {.fetchWidth = 8,
-                                    .decodeRedirectLatency = 3,
-                                    .resolveRedirectLatency = 12})
+          fetch(ftq, mem, backend, {.fetchWidth = 8})
     {}
 
     static MemConfig
@@ -117,9 +115,7 @@ TEST(FetchEngine, BackendBackpressureStallsFetch)
     Rig rig;
     // Tiny backend queue that we keep full.
     Backend small({.retireWidth = 1, .queueDepth = 2});
-    FetchEngine fe(rig.ftq, rig.mem, small,
-                   {.fetchWidth = 8, .decodeRedirectLatency = 3,
-                    .resolveRedirectLatency = 12});
+    FetchEngine fe(rig.ftq, rig.mem, small, {.fetchWidth = 8});
     rig.mem.l1i().insert(0x1000);
     rig.ftq.push(rig.blockAt(0x1000, 8));
     rig.mem.tick(1);

@@ -186,3 +186,12 @@ TEST(Mana, QuiescenceContract)
     rig.drain(pf);
     EXPECT_EQ(pf.nextEventCycle(700), kNever);
 }
+
+TEST(ManaDeath, ZeroQueueRejectedBeforeTheQueueIsBuilt)
+{
+    Rig rig;
+    ManaPrefetcher::Config cfg = Rig::makePfCfg();
+    cfg.queueEntries = 0;
+    EXPECT_DEATH(ManaPrefetcher(rig.mem, cfg),
+                 "mana candidate queue needs at least one entry");
+}

@@ -107,7 +107,7 @@ TEST(Nlp, SkipsNextLineAlreadyCached)
 TEST(Nlp, DegreeRequestsMultipleLines)
 {
     Rig rig;
-    NlpPrefetcher nlp(rig.mem, {.degree = 3, .queueEntries = 8});
+    NlpPrefetcher nlp(rig.mem, {.degree = 3});
     rig.mem.tick(1);
     nlp.onDemandAccess(0x1000, rig.missAccess(), 1);
     // The shared bus serializes issues: give it time.
@@ -148,11 +148,4 @@ TEST(Nlp, PendingQueueDedupes)
     rig.mem.tick(200);
     nlp.tick(200);
     EXPECT_EQ(rig.mem.stats.counter("mem.prefetches_issued"), 1u);
-}
-
-TEST(NlpDeath, ZeroQueueRejectedBeforeTheQueueIsBuilt)
-{
-    Rig rig;
-    EXPECT_DEATH(NlpPrefetcher(rig.mem, {.degree = 1, .queueEntries = 0}),
-                 "nlp candidate queue needs at least one entry");
 }

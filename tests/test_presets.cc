@@ -13,8 +13,8 @@ TEST(Presets, BaselineMachineShape)
     EXPECT_EQ(cfg.workload, "gcc");
     EXPECT_EQ(cfg.ftqEntries, 32u);
     EXPECT_EQ(cfg.fetch.fetchWidth, 8u);
-    EXPECT_EQ(cfg.fetch.decodeRedirectLatency, 3u);
-    EXPECT_EQ(cfg.fetch.resolveRedirectLatency, 12u);
+    EXPECT_EQ(FetchEngine::kDecodeRedirectLatency, 3u);
+    EXPECT_EQ(FetchEngine::kResolveRedirectLatency, 12u);
     EXPECT_EQ(cfg.bpu.targetBuffer, TargetBuffer::Ftb);
     EXPECT_EQ(cfg.bpu.ftb.sets, 1024u);
     EXPECT_EQ(cfg.bpu.ftb.ways, 4u);

@@ -101,7 +101,7 @@ class Robustness : public ::testing::Test
         setFatalMode(FatalMode::Abort);
         for (const char *var :
              {"FDIP_SIM_TIMEOUT_S", "FDIP_CACHE_BUDGET_MB",
-              "FDIP_CACHE_DIR", "FDIP_NO_CACHE", "FDIP_JOBS"}) {
+              "FDIP_CACHE_DIR", "FDIP_NO_CACHE"}) {
             unsetenv(var);
         }
     }
@@ -171,19 +171,6 @@ TEST_F(Robustness, EnvFlagIsOffOnlyWhenUnsetEmptyOrZero)
     unsetenv("FDIP_TEST_KNOB");
 }
 
-TEST_F(Robustness, DefaultJobsHonorsEnvAndSurvivesGarbage)
-{
-    setenv("FDIP_JOBS", "3", 1);
-    EXPECT_EQ(Runner::defaultJobs(), 3u);
-    setenv("FDIP_JOBS", "zero", 1);
-    ::testing::internal::CaptureStderr();
-    EXPECT_GE(Runner::defaultJobs(), 1u);
-    std::string err = ::testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("FDIP_JOBS"), std::string::npos) << err;
-    unsetenv("FDIP_JOBS");
-    EXPECT_GE(Runner::defaultJobs(), 1u);
-}
-
 // ---------------------------------------------------------------------
 // Failure model: fatal() in FatalMode::Throw, SimTimeout subtype.
 // ---------------------------------------------------------------------
@@ -249,10 +236,8 @@ TEST_F(Robustness, ZeroSizeQueuesRaiseSimError)
         void (*zero)(SimConfig &);
     };
     const Case cases[] = {
-        {"nlp.queueEntries", PrefetchScheme::Nlp,
-         [](SimConfig &c) { c.nlp.queueEntries = 0; }},
-        {"sb.missHistoryEntries", PrefetchScheme::StreamBuffer,
-         [](SimConfig &c) { c.sb.missHistoryEntries = 0; }},
+        {"mana.queueEntries", PrefetchScheme::Mana,
+         [](SimConfig &c) { c.mana.queueEntries = 0; }},
         {"fdp.piqEntries", PrefetchScheme::FdpRemove,
          [](SimConfig &c) { c.fdp.piqEntries = 0; }},
         {"backend.queueDepth", PrefetchScheme::None,

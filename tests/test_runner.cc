@@ -1,10 +1,16 @@
 /** Tests for the experiment runner and aggregate helpers. */
 
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 
 #include <gtest/gtest.h>
 
+#include "sim/report.hh"
 #include "sim/runner.hh"
+#include "trace/profile.hh"
+#include "trace/synth_builder.hh"
+#include "trace/trace_file.hh"
 
 using namespace fdip;
 
@@ -120,6 +126,46 @@ TEST(Runner, EnqueueDedupsByFingerprint)
     };
     EXPECT_EQ(r.pendingFingerprints(),
               (std::vector<std::uint64_t>{fp(8), fp(16)}));
+}
+
+TEST(Runner, TraceRewrittenAtItsPathIsSimulatedAgain)
+{
+    // A trace point's fingerprint names its file, not the file's
+    // bytes. A different capture written to the same path must not be
+    // served the first capture's cached results.
+    const std::string dir = ::testing::TempDir() + "fdip-runner-trace-cache";
+    const std::string path =
+        ::testing::TempDir() + "fdip-runner-rewritten.fdip.trace";
+    std::filesystem::remove_all(dir);
+    auto capture = [&path](const std::string &workload) {
+        const WorkloadProfile &profile = findProfile(workload);
+        auto prog = buildProgram(profile);
+        SyntheticExecutor exec(*prog, profile);
+        writeTraceFile(path, exec, 20 * 1000, prog->base, prog->codeEnd());
+    };
+    auto replay = [&path](Runner &r) {
+        return serializeResults(r.run("trace:" + path, PrefetchScheme::None));
+    };
+
+    capture("li");
+    Runner first(5 * 1000, 15 * 1000);
+    first.setCacheDir(dir);
+    const std::string li = replay(first);
+
+    capture("gcc");
+    Runner second(5 * 1000, 15 * 1000);
+    second.setCacheDir(dir);
+    const std::string gcc = replay(second);
+    EXPECT_EQ(second.cacheHits(), 0u);
+    EXPECT_EQ(second.cacheMisses(), 0u);
+
+    Runner uncached(5 * 1000, 15 * 1000);
+    uncached.disableCache();
+    EXPECT_EQ(gcc, replay(uncached));
+    EXPECT_NE(gcc, li);
+
+    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Runner, JobsConfiguration)

@@ -53,7 +53,6 @@ noFilterCfg()
 {
     StreamBufferPrefetcher::Config c;
     c.numBuffers = 2;
-    c.depth = 4;
     c.allocationFilter = false;
     return c;
 }
@@ -106,7 +105,6 @@ TEST(StreamBuffer, TwoMissFilterSuppressesRandomMisses)
     Rig rig;
     StreamBufferPrefetcher::Config c;
     c.numBuffers = 2;
-    c.depth = 4;
     c.allocationFilter = true;
     StreamBufferPrefetcher sb(rig.mem, c);
     rig.mem.tick(1);

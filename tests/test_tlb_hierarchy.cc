@@ -486,8 +486,7 @@ TEST(TlbPrefetcher, SmallFilterMachineSkipsAsItTicks)
         Simulator::Core &c = sim.core(0);
         c.tlbPf = std::make_unique<TlbPrefetcher>(
             *c.ftq, *c.mmu,
-            TlbPrefetcher::Config{.width = cfg.vm.tlbPrefetchWidth,
-                                  .filterEntries = 8});
+            TlbPrefetcher::Config{.filterEntries = 8});
         return sim.run();
     };
     SimResults skipped = run(false);
@@ -543,22 +542,62 @@ TEST(TlbHierarchyDeath, ZeroL2LatencyRejectedByTheMmu)
 
 TEST(TlbHierarchyDeath, BadKnobsRejected)
 {
-    SimConfig cfg = makeBaselineConfig("li", PrefetchScheme::None);
-    applyVmConfig(cfg);
-    cfg.vm.l2TlbEntries = 24;
-    cfg.vm.l2TlbAssoc = 2; // 12 sets: not a power of two
-    EXPECT_DEATH({ Simulator s(cfg); }, "power of two");
+    // Each bad geometry dies naming the component that rejects it.
+    // Every simulation builds the page table, the ITLB and (when it
+    // has entries) the L2 TLB, so their own checks guard every run.
+    struct Case
+    {
+        const char *error;
+        void (*spoil)(VmConfig &);
+    };
+    const Case cases[] = {
+        {"page size must be a power of two",
+         [](VmConfig &vm) { vm.pageBytes = 3000; }},
+        {"[Ii][Tt][Ll][Bb]:? needs at least one entry",
+         [](VmConfig &vm) { vm.itlbEntries = 0; }},
+        {"[Ii][Tt][Ll][Bb]:? entries must divide evenly into ways",
+         [](VmConfig &vm) {
+             vm.itlbEntries = 8;
+             vm.itlbAssoc = 3;
+         }},
+        {"[Ii][Tt][Ll][Bb]:? set count must be a power of two",
+         [](VmConfig &vm) {
+             vm.itlbEntries = 48;
+             vm.itlbAssoc = 4; // 12 sets
+         }},
+        {"(L2 TLB|l2tlb:) set count must be a power of two",
+         [](VmConfig &vm) {
+             vm.l2TlbEntries = 24;
+             vm.l2TlbAssoc = 2; // 12 sets
+         }},
+        {"(L2 TLB|l2tlb:) entries must divide evenly into ways",
+         [](VmConfig &vm) {
+             vm.l2TlbEntries = 24;
+             vm.l2TlbAssoc = 5;
+         }},
+        {"L2 TLB hit latency must be nonzero",
+         [](VmConfig &vm) {
+             vm.l2TlbEntries = 16;
+             vm.l2TlbAssoc = 4;
+             vm.l2TlbLatency = 0;
+         }},
+        {"L2 TLB hit latency must beat a full page walk",
+         [](VmConfig &vm) {
+             vm.l2TlbEntries = 16;
+             vm.l2TlbAssoc = 4;
+             vm.l2TlbLatency = vm.walkLatency;
+         }},
+    };
+    for (const Case &c : cases) {
+        SimConfig cfg = makeBaselineConfig("li", PrefetchScheme::None);
+        applyVmConfig(cfg);
+        c.spoil(cfg.vm);
+        EXPECT_DEATH({ Simulator s(cfg); }, c.error);
+    }
 
-    SimConfig slow = makeBaselineConfig("li", PrefetchScheme::None);
-    applyVmConfig(slow);
-    slow.vm.l2TlbEntries = 16;
-    slow.vm.l2TlbAssoc = 4;
-    slow.vm.l2TlbLatency = slow.vm.walkLatency; // not faster than a walk
-    EXPECT_DEATH({ Simulator s(slow); }, "beat a full page walk");
-
-    SimConfig pf = makeBaselineConfig("li", PrefetchScheme::None);
-    applyVmConfig(pf);
-    pf.vm.tlbPrefetch = true;
-    pf.vm.tlbPrefetchWidth = 0;
-    EXPECT_DEATH({ Simulator s(pf); }, "width");
+    VmConfig vm = hierVm(TlbPrefetchPolicy::Drop, 0, 0);
+    Mmu mmu(vm, kBase, kBase + 16 * kPage);
+    Ftq ftq(8, 32);
+    EXPECT_DEATH({ TlbPrefetcher pf(ftq, mmu, {.width = 0}); },
+                 "TLB-prefetch width must be nonzero");
 }
