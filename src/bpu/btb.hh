@@ -88,7 +88,6 @@ class Btb : public BtbIface
     /** Full (uncompressed) tag width for this geometry. */
     unsigned fullTagBits() const;
 
-    const Config &config() const { return cfg; }
     unsigned numEntries() const { return cfg.sets * cfg.ways; }
 
     /** Count of currently valid entries (for tests/occupancy stats). */

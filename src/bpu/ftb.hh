@@ -57,8 +57,6 @@ class Ftb
     unsigned validEntries() const { return tags.validCount(); }
     std::string name() const;
 
-    const Config &config() const { return cfg; }
-
     StatSet stats;
 
   private:

@@ -1,9 +1,9 @@
 /**
  * @file circular_queue.hh
  * Fixed-capacity FIFO ring buffer with random access from the head.
- * Used for the FTQ, the PIQ, and the backend instruction queue, all of
- * which are hardware structures with a hard capacity, and for the
- * TraceWindow, which moves into a larger queue when one fills.
+ * Used for the FTQ and the PIQ, which are hardware structures with a
+ * hard capacity, and for the TraceWindow, which moves into a larger
+ * queue when one fills.
  */
 
 #ifndef FDIP_COMMON_CIRCULAR_QUEUE_HH
@@ -49,6 +49,16 @@ class CircularQueue
         panic_if(empty(), "pop from empty CircularQueue");
         head = wrap(head + 1);
         --count;
+    }
+
+    /** Remove the @p n oldest elements; at most size() of them. */
+    void
+    pop(std::size_t n)
+    {
+        panic_if(n > count, "pop of %zu from CircularQueue of %zu", n,
+                 count);
+        head = wrap(head + n);
+        count -= n;
     }
 
     /** Head element (oldest). */

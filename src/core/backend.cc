@@ -1,41 +1,41 @@
 #include "core/backend.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace fdip
 {
 
 Backend::Backend(const Config &config)
-    : cfg(config), q(cfg.queueDepth)
+    : cfg(config)
 {
     fatal_if(cfg.retireWidth == 0, "retire width must be nonzero");
+    fatal_if(cfg.queueDepth == 0, "backend queue needs at least one entry");
 }
 
 void
-Backend::deliver(const DeliveredInst &inst)
+Backend::deliver(std::size_t correct_path, std::size_t wrong_path)
 {
-    panic_if(q.full(), "deliver to full backend queue");
-    q.push(inst);
-    stDelivered.inc();
-    if (inst.wrongPath)
-        stDeliveredWrongPath.inc();
+    panic_if(correct_path + wrong_path > freeSlots(),
+             "deliver to full backend queue");
+    panic_if(correct_path > 0 && wrong > 0,
+             "correct-path delivery behind wrong-path instructions");
+    correct += correct_path;
+    wrong += wrong_path;
+    stDelivered.inc(correct_path + wrong_path);
+    if (wrong_path > 0)
+        stDeliveredWrongPath.inc(wrong_path);
 }
 
 void
 Backend::tick(Cycle now)
 {
-    unsigned retired = 0;
-    while (retired < cfg.retireWidth && !q.empty()) {
-        const DeliveredInst &head = q.front();
-        if (head.wrongPath) {
-            // Wrong-path instructions are squashed by the redirect,
-            // never committed; they just occupy window slots.
-            break;
-        }
-        q.pop();
-        ++numCommitted;
-        ++retired;
-    }
+    // Wrong-path instructions are squashed by the redirect, never
+    // committed; they just occupy window slots behind the head.
+    std::size_t retired = std::min<std::size_t>(cfg.retireWidth, correct);
+    correct -= retired;
+    numCommitted += retired;
     stCycles.inc();
     if (retired == 0)
         stStarvedCycles.inc();
@@ -45,16 +45,13 @@ Backend::tick(Cycle now)
 Cycle
 Backend::nextEventCycle(Cycle now) const
 {
-    if (!q.empty() && !q.front().wrongPath)
-        return now + 1;
-    return kNever;
+    return correct > 0 ? now + 1 : kNever;
 }
 
 void
 Backend::chargeIdleCycles(Cycle now, Cycle cycles)
 {
-    panic_if(!q.empty() && !q.front().wrongPath,
-             "idle-charging a backend that can retire");
+    panic_if(correct > 0, "idle-charging a backend that can retire");
     stCycles.inc(cycles);
     stStarvedCycles.inc(cycles);
     stRetireSlotsLost.inc(cycles * cfg.retireWidth);
@@ -63,13 +60,8 @@ Backend::chargeIdleCycles(Cycle now, Cycle cycles)
 void
 Backend::squashWrongPath()
 {
-    // Wrong-path instructions are always younger than correct-path
-    // ones, so they form the queue's tail: truncate at the first one.
-    std::size_t keep = 0;
-    while (keep < q.size() && !q.at(keep).wrongPath)
-        ++keep;
-    stSquashed.inc(q.size() - keep);
-    q.truncate(keep);
+    stSquashed.inc(wrong);
+    wrong = 0;
 }
 
 } // namespace fdip

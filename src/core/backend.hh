@@ -6,23 +6,22 @@
  * instructions occupy queue slots (window pressure) until the redirect
  * squashes them. FDIP is a front-end technique; this is all the paper's
  * speedup numbers need from the core.
+ *
+ * Wrong-path instructions are always younger than correct-path ones,
+ * so they form the queue's tail, and the queue is two counts: the
+ * correct-path head and the wrong-path tail.
  */
 
 #ifndef FDIP_CORE_BACKEND_HH
 #define FDIP_CORE_BACKEND_HH
 
-#include "common/circular_queue.hh"
+#include <cstddef>
+
 #include "common/stats.hh"
 #include "common/types.hh"
 
 namespace fdip
 {
-
-struct DeliveredInst
-{
-    InstSeqNum seq = 0;
-    bool wrongPath = false;
-};
 
 class Backend
 {
@@ -36,9 +35,14 @@ class Backend
     explicit Backend(const Config &config);
 
     /** Free queue slots this cycle. */
-    std::size_t freeSlots() const { return q.freeSlots(); }
+    std::size_t freeSlots() const { return cfg.queueDepth - correct - wrong; }
 
-    void deliver(const DeliveredInst &inst);
+    /**
+     * Append @p correct_path correct-path instructions, then
+     * @p wrong_path wrong-path ones. They must fit in freeSlots(), and
+     * no correct-path instruction may follow a queued wrong-path one.
+     */
+    void deliver(std::size_t correct_path, std::size_t wrong_path);
 
     /** Commit up to retireWidth correct-path instructions. */
     void tick(Cycle now);
@@ -64,8 +68,6 @@ class Backend
 
     std::uint64_t committed() const { return numCommitted; }
 
-    const Config &config() const { return cfg; }
-
     StatSet stats;
 
   private:
@@ -81,7 +83,10 @@ class Backend
     StatSet::Counter stSquashed = stats.registerCounter("backend.squashed");
 
     Config cfg;
-    CircularQueue<DeliveredInst> q;
+    /** Queued correct-path instructions: the queue's head. */
+    std::size_t correct = 0;
+    /** Queued wrong-path instructions: the queue's tail. */
+    std::size_t wrong = 0;
     std::uint64_t numCommitted = 0;
 };
 

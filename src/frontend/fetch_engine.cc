@@ -91,26 +91,26 @@ FetchEngine::tick(Cycle now)
                            static_cast<unsigned>(backend.freeSlots())});
     panic_if(n == 0, "fetch delivered nothing on a hit");
 
-    for (unsigned k = 0; k < n; ++k) {
-        unsigned idx = e.fetchedInsts + k;
-        DeliveredInst di;
-        di.wrongPath = e.blk.wrongPath || idx >= e.blk.validLen;
-        di.seq = di.wrongPath ? 0 : e.blk.firstSeq + idx;
-        backend.deliver(di);
-        if (di.wrongPath)
-            stWrongPathDelivered.inc();
+    // The run is instructions [first, first + n) of the block: its
+    // correct-path ones (those below validLen) come first.
+    unsigned first = e.fetchedInsts;
+    unsigned correct = e.blk.wrongPath || first >= e.blk.validLen
+        ? 0 : std::min(n, e.blk.validLen - first);
+    backend.deliver(correct, n - correct);
+    if (correct < n)
+        stWrongPathDelivered.inc(n - correct);
 
-        if (e.blk.diverges && idx == e.blk.culpritIdx) {
-            panic_if(redirectPending(), "two outstanding redirects");
-            Cycle lat = e.blk.decodeFixable ? kDecodeRedirectLatency
-                                            : kResolveRedirectLatency;
-            redirectAt = now + lat;
-            stRedirectsScheduled.inc();
-            if (e.blk.decodeFixable)
-                stDecodeRedirects.inc();
-            else
-                stResolveRedirects.inc();
-        }
+    if (e.blk.diverges && e.blk.culpritIdx >= first &&
+        e.blk.culpritIdx - first < n) {
+        panic_if(redirectPending(), "two outstanding redirects");
+        Cycle lat = e.blk.decodeFixable ? kDecodeRedirectLatency
+                                        : kResolveRedirectLatency;
+        redirectAt = now + lat;
+        stRedirectsScheduled.inc();
+        if (e.blk.decodeFixable)
+            stDecodeRedirects.inc();
+        else
+            stResolveRedirects.inc();
     }
 
     e.fetchedInsts += n;

@@ -172,7 +172,6 @@ class MemHierarchy
     Bus &l2Bus() { return l2Bus_; }
     Bus &memBus() { return memBus_; }
     MshrFile &mshrs() { return mshrFile; }
-    const MemConfig &config() const { return cfg; }
     unsigned coreId() const { return coreId_; }
 
     /**

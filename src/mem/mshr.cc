@@ -14,6 +14,8 @@ MshrFile::MshrFile(unsigned n)
 MshrEntry *
 MshrFile::find(Addr block_addr)
 {
+    if (!present.mayContain(block_addr))
+        return nullptr;
     for (auto &e : entries) {
         if (e.valid && e.blockAddr == block_addr)
             return &e;
@@ -45,6 +47,7 @@ MshrFile::allocate(Addr block_addr, Cycle ready_at, bool is_prefetch,
             e.streamId = 0;
             e.slotId = 0;
             ++inUse_;
+            present.add(block_addr);
             if (is_prefetch)
                 ++prefetches_;
             if (ready_at < earliest_)
@@ -63,6 +66,7 @@ MshrFile::free(MshrEntry &entry)
     panic_if(!entry.valid, "freeing invalid MSHR entry");
     entry.valid = false;
     --inUse_;
+    present.remove(entry.blockAddr);
     if (entry.isPrefetch)
         --prefetches_;
     if (entry.readyAt == earliest_)
@@ -101,6 +105,7 @@ MshrFile::clear()
     inUse_ = 0;
     prefetches_ = 0;
     earliest_ = kNever;
+    present.clear();
 }
 
 } // namespace fdip

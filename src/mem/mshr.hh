@@ -2,7 +2,9 @@
  * @file mshr.hh
  * Miss status holding registers: track outstanding fills so demand
  * misses can merge with in-flight prefetches (partial latency hiding)
- * and duplicate requests are suppressed.
+ * and duplicate requests are suppressed. find() scans the file, as
+ * the MSHRs' associative match does; a PresenceCounts filter only cuts
+ * a miss short.
  */
 
 #ifndef FDIP_MEM_MSHR_HH
@@ -11,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/presence_counts.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -87,6 +90,7 @@ class MshrFile
     unsigned inUse_ = 0;
     unsigned prefetches_ = 0;
     Cycle earliest_ = kNever;
+    PresenceCounts present;
 };
 
 } // namespace fdip

@@ -17,16 +17,20 @@ PrefetchBuffer::PrefetchBuffer(unsigned entries)
 bool
 PrefetchBuffer::probe(Addr block_addr) const
 {
-    return std::any_of(buf.begin(), buf.end(),
-                       [&](const Slot &s) { return s.addr == block_addr; });
+    return present.mayContain(block_addr) &&
+        std::any_of(buf.begin(), buf.end(),
+                    [&](const Slot &s) { return s.addr == block_addr; });
 }
 
 bool
 PrefetchBuffer::consume(Addr block_addr)
 {
+    if (!present.mayContain(block_addr))
+        return false;
     for (auto it = buf.begin(); it != buf.end(); ++it) {
         if (it->addr == block_addr) {
             buf.erase(it);
+            present.remove(block_addr);
             stConsumed.inc();
             return true;
         }
@@ -45,9 +49,11 @@ PrefetchBuffer::insert(Addr block_addr)
     if (buf.size() == cap) {
         evicted = buf.front().addr;
         buf.erase(buf.begin());
+        present.remove(*evicted);
         stUnusedEvictions.inc();
     }
     buf.push_back({block_addr});
+    present.add(block_addr);
     stFills.inc();
     return evicted;
 }
@@ -57,6 +63,7 @@ PrefetchBuffer::clear()
 {
     stFlushedEntries.inc(buf.size());
     buf.clear();
+    present.clear();
 }
 
 } // namespace fdip

@@ -3,7 +3,9 @@
  * The fully-associative prefetch buffer of the MICRO-32 design:
  * prefetched blocks land here instead of the L1-I so that useless
  * prefetches cannot pollute the cache. A demand hit promotes the block
- * into the L1-I and frees the entry. FIFO replacement.
+ * into the L1-I and frees the entry. FIFO replacement. Lookups scan
+ * the entries, as the fully-associative match does; a PresenceCounts
+ * filter only cuts a miss short.
  */
 
 #ifndef FDIP_MEM_PREFETCH_BUFFER_HH
@@ -12,6 +14,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/presence_counts.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -58,6 +61,7 @@ class PrefetchBuffer
      *  array beats a deque even with front erasure. */
     std::vector<Slot> buf;
     unsigned cap;
+    PresenceCounts present;
 };
 
 } // namespace fdip

@@ -73,7 +73,6 @@ class FdpPrefetcher : public Prefetcher
     void onRedirect(Cycle now) override;
 
     const Piq &piq() const { return piq_; }
-    const Config &config() const { return cfg; }
 
   private:
     StatSet::Counter stCpfProbes = stats.registerCounter("fdp.cpf_probes");

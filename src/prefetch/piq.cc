@@ -16,11 +16,13 @@ Piq::push(Addr block_addr)
     PiqEntry e;
     e.blockAddr = block_addr;
     q.push(e);
+    present.add(block_addr);
 }
 
 void
 Piq::popFront()
 {
+    present.remove(q.front().blockAddr);
     q.pop();
     if (probed_ > 0)
         --probed_;
@@ -31,6 +33,7 @@ Piq::removeAt(std::size_t i)
 {
     // The PIQ is small; compact by shifting (hardware uses a CAM).
     panic_if(i >= q.size(), "PIQ removeAt out of range");
+    present.remove(q.at(i).blockAddr);
     for (std::size_t k = i; k + 1 < q.size(); ++k)
         q.at(k) = q.at(k + 1);
     q.truncate(q.size() - 1);
@@ -48,6 +51,8 @@ Piq::extendProbedPrefix()
 bool
 Piq::contains(Addr block_addr) const
 {
+    if (!present.mayContain(block_addr))
+        return false;
     for (std::size_t i = 0; i < q.size(); ++i) {
         if (q.at(i).blockAddr == block_addr)
             return true;
@@ -60,6 +65,7 @@ Piq::flush()
 {
     q.clear();
     probed_ = 0;
+    present.clear();
 }
 
 } // namespace fdip

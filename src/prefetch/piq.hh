@@ -4,13 +4,15 @@
  * awaiting prefetch issue, with the probe state of the remove-variant
  * of cache probe filtering. It is the one candidate queue of the
  * prefetch layer: FDP's PIQ and the queue QueuedPrefetcher drains for
- * NLP and MANA.
+ * NLP and MANA. contains() scans the queue, as the hardware's CAM
+ * match does; a PresenceCounts filter only cuts a miss short.
  */
 
 #ifndef FDIP_PREFETCH_PIQ_HH
 #define FDIP_PREFETCH_PIQ_HH
 
 #include "common/circular_queue.hh"
+#include "common/presence_counts.hh"
 #include "common/types.hh"
 #include "vm/mmu.hh"
 
@@ -36,6 +38,8 @@ class Piq
     std::size_t capacity() const { return q.capacity(); }
 
     void push(Addr block_addr);
+    /** Callers may update an entry's translation state, never its
+     *  block address. */
     PiqEntry &at(std::size_t i) { return q.at(i); }
     const PiqEntry &at(std::size_t i) const { return q.at(i); }
     PiqEntry &front() { return q.front(); }
@@ -65,6 +69,7 @@ class Piq
   private:
     CircularQueue<PiqEntry> q;
     std::size_t probed_ = 0;
+    PresenceCounts present;
 };
 
 } // namespace fdip

@@ -53,8 +53,6 @@ class StreamBufferPrefetcher : public Prefetcher,
     // StreamProbeClient
     bool probeAndConsume(Addr block_addr, Cycle now) override;
 
-    const Config &config() const { return cfg; }
-
   private:
     struct Slot
     {

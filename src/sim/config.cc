@@ -216,8 +216,6 @@ SimConfig::validate() const
                  coreWorkloads.size() != numCores,
              "coreWorkloads must name exactly numCores workloads");
     fatal_if(ftqEntries == 0, "FTQ needs at least one entry");
-    fatal_if(backend.queueDepth == 0,
-             "backend queue needs at least one entry");
     fatal_if(cycleLimitPerInst <= 1.0, "cycle limit too low to finish");
     fatal_if(fdp.piqEntries == 0, "FDP PIQ needs at least one entry");
     fatal_if(mana.regionBlocks == 0 || mana.regionBlocks > 64 ||

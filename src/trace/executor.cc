@@ -1,5 +1,6 @@
 #include "trace/executor.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.hh"
@@ -160,7 +161,7 @@ SyntheticExecutor::next()
 }
 
 const TraceInstr &
-TraceWindow::at(InstSeqNum seq)
+TraceWindow::generateThrough(InstSeqNum seq)
 {
     panic_if(seq < base, "TraceWindow::at(%llu) below window base %llu",
              static_cast<unsigned long long>(seq),
@@ -180,16 +181,16 @@ TraceWindow::at(InstSeqNum seq)
 void
 TraceWindow::retireUpTo(InstSeqNum seq)
 {
-    while (base < seq) {
-        if (buf.empty()) {
-            // Keep sequence numbering dense even when retiring past
-            // the generated window: generate and discard.
-            src.next();
-        } else {
-            buf.pop();
-        }
-        ++base;
-    }
+    if (seq <= base)
+        return;
+    InstSeqNum n = seq - base;
+    std::size_t held = std::min<InstSeqNum>(n, buf.size());
+    buf.pop(held);
+    // Keep sequence numbering dense even when retiring past the
+    // generated window: generate and discard.
+    for (InstSeqNum k = held; k < n; ++k)
+        src.next();
+    base = seq;
 }
 
 } // namespace fdip

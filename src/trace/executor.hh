@@ -104,7 +104,15 @@ class TraceWindow
      * valid only until the next at(): generating may move the window
      * into a larger ring.
      */
-    const TraceInstr &at(InstSeqNum seq);
+    const TraceInstr &
+    at(InstSeqNum seq)
+    {
+        // seq < base wraps to a huge offset and takes the slow path,
+        // which reports it.
+        if (seq - base < buf.size())
+            return buf.at(seq - base);
+        return generateThrough(seq);
+    }
 
     /** Instructions below @p seq may be discarded. */
     void retireUpTo(InstSeqNum seq);
@@ -113,6 +121,9 @@ class TraceWindow
     InstSeqNum baseSeq() const { return base; }
 
   private:
+    /** at() past the generated window: generate up to @p seq. */
+    const TraceInstr &generateThrough(InstSeqNum seq);
+
     TraceSource &src;
     CircularQueue<TraceInstr> buf;
     InstSeqNum base = 0;

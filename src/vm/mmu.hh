@@ -207,7 +207,6 @@ class Mmu
     Tlb *l2Tlb() { return l2_.get(); }
     const Tlb *l2Tlb() const { return l2_.get(); }
     const PageTable &pageTable() const { return pt; }
-    const VmConfig &config() const { return cfg; }
 
     /** Aggregate MMU + ITLB + L2-TLB statistics into @p out. */
     void collectStats(StatSet &out) const;

@@ -258,6 +258,54 @@ TEST(TraceWindow, RetireBeyondGeneratedIsSafe)
     EXPECT_GE(win.baseSeq(), 4u);
 }
 
+TEST(TraceWindow, RetirePastTheWindowKeepsNumberingDense)
+{
+    auto prog = testutil::makeCallPattern();
+    SyntheticExecutor ex(*prog, miniProfile()), ref_ex(*prog, miniProfile());
+    std::vector<Addr> ref;
+    for (int i = 0; i < 100; ++i)
+        ref.push_back(ref_ex.next().pc);
+
+    TraceWindow win(ex);
+    win.at(3);
+    win.retireUpTo(10); // 4 held, 6 generated and discarded
+    EXPECT_EQ(win.baseSeq(), 10u);
+    EXPECT_EQ(win.windowSize(), 0u);
+    for (InstSeqNum s = 10; s < 40; ++s)
+        ASSERT_EQ(win.at(s).pc, ref[s]) << "seq " << s;
+    win.retireUpTo(60); // 30 held, 20 past the window
+    for (InstSeqNum s = 60; s < 100; ++s)
+        ASSERT_EQ(win.at(s).pc, ref[s]) << "seq " << s;
+}
+
+TEST(TraceWindow, BulkRetireMatchesRetiringOneAtATime)
+{
+    const WorkloadProfile &p = findProfile("gcc");
+    auto prog = buildProgram(p);
+    SyntheticExecutor bulk_ex(*prog, p), step_ex(*prog, p);
+    TraceWindow bulk(bulk_ex), step(step_ex);
+    InstSeqNum lo = 0;
+    for (unsigned round = 0; round < 200; ++round) {
+        InstSeqNum hi = lo + 5 + 61 * (round % 9);
+        bulk.at(hi);
+        step.at(hi);
+        lo += 1 + 47 * (round % 7); // sometimes past hi
+        bulk.retireUpTo(lo);
+        while (step.baseSeq() < lo)
+            step.retireUpTo(step.baseSeq() + 1);
+        ASSERT_EQ(bulk.baseSeq(), step.baseSeq());
+        ASSERT_EQ(bulk.windowSize(), step.windowSize());
+        InstSeqNum end = lo + bulk.windowSize() + 8;
+        for (InstSeqNum s = lo; s < end; ++s) {
+            const TraceInstr &b = bulk.at(s);
+            const TraceInstr &t = step.at(s);
+            ASSERT_EQ(b.pc, t.pc) << "seq " << s;
+            ASSERT_EQ(b.cls, t.cls) << "seq " << s;
+            ASSERT_EQ(b.nextPc(), t.nextPc()) << "seq " << s;
+        }
+    }
+}
+
 TEST(TraceWindow, GrowsPastItsRingAndRetiresAcrossTheWrap)
 {
     const WorkloadProfile &p = findProfile("li");

@@ -175,6 +175,53 @@ TEST(FetchEngine, DecodeFixableUsesShortLatency)
     EXPECT_EQ(rig.fetch.stats.counter("fetch.decode_redirects"), 1u);
 }
 
+TEST(FetchEngine, CulpritInsideARunSchedulesOneRedirect)
+{
+    // 8 instructions from 4 before a line boundary: cycle 1 delivers
+    // instructions 0-3, cycle 2 instructions 4-7. The culprit sits
+    // inside one of the two runs; the run's tail past validLen, and
+    // every later instruction, is wrong-path.
+    struct Case
+    {
+        unsigned validLen;
+        bool decodeFixable;
+        Cycle redirectAt;
+        std::uint64_t wrongPath;
+    };
+    const Case cases[] = {
+        {6, true, 2 + FetchEngine::kDecodeRedirectLatency, 2},
+        {2, false, 1 + FetchEngine::kResolveRedirectLatency, 6},
+    };
+    for (const Case &k : cases) {
+        Rig rig;
+        rig.mem.l1i().insert(0x1000);
+        rig.mem.l1i().insert(0x1020);
+        FetchBlock blk = rig.blockAt(0x1010, 8);
+        blk.validLen = k.validLen;
+        blk.diverges = true;
+        blk.culpritIdx = k.validLen - 1;
+        blk.decodeFixable = k.decodeFixable;
+        rig.ftq.push(blk);
+        rig.tick();
+        rig.tick();
+        EXPECT_TRUE(rig.ftq.empty());
+        ASSERT_TRUE(rig.fetch.redirectPending());
+        EXPECT_EQ(rig.fetch.redirectTime(), k.redirectAt);
+        EXPECT_EQ(rig.fetch.stats.counter("fetch.redirects_scheduled"), 1u);
+        EXPECT_EQ(rig.fetch.stats.counter(k.decodeFixable
+                                              ? "fetch.decode_redirects"
+                                              : "fetch.resolve_redirects"),
+                  1u);
+        EXPECT_EQ(rig.backend.stats.counter("backend.delivered"), 8u);
+        EXPECT_EQ(rig.fetch.stats.counter("fetch.wrong_path_delivered"),
+                  k.wrongPath);
+        EXPECT_EQ(rig.backend.stats.counter("backend.delivered_wrong_path"),
+                  k.wrongPath);
+        rig.backend.tick(3); // retires what cycle 2 delivered
+        EXPECT_EQ(rig.backend.committed(), k.validLen);
+    }
+}
+
 TEST(FetchEngine, SquashClearsRedirectAndStall)
 {
     Rig rig;

@@ -8,6 +8,7 @@
 
 #include <memory>
 
+#include "common/random.hh"
 #include "trace/program.hh"
 
 namespace fdip::testutil
@@ -130,6 +131,19 @@ makeLongStraightLoop(unsigned num_insts = 256)
     prog->layout();
     prog->validate();
     return prog;
+}
+
+/**
+ * A block address for the differential tests of the lookups a
+ * PresenceCounts filter guards. The pool holds 320 addresses, more
+ * than the filter's 256 buckets, so some share a bucket whatever the
+ * hash; the draw favours low indices, so repeats are common.
+ */
+inline Addr
+drawKey(Rng &rng)
+{
+    constexpr std::uint64_t kPool = 320;
+    return 0x10000 + rng.below(rng.below(kPool) + 1) * 64;
 }
 
 } // namespace fdip::testutil

@@ -7,6 +7,7 @@
 
 #include "common/random.hh"
 #include "mem/mshr.hh"
+#include "test_helpers.hh"
 
 using namespace fdip;
 
@@ -162,6 +163,63 @@ TEST(Mshr, CountsMatchRecountOverRandomSequences)
             for (const Live &l : live)
                 arrived += l.readyAt <= 102 ? 1 : 0;
             ASSERT_EQ(m.ready(102).size(), arrived);
+        }
+    }
+}
+
+TEST(Mshr, FindMatchesAPlainSetUnderRandomTraffic)
+{
+    // Allocations, frees of random live entries and rare clears; every
+    // find() must equal a scan of the live addresses, and a hit must
+    // be the entry allocated for that address.
+    for (unsigned entries : {1u, 4u, 16u}) {
+        MshrFile m(entries);
+        std::vector<Addr> live;
+        auto held = [&live](Addr a) {
+            return std::find(live.begin(), live.end(), a) != live.end();
+        };
+        Rng rng(0x3e5 + entries);
+        for (int op = 0; op < 100000; ++op) {
+            Addr key = testutil::drawKey(rng);
+            switch (rng.below(8)) {
+              case 0:
+              case 1:
+              case 2:
+                if (!held(key)) {
+                    MshrEntry *e = m.allocate(key, op, rng.chance(0.5),
+                                              FillDest::PrefetchBuffer);
+                    ASSERT_EQ(e == nullptr, live.size() == entries);
+                    if (e != nullptr)
+                        live.push_back(key);
+                }
+                break;
+              case 3:
+              case 4:
+                if (!live.empty()) {
+                    std::size_t k = rng.below(live.size());
+                    MshrEntry *e = m.find(live[k]);
+                    ASSERT_NE(e, nullptr);
+                    m.free(*e);
+                    live.erase(live.begin() + k);
+                }
+                break;
+              case 5:
+                if (rng.below(64) == 0) {
+                    m.clear();
+                    live.clear();
+                }
+                break;
+              default: {
+                const MshrFile &cm = m;
+                const MshrEntry *e = cm.find(key);
+                ASSERT_EQ(e != nullptr, held(key))
+                    << "entries " << entries << " op " << op;
+                if (e != nullptr) {
+                    ASSERT_EQ(e->blockAddr, key);
+                }
+              }
+            }
+            ASSERT_EQ(m.inUse(), live.size());
         }
     }
 }

@@ -191,12 +191,12 @@ TEST(NextEvent, BackendStates)
     EXPECT_EQ(be.nextEventCycle(3), kNever);
 
     // Correct-path head: retires next cycle.
-    be.deliver({.seq = 1, .wrongPath = false});
+    be.deliver(1, 0);
     EXPECT_EQ(be.nextEventCycle(3), 4u);
 
     // Wrong-path head: blocked until a redirect squashes it.
     Backend be2({.retireWidth = 4, .queueDepth = 8});
-    be2.deliver({.seq = 0, .wrongPath = true});
+    be2.deliver(0, 1);
     EXPECT_EQ(be2.nextEventCycle(3), kNever);
 }
 
@@ -242,7 +242,7 @@ TEST(NextEvent, FetchEngineBlockedVsActing)
 
     // Full backend of wrong-path slots: blocked again.
     for (int i = 0; i < 8; ++i)
-        backend.deliver({.seq = 0, .wrongPath = true});
+        backend.deliver(0, 1);
     EXPECT_EQ(fetch.nextEventCycle(1), kNever);
 }
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+
 #include "prefetch/piq.hh"
+#include "test_helpers.hh"
 
 using namespace fdip;
 
@@ -106,6 +110,56 @@ TEST(Piq, FlushEmpties)
     piq.push(0x2000);
     piq.flush();
     EXPECT_TRUE(piq.empty());
+}
+
+TEST(Piq, ContainsMatchesAPlainQueueUnderRandomTraffic)
+{
+    // Pushes (repeats included), pops, removals at random positions
+    // and rare flushes; every contains() must equal a scan of a plain
+    // queue given the same operations.
+    for (std::uint64_t seed : {1, 2}) {
+        Piq piq(16);
+        std::deque<Addr> ref;
+        Rng rng(seed);
+        for (int op = 0; op < 100000; ++op) {
+            Addr key = testutil::drawKey(rng);
+            switch (rng.below(8)) {
+              case 0:
+              case 1:
+              case 2:
+                if (!piq.full()) {
+                    piq.push(key);
+                    ref.push_back(key);
+                }
+                break;
+              case 3:
+                if (!piq.empty()) {
+                    piq.popFront();
+                    ref.pop_front();
+                }
+                break;
+              case 4:
+                if (!piq.empty()) {
+                    std::size_t i = rng.below(piq.size());
+                    piq.removeAt(i);
+                    ref.erase(ref.begin() + i);
+                }
+                break;
+              case 5:
+                if (rng.below(64) == 0) {
+                    piq.flush();
+                    ref.clear();
+                }
+                break;
+              default:
+                ASSERT_EQ(piq.contains(key),
+                          std::find(ref.begin(), ref.end(), key) !=
+                              ref.end())
+                    << "seed " << seed << " op " << op;
+            }
+            ASSERT_EQ(piq.size(), ref.size());
+        }
+    }
 }
 
 TEST(PiqDeath, OverflowAndRange)

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+
 #include "common/recent_filter.hh"
+#include "test_helpers.hh"
 
 using namespace fdip;
 
@@ -70,4 +74,45 @@ TEST(RecentFilter, DuplicateInsertIsHeldTwice)
     EXPECT_TRUE(f.contains(0xb0));
     EXPECT_TRUE(f.contains(0xc0));
     EXPECT_TRUE(f.contains(0xd0));
+}
+
+TEST(RecentFilter, AnswersMatchAPlainRingUnderRandomTraffic)
+{
+    // The presence counts only cut a miss short: every answer equals a
+    // scan of a plain FIFO of the same capacity, whose empty slots
+    // hold invalidAddr until the ring fills.
+    for (std::size_t cap : {0, 1, 16, 64}) {
+        RecentFilter f(cap);
+        std::deque<Addr> ref(cap, invalidAddr);
+        auto held = [&ref](Addr a) {
+            return std::find(ref.begin(), ref.end(), a) != ref.end();
+        };
+        Rng rng(0xf117e5 + cap);
+        for (int op = 0; op < 100000; ++op) {
+            Addr key = testutil::drawKey(rng);
+            if (rng.chance(0.5)) {
+                Addr evicted = invalidAddr;
+                if (cap > 0) {
+                    evicted = ref.front();
+                    ref.pop_front();
+                    ref.push_back(key);
+                }
+                ASSERT_EQ(f.insert(key), evicted)
+                    << "cap " << cap << " op " << op;
+            } else {
+                ASSERT_EQ(f.contains(key), held(key))
+                    << "cap " << cap << " op " << op;
+            }
+            ASSERT_EQ(f.contains(invalidAddr), held(invalidAddr))
+                << "cap " << cap << " op " << op;
+        }
+    }
+}
+
+TEST(RecentFilterDeath, CapacityBeyondTheCountsIsFatal)
+{
+    RecentFilter largest(PresenceCounts::kMaxKeys);
+    EXPECT_FALSE(largest.contains(0x40));
+    EXPECT_DEATH({ RecentFilter f(PresenceCounts::kMaxKeys + 1); },
+                 "at most 65535");
 }
