@@ -34,7 +34,8 @@ render(const Sweep &sweep)
 
     // One full rendered distribution for a representative workload.
     const SimResults &gcc = sweep.run("gcc", PrefetchScheme::None);
-    print("\n" + gcc.ftqOccupancy.render("gcc FTQ occupancy"));
+    print("\n");
+    print(gcc.ftqOccupancy.render("gcc FTQ occupancy"));
 }
 
 ExperimentSpec

@@ -69,7 +69,7 @@ metadataBytes(PrefetchScheme s, const SimConfig &cfg)
         return ManaPrefetcher::tableCapacityBytes(cfg.mana) +
             cfg.mana.queueEntries * 6;
       case PrefetchScheme::ShadowBtb:
-        return ShadowBtbPrefetcher::metadataBytes(cfg.shadow);
+        return ShadowBtbPrefetcher::kMetadataBytes;
       default:
         return 0;
     }

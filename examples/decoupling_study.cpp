@@ -30,7 +30,8 @@ main(int argc, char **argv)
         auto tweak = [depth](SimConfig &cfg) {
             cfg.ftqEntries = depth;
         };
-        std::string key = "d" + std::to_string(depth);
+        std::string key = "d";
+        key += std::to_string(depth);
         const SimResults &base =
             runner.run(workload, PrefetchScheme::None, key, tweak);
         const SimResults &r = runner.run(

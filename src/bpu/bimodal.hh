@@ -23,7 +23,6 @@ class BimodalPredictor : public DirectionPredictor
 
     bool predict(Addr pc, std::uint64_t ghist) const override;
     void update(Addr pc, std::uint64_t ghist, bool taken) override;
-    std::string name() const override { return "bimodal"; }
     std::uint64_t storageBits() const override;
 
   private:

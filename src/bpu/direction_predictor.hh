@@ -7,7 +7,6 @@
 #define FDIP_BPU_DIRECTION_PREDICTOR_HH
 
 #include <cstdint>
-#include <string>
 
 #include "common/types.hh"
 
@@ -31,8 +30,6 @@ class DirectionPredictor
 
     /** Train with the resolved outcome. */
     virtual void update(Addr pc, std::uint64_t ghist, bool taken) = 0;
-
-    virtual std::string name() const = 0;
 
     /** Total predictor state in bits (for storage accounting). */
     virtual std::uint64_t storageBits() const = 0;

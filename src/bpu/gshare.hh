@@ -27,7 +27,6 @@ class GsharePredictor : public DirectionPredictor
 
     bool predict(Addr pc, std::uint64_t ghist) const override;
     void update(Addr pc, std::uint64_t ghist, bool taken) override;
-    std::string name() const override { return "gshare"; }
     std::uint64_t storageBits() const override;
 
     unsigned historyBits() const { return histBits; }

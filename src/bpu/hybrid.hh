@@ -28,7 +28,6 @@ class HybridPredictor : public DirectionPredictor
 
     bool predict(Addr pc, std::uint64_t ghist) const override;
     void update(Addr pc, std::uint64_t ghist, bool taken) override;
-    std::string name() const override { return "hybrid"; }
     std::uint64_t storageBits() const override;
 
   private:

@@ -30,7 +30,6 @@ class Local2LevelPredictor : public DirectionPredictor
 
     bool predict(Addr pc, std::uint64_t ghist) const override;
     void update(Addr pc, std::uint64_t ghist, bool taken) override;
-    std::string name() const override { return "local2level"; }
     std::uint64_t storageBits() const override;
 
   private:

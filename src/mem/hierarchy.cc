@@ -71,8 +71,7 @@ MemHierarchy::tick(Cycle now)
             // lifecycle inside the client callback.
             attr_.onFill(e->blockAddr, now);
             if (streamFill) {
-                streamFill->streamFill(e->streamId, e->slotId,
-                                       e->blockAddr);
+                streamFill->streamFill(e->streamId, e->blockAddr);
             }
             break;
         }
@@ -285,7 +284,7 @@ MemHierarchy::demandFetch(Addr addr, Cycle now)
 
 MemHierarchy::PfIssue
 MemHierarchy::issuePrefetch(Addr addr, Cycle now, FillDest dest,
-                            std::uint32_t stream_id, std::uint32_t slot_id)
+                            std::uint32_t stream_id)
 {
     Addr block = l1i_.blockAlign(addr);
     stPrefetchAttempts.inc();
@@ -314,7 +313,6 @@ MemHierarchy::issuePrefetch(Addr addr, Cycle now, FillDest dest,
     panic_if(e == nullptr, "MSHR availability checked above");
     e->fillL2 = fills_l2;
     e->streamId = stream_id;
-    e->slotId = slot_id;
     stPrefetchesIssued.inc();
     attr_.onIssue(block, now);
     return PfIssue::Issued;

@@ -31,8 +31,7 @@ class StreamFillClient
 {
   public:
     virtual ~StreamFillClient() = default;
-    virtual void streamFill(std::uint32_t stream_id, std::uint32_t slot_id,
-                            Addr block_addr) = 0;
+    virtual void streamFill(std::uint32_t stream_id, Addr block_addr) = 0;
 };
 
 /** Lets a stream buffer service demand misses before they go to L2. */
@@ -134,8 +133,7 @@ class MemHierarchy
      * prefetch budget, MSHRs, or the required bus are exhausted.
      */
     PfIssue issuePrefetch(Addr addr, Cycle now, FillDest dest,
-                          std::uint32_t stream_id = 0,
-                          std::uint32_t slot_id = 0);
+                          std::uint32_t stream_id = 0);
 
     /** Cache-probe filter check: is the block in the L1-I? Tag check
      *  only; the caller must have reserved a tag port. */

@@ -45,7 +45,6 @@ MshrFile::allocate(Addr block_addr, Cycle ready_at, bool is_prefetch,
             e.fillL2 = false;
             e.dest = dest;
             e.streamId = 0;
-            e.slotId = 0;
             ++inUse_;
             present.add(block_addr);
             if (is_prefetch)

@@ -34,13 +34,12 @@ struct MshrEntry
     Addr blockAddr = invalidAddr;
     /** Fill completion and kind are fixed at allocation: the file's
      *  counts and earliest fill are kept from them. Callers holding an
-     *  entry may retarget only @c dest, @c fillL2 and the stream ids. */
+     *  entry may retarget only @c dest, @c fillL2 and @c streamId. */
     Cycle readyAt = neverCycle;
     bool isPrefetch = false;
     bool fillL2 = false;   ///< the fill also installs into the L2
     FillDest dest = FillDest::DemandL1;
     std::uint32_t streamId = 0;
-    std::uint32_t slotId = 0;
 };
 
 class MshrFile

@@ -6,32 +6,13 @@
 namespace fdip
 {
 
-const char *
-cpfModeName(CpfMode mode)
-{
-    switch (mode) {
-      case CpfMode::None: return "none";
-      case CpfMode::Enqueue: return "enqueue";
-      case CpfMode::EnqueueAggressive: return "enqueue-aggr";
-      case CpfMode::Remove: return "remove";
-      case CpfMode::Ideal: return "ideal";
-    }
-    return "?";
-}
-
 FdpPrefetcher::FdpPrefetcher(Ftq &ftq_ref, MemHierarchy &mem_ref,
                              CpfMode mode, const Config &config)
     : ftq(ftq_ref), mem(mem_ref), mode_(mode), cfg(config),
-      piq_(cfg.piqEntries), recentlyRequested(cfg.recentFilterEntries)
+      piq_("fdp", cfg.piqEntries), recentlyRequested(cfg.recentFilterEntries)
 {
     fatal_if(cfg.scanWidth == 0, "FDP scan width must be nonzero");
     fatal_if(cfg.issueWidth == 0, "FDP issue width must be nonzero");
-}
-
-std::string
-FdpPrefetcher::name() const
-{
-    return strprintf("fdp-%s", cpfModeName(mode_));
 }
 
 void

@@ -41,8 +41,6 @@ enum class CpfMode
     Ideal,
 };
 
-const char *cpfModeName(CpfMode mode);
-
 class FdpPrefetcher : public Prefetcher
 {
   public:
@@ -66,7 +64,6 @@ class FdpPrefetcher : public Prefetcher
     FdpPrefetcher(Ftq &ftq, MemHierarchy &mem, CpfMode mode,
                   const Config &config);
 
-    std::string name() const override;
     void tick(Cycle now) override;
     Cycle nextEventCycle(Cycle now) const override;
     void chargeIdleCycles(Cycle now, Cycle cycles) override;

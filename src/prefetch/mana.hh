@@ -42,7 +42,6 @@ class ManaPrefetcher : public QueuedPrefetcher
 
     ManaPrefetcher(MemHierarchy &mem, const Config &config);
 
-    std::string name() const override { return "mana"; }
     void onDemandAccess(Addr block_addr, const FetchAccess &access,
                         Cycle now) override;
 

@@ -27,7 +27,6 @@ class NlpPrefetcher : public QueuedPrefetcher
 
     NlpPrefetcher(MemHierarchy &mem, const Config &config);
 
-    std::string name() const override { return "nlp"; }
     void onDemandAccess(Addr block_addr, const FetchAccess &access,
                         Cycle now) override;
 

@@ -40,7 +40,6 @@ class OraclePrefetcher : public Prefetcher
     OraclePrefetcher(TraceWindow &trace, const Bpu &bpu,
                      MemHierarchy &mem, const Config &config);
 
-    std::string name() const override { return "oracle"; }
     void tick(Cycle now) override;
     Cycle nextEventCycle(Cycle now) const override;
 

@@ -5,8 +5,21 @@
 namespace fdip
 {
 
-Piq::Piq(std::size_t capacity)
-    : q(capacity)
+namespace
+{
+
+std::size_t
+checkedCapacity(const std::string &owner, std::size_t capacity)
+{
+    fatal_if(capacity == 0, "%s candidate queue needs at least one entry",
+             owner.c_str());
+    return capacity;
+}
+
+} // namespace
+
+Piq::Piq(const std::string &owner, std::size_t capacity)
+    : q(checkedCapacity(owner, capacity))
 {}
 
 void

@@ -11,6 +11,8 @@
 #ifndef FDIP_PREFETCH_PIQ_HH
 #define FDIP_PREFETCH_PIQ_HH
 
+#include <string>
+
 #include "common/circular_queue.hh"
 #include "common/presence_counts.hh"
 #include "common/types.hh"
@@ -30,7 +32,8 @@ struct PiqEntry
 class Piq
 {
   public:
-    explicit Piq(std::size_t capacity = 16);
+    /** @p owner names the queue in the zero-capacity error. */
+    Piq(const std::string &owner, std::size_t capacity);
 
     bool full() const { return q.full(); }
     bool empty() const { return q.empty(); }

@@ -15,7 +15,6 @@
 
 #include <string>
 
-#include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/hierarchy.hh"
@@ -29,8 +28,6 @@ class Prefetcher
 {
   public:
     virtual ~Prefetcher() = default;
-
-    virtual std::string name() const = 0;
 
     /** Per-cycle work: probing, issuing, scanning. */
     virtual void tick(Cycle now) {}
@@ -241,7 +238,7 @@ class QueuedPrefetcher : public Prefetcher
   protected:
     QueuedPrefetcher(MemHierarchy &mem_ref, const std::string &prefix,
                      std::size_t queue_entries)
-        : mem(mem_ref), queue_(checkedCapacity(prefix, queue_entries)),
+        : mem(mem_ref), queue_(prefix, queue_entries),
           stTlbDropped(stats.registerCounter(prefix + ".tlb_dropped")),
           stTlbWaitStalls(
               stats.registerCounter(prefix + ".tlb_wait_stalls")),
@@ -276,14 +273,6 @@ class QueuedPrefetcher : public Prefetcher
     MemHierarchy &mem;
 
   private:
-    static std::size_t
-    checkedCapacity(const std::string &prefix, std::size_t entries)
-    {
-        fatal_if(entries == 0, "%s candidate queue needs at least one entry",
-                 prefix.c_str());
-        return entries;
-    }
-
     Piq queue_;
     StatSet::Counter stTlbDropped;
     StatSet::Counter stTlbWaitStalls;

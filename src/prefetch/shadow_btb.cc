@@ -33,18 +33,8 @@ ShadowBtbPrefetcher::ShadowBtbPrefetcher(Ftb *ftb_ptr, BtbIface *btb_ptr,
 {
     fatal_if(ftb == nullptr && btb == nullptr,
              "shadow-btb needs a BTB or FTB to pre-fill");
-    fatal_if(cfg.queueEntries == 0,
-             "shadow scan queue needs at least one entry");
     if (prog != nullptr)
         image.emplace(*prog);
-}
-
-std::uint64_t
-ShadowBtbPrefetcher::metadataBytes(const Config &config)
-{
-    // 48-bit line addresses: 6 bytes per queue/filter slot. The
-    // prefill store itself is the front-end's existing BTB/FTB.
-    return (config.queueEntries + kRecentFilterEntries) * 6;
 }
 
 void
@@ -71,7 +61,7 @@ ShadowBtbPrefetcher::onDemandAccess(Addr block_addr,
         scanQueue.end()) {
         return;
     }
-    if (scanQueue.size() >= cfg.queueEntries) {
+    if (scanQueue.size() >= kQueueEntries) {
         stQueueDrops.inc();
         return; // scanning is opportunistic: drop, don't displace
     }

@@ -39,11 +39,16 @@ class ShadowBtbPrefetcher : public Prefetcher
     static constexpr unsigned kScanWidth = 8;
     /** Recently scanned lines that are not queued again. */
     static constexpr unsigned kRecentFilterEntries = 32;
+    /** Pending cache-line scan queue size. */
+    static constexpr std::size_t kQueueEntries = 8;
+    /** Scheme-private metadata: the scan queue and recent filter, 6
+     *  bytes per 48-bit line address (the prefill target store is the
+     *  existing BTB/FTB). */
+    static constexpr std::uint64_t kMetadataBytes =
+        (kQueueEntries + kRecentFilterEntries) * 6;
 
     struct Config
     {
-        /** Pending cache-line scan queue size. */
-        std::size_t queueEntries = 8;
         /**
          * Model branch-looking data bytes: 1-in-N non-CF slots is
          * treated as a branch and pre-filled with a synthesized
@@ -62,15 +67,10 @@ class ShadowBtbPrefetcher : public Prefetcher
     ShadowBtbPrefetcher(Ftb *ftb, BtbIface *btb, MemHierarchy &mem,
                         const Program *prog, const Config &config);
 
-    std::string name() const override { return "shadow-btb"; }
     void tick(Cycle now) override;
     Cycle nextEventCycle(Cycle now) const override;
     void onDemandAccess(Addr block_addr, const FetchAccess &access,
                         Cycle now) override;
-
-    /** Scheme-private metadata: the scan queue and recent filter (the
-     *  prefill target store is the existing BTB/FTB). */
-    static std::uint64_t metadataBytes(const Config &config);
 
   private:
     void prefill(Addr block_start, Addr pc, InstClass cls, Addr target,

@@ -109,8 +109,7 @@ StreamBufferPrefetcher::probeAndConsume(Addr block_addr, Cycle now)
 }
 
 void
-StreamBufferPrefetcher::streamFill(std::uint32_t stream_id,
-                                   std::uint32_t slot_id, Addr block_addr)
+StreamBufferPrefetcher::streamFill(std::uint32_t stream_id, Addr block_addr)
 {
     if (stream_id >= buffers.size()) {
         stOrphanFills.inc();
@@ -222,9 +221,8 @@ StreamBufferPrefetcher::tick(Cycle now)
             stSkippedRedundant.inc();
             continue;
         }
-        auto result = mem.issuePrefetch(
-            b.tr.paddr, now, FillDest::StreamBuffer, bi,
-            static_cast<std::uint32_t>(b.slots.size()));
+        auto result = mem.issuePrefetch(b.tr.paddr, now,
+                                        FillDest::StreamBuffer, bi);
         switch (result) {
           case MemHierarchy::PfIssue::Issued:
             b.slots.push_back({b.nextAddr, b.tr.paddr, false});

@@ -39,7 +39,6 @@ class StreamBufferPrefetcher : public Prefetcher,
 
     StreamBufferPrefetcher(MemHierarchy &mem, const Config &config);
 
-    std::string name() const override { return "stream"; }
     void tick(Cycle now) override;
     Cycle nextEventCycle(Cycle now) const override;
     void chargeIdleCycles(Cycle now, Cycle cycles) override;
@@ -47,8 +46,7 @@ class StreamBufferPrefetcher : public Prefetcher,
                         Cycle now) override;
 
     // StreamFillClient
-    void streamFill(std::uint32_t stream_id, std::uint32_t slot_id,
-                    Addr block_addr) override;
+    void streamFill(std::uint32_t stream_id, Addr block_addr) override;
 
     // StreamProbeClient
     bool probeAndConsume(Addr block_addr, Cycle now) override;

@@ -1,10 +1,9 @@
 #include "sim/config.hh"
 
-#include <cstring>
+#include <iterator>
 #include <string_view>
 
 #include "common/fnv.hh"
-#include "common/intmath.hh"
 #include "common/logging.hh"
 
 namespace fdip
@@ -47,53 +46,65 @@ hashProfile(Fnv1a &f, const WorkloadProfile &p)
     f.u64(p.dispatcherSites);
 }
 
+struct SchemeEntry
+{
+    PrefetchScheme scheme;
+    const char *name;
+};
+
+/** Every registered scheme and its one name, in enum order. */
+constexpr SchemeEntry kSchemes[] = {
+    {PrefetchScheme::None, "none"},
+    {PrefetchScheme::Nlp, "nlp"},
+    {PrefetchScheme::StreamBuffer, "stream"},
+    {PrefetchScheme::FdpNone, "fdp-nofilter"},
+    {PrefetchScheme::FdpEnqueue, "fdp-enqueue"},
+    {PrefetchScheme::FdpEnqueueAggressive, "fdp-enqueue-aggr"},
+    {PrefetchScheme::FdpRemove, "fdp-remove"},
+    {PrefetchScheme::FdpIdeal, "fdp-ideal"},
+    {PrefetchScheme::Oracle, "oracle"},
+    {PrefetchScheme::Mana, "mana"},
+    {PrefetchScheme::ShadowBtb, "shadow-btb"},
+};
+
+constexpr bool
+inEnumOrder()
+{
+    for (std::size_t i = 0; i < std::size(kSchemes); ++i) {
+        if (static_cast<std::size_t>(kSchemes[i].scheme) != i)
+            return false;
+    }
+    return true;
+}
+static_assert(inEnumOrder(), "kSchemes must list the schemes in enum order");
+
 } // namespace
 
 const char *
 schemeName(PrefetchScheme scheme)
 {
-    switch (scheme) {
-      case PrefetchScheme::None: return "none";
-      case PrefetchScheme::Nlp: return "nlp";
-      case PrefetchScheme::StreamBuffer: return "stream";
-      case PrefetchScheme::FdpNone: return "fdp-nofilter";
-      case PrefetchScheme::FdpEnqueue: return "fdp-enqueue";
-      case PrefetchScheme::FdpEnqueueAggressive:
-        return "fdp-enqueue-aggr";
-      case PrefetchScheme::FdpRemove: return "fdp-remove";
-      case PrefetchScheme::FdpIdeal: return "fdp-ideal";
-      case PrefetchScheme::Oracle: return "oracle";
-      case PrefetchScheme::Mana: return "mana";
-      case PrefetchScheme::ShadowBtb: return "shadow-btb";
-    }
-    return "?";
+    auto i = static_cast<std::size_t>(scheme);
+    return i < std::size(kSchemes) ? kSchemes[i].name : "?";
 }
 
 const std::vector<PrefetchScheme> &
 allPrefetchSchemes()
 {
-    static const std::vector<PrefetchScheme> all = {
-        PrefetchScheme::None,
-        PrefetchScheme::Nlp,
-        PrefetchScheme::StreamBuffer,
-        PrefetchScheme::FdpNone,
-        PrefetchScheme::FdpEnqueue,
-        PrefetchScheme::FdpEnqueueAggressive,
-        PrefetchScheme::FdpRemove,
-        PrefetchScheme::FdpIdeal,
-        PrefetchScheme::Oracle,
-        PrefetchScheme::Mana,
-        PrefetchScheme::ShadowBtb,
-    };
+    static const std::vector<PrefetchScheme> all = [] {
+        std::vector<PrefetchScheme> v;
+        for (const SchemeEntry &e : kSchemes)
+            v.push_back(e.scheme);
+        return v;
+    }();
     return all;
 }
 
 std::optional<PrefetchScheme>
 schemeFromName(const std::string &name)
 {
-    for (PrefetchScheme s : allPrefetchSchemes()) {
-        if (name == schemeName(s))
-            return s;
+    for (const SchemeEntry &e : kSchemes) {
+        if (name == e.name)
+            return e.scheme;
     }
     return std::nullopt;
 }
@@ -103,16 +114,6 @@ traceLabelPath(const std::string &label)
 {
     constexpr std::string_view prefix = "trace:";
     return label.starts_with(prefix) ? label.substr(prefix.size()) : "";
-}
-
-bool
-schemeIsFdp(PrefetchScheme scheme)
-{
-    return scheme == PrefetchScheme::FdpNone ||
-        scheme == PrefetchScheme::FdpEnqueue ||
-        scheme == PrefetchScheme::FdpEnqueueAggressive ||
-        scheme == PrefetchScheme::FdpRemove ||
-        scheme == PrefetchScheme::FdpIdeal;
 }
 
 std::uint64_t
@@ -182,22 +183,43 @@ SimConfig::fingerprint() const
     f.b(vm.tlbPrefetch);
 
     f.u64(static_cast<std::uint64_t>(scheme));
-    f.u64(fdp.piqEntries);
-    f.u64(fdp.scanWidth);
-    f.u64(fdp.issueWidth);
-    f.u64(fdp.recentFilterEntries);
-    f.b(fdp.fillIntoL1);
-    f.u64(nlp.degree);
-    f.u64(sb.numBuffers);
-    f.b(sb.allocationFilter);
-    f.u64(oracle.lookaheadInsts);
-    f.u64(mana.regionBlocks);
-    f.u64(mana.tableSets);
-    f.u64(mana.tableWays);
-    f.u64(mana.queueEntries);
-    f.u64(mana.chainLength);
-    f.u64(shadow.queueEntries);
-    f.u64(shadow.bogusNoiseDenom);
+    // A scheme's private block names the machine only when the scheme
+    // builds it: the knobs of an unbuilt scheme change nothing.
+    switch (scheme) {
+      case PrefetchScheme::None:
+        break;
+      case PrefetchScheme::Nlp:
+        f.u64(nlp.degree);
+        break;
+      case PrefetchScheme::StreamBuffer:
+        f.u64(sb.numBuffers);
+        f.b(sb.allocationFilter);
+        break;
+      case PrefetchScheme::FdpNone:
+      case PrefetchScheme::FdpEnqueue:
+      case PrefetchScheme::FdpEnqueueAggressive:
+      case PrefetchScheme::FdpRemove:
+      case PrefetchScheme::FdpIdeal:
+        f.u64(fdp.piqEntries);
+        f.u64(fdp.scanWidth);
+        f.u64(fdp.issueWidth);
+        f.u64(fdp.recentFilterEntries);
+        f.b(fdp.fillIntoL1);
+        break;
+      case PrefetchScheme::Oracle:
+        f.u64(oracle.lookaheadInsts);
+        break;
+      case PrefetchScheme::Mana:
+        f.u64(mana.regionBlocks);
+        f.u64(mana.tableSets);
+        f.u64(mana.tableWays);
+        f.u64(mana.queueEntries);
+        f.u64(mana.chainLength);
+        break;
+      case PrefetchScheme::ShadowBtb:
+        f.u64(shadow.bogusNoiseDenom);
+        break;
+    }
 
     f.d(cycleLimitPerInst);
     f.u64(maxCycles);
@@ -217,20 +239,6 @@ SimConfig::validate() const
              "coreWorkloads must name exactly numCores workloads");
     fatal_if(ftqEntries == 0, "FTQ needs at least one entry");
     fatal_if(cycleLimitPerInst <= 1.0, "cycle limit too low to finish");
-    fatal_if(fdp.piqEntries == 0, "FDP PIQ needs at least one entry");
-    fatal_if(mana.regionBlocks == 0 || mana.regionBlocks > 64 ||
-                 !isPowerOf2(mana.regionBlocks),
-             "MANA region size must be a power-of-two block count "
-             "<= 64");
-    fatal_if(!isPowerOf2(mana.tableSets),
-             "MANA table set count must be a power of two");
-    fatal_if(mana.tableWays == 0, "MANA table needs at least one way");
-    fatal_if(mana.queueEntries == 0,
-             "MANA replay queue needs at least one entry");
-    fatal_if(mana.chainLength == 0,
-             "MANA chain length must be at least 1");
-    fatal_if(shadow.queueEntries == 0,
-             "shadow-btb scan queue needs at least one entry");
     // VM knobs are checked even with vm.enable off. Every simulation
     // builds the MMU, whose page table and TLBs check their own
     // geometry (and the MMU its L2-TLB latency) as they are built.

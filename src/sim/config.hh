@@ -44,14 +44,16 @@ enum class PrefetchScheme
     ShadowBtb,    ///< shadow-branch decode pre-filling the BTB/FTB
 };
 
+/** The scheme's one name: table labels, `--scheme` values, result
+ *  rows. */
 const char *schemeName(PrefetchScheme scheme);
-bool schemeIsFdp(PrefetchScheme scheme);
 
 /**
  * Every registered scheme, in enum order. This is the registry the
  * conformance battery (tests/test_scheme_conformance.cc) and the
- * tick-skip differential matrix iterate; a scheme missing from it
- * escapes both, so additions here are mandatory, not optional.
+ * tick-skip differential matrix iterate. It and schemeName() read one
+ * {scheme, name} table, so a scheme cannot have a name without being
+ * registered.
  */
 const std::vector<PrefetchScheme> &allPrefetchSchemes();
 
@@ -155,13 +157,16 @@ struct SimConfig
     ObsConfig obs;
 
     /**
-     * Order-independent hash of every knob that affects simulated
-     * behaviour. Two configs with equal fingerprints simulate
-     * identically, so it is a grid point's identity: the Runner's
-     * memo and the result cache key on it.
+     * Hash of every knob that affects simulated behaviour. A scheme's
+     * private block (fdp, nlp, sb, oracle, mana, shadow) counts only
+     * when @c scheme builds it. Two configs with equal fingerprints
+     * simulate identically, so it is a grid point's identity: the
+     * Runner's memo and the result cache key on it.
      */
     std::uint64_t fingerprint() const;
 
+    /** The machine-wide checks. A scheme's private knobs are checked
+     *  by the components they configure, as the scheme is built. */
     void validate() const;
 };
 

@@ -21,8 +21,10 @@ histogramText(const char *name, const Histogram &h)
     std::string out = strprintf("%s %llu buckets,", name,
                                 static_cast<unsigned long long>(
                                     h.numBuckets()));
-    for (std::size_t v = 0; v < h.numBuckets(); ++v)
-        out += " " + metricText(h.bucket(v));
+    for (std::size_t v = 0; v < h.numBuckets(); ++v) {
+        out += ' ';
+        out += metricText(h.bucket(v));
+    }
     return out + "\n";
 }
 
@@ -185,7 +187,9 @@ serializeResults(const SimResults &r)
     out += "scheme " + r.scheme + "\n";
     forEachMetric(r, [&out](const char *name, auto value) {
         out += name;
-        out += " " + metricText(value) + "\n";
+        out += ' ';
+        out += metricText(value);
+        out += '\n';
     });
     out += histogramText("ftq_occupancy", r.ftqOccupancy);
     out += histogramText("pf_timeliness", r.pfTimeliness);

@@ -134,56 +134,54 @@ Simulator::buildCore(Core &c, unsigned id)
                                                   TlbPrefetcher::Config{});
     }
 
+    auto fdp = [&](CpfMode mode) {
+        return std::make_unique<FdpPrefetcher>(*c.ftq, *c.mem, mode,
+                                               cfg.fdp);
+    };
+    std::unique_ptr<Prefetcher> pf;
     switch (cfg.scheme) {
       case PrefetchScheme::None:
         break;
       case PrefetchScheme::Nlp:
-        c.prefetchers.push_back(
-            std::make_unique<NlpPrefetcher>(*c.mem, cfg.nlp));
+        pf = std::make_unique<NlpPrefetcher>(*c.mem, cfg.nlp);
         break;
       case PrefetchScheme::StreamBuffer:
-        c.prefetchers.push_back(
-            std::make_unique<StreamBufferPrefetcher>(*c.mem, cfg.sb));
+        pf = std::make_unique<StreamBufferPrefetcher>(*c.mem, cfg.sb);
+        break;
+      case PrefetchScheme::FdpNone:
+        pf = fdp(CpfMode::None);
+        break;
+      case PrefetchScheme::FdpEnqueue:
+        pf = fdp(CpfMode::Enqueue);
+        break;
+      case PrefetchScheme::FdpEnqueueAggressive:
+        pf = fdp(CpfMode::EnqueueAggressive);
+        break;
+      case PrefetchScheme::FdpRemove:
+        pf = fdp(CpfMode::Remove);
+        break;
+      case PrefetchScheme::FdpIdeal:
+        pf = fdp(CpfMode::Ideal);
         break;
       case PrefetchScheme::Oracle:
-        c.prefetchers.push_back(std::make_unique<OraclePrefetcher>(
-            *c.trace, *c.bpu, *c.mem, cfg.oracle));
+        pf = std::make_unique<OraclePrefetcher>(*c.trace, *c.bpu, *c.mem,
+                                                cfg.oracle);
         break;
       case PrefetchScheme::Mana:
-        c.prefetchers.push_back(
-            std::make_unique<ManaPrefetcher>(*c.mem, cfg.mana));
+        pf = std::make_unique<ManaPrefetcher>(*c.mem, cfg.mana);
         break;
       case PrefetchScheme::ShadowBtb:
         // Pre-fills whichever target buffer the front-end runs on
         // (FTB for the block-based default, BTB/partitioned otherwise);
         // trace replay has no program to decode, so the decoder idles.
-        c.prefetchers.push_back(std::make_unique<ShadowBtbPrefetcher>(
-            c.bpu->ftb(), c.bpu->btb(), *c.mem, c.prog.get(),
-            cfg.shadow));
+        pf = std::make_unique<ShadowBtbPrefetcher>(
+            c.bpu->ftb(), c.bpu->btb(), *c.mem, c.prog.get(), cfg.shadow);
         break;
-      case PrefetchScheme::FdpNone:
-      case PrefetchScheme::FdpEnqueue:
-      case PrefetchScheme::FdpEnqueueAggressive:
-      case PrefetchScheme::FdpRemove:
-      case PrefetchScheme::FdpIdeal: {
-        CpfMode mode = CpfMode::Ideal;
-        if (cfg.scheme == PrefetchScheme::FdpNone)
-            mode = CpfMode::None;
-        else if (cfg.scheme == PrefetchScheme::FdpEnqueue)
-            mode = CpfMode::Enqueue;
-        else if (cfg.scheme == PrefetchScheme::FdpEnqueueAggressive)
-            mode = CpfMode::EnqueueAggressive;
-        else if (cfg.scheme == PrefetchScheme::FdpRemove)
-            mode = CpfMode::Remove;
-        c.prefetchers.push_back(
-            std::make_unique<FdpPrefetcher>(*c.ftq, *c.mem, mode, cfg.fdp));
-        break;
-      }
     }
-
-    for (auto &pf : c.prefetchers) {
+    if (pf != nullptr) {
         pf->setMmu(c.mmu.get());
         c.fetch->addPrefetcher(pf.get());
+        c.prefetchers.push_back(std::move(pf));
     }
 }
 

@@ -188,8 +188,7 @@ class Simulator
 
     /** Access for white-box integration tests, routed through
      *  core(i) (default: core 0, so single-core tests read exactly
-     *  the machine they built). program() is only valid for
-     *  synthetic workloads (tracePath empty). */
+     *  the machine they built). */
     Bpu &bpu(std::size_t i = 0) { return *core(i).bpu; }
     Ftq &ftq(std::size_t i = 0) { return *core(i).ftq; }
     MemHierarchy &mem(std::size_t i = 0) { return *core(i).mem; }
@@ -211,11 +210,7 @@ class Simulator
     {
         return *core().prefetchers[i];
     }
-    const Program &program() const { return *core().prog; }
     Cycle now() const { return curCycle; }
-
-    /** Cycles fast-forwarded by the idle-skip path so far. */
-    Cycle skippedCycles() const { return numSkipped; }
 
     /** True when this simulator may skip idle cycles (config knob and
      *  FDIP_NO_SKIP both clear). */

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,39 @@ miniProfile()
     p.name = "mini";
     p.seed = 7;
     return p;
+}
+
+/** The first @p n instructions of @p p's stream over @p prog, from an
+ *  executor of their own. */
+std::vector<TraceInstr>
+referenceStream(const Program &prog, const WorkloadProfile &p,
+                std::size_t n)
+{
+    SyntheticExecutor ex(prog, p);
+    std::vector<TraceInstr> ref;
+    for (std::size_t i = 0; i < n; ++i)
+        ref.push_back(ex.next());
+    return ref;
+}
+
+/** No pc appears twice, so no instruction can pass for another. */
+bool
+repeatsNoPc(const std::vector<TraceInstr> &ref)
+{
+    std::set<Addr> pcs;
+    for (const TraceInstr &t : ref)
+        pcs.insert(t.pc);
+    return pcs.size() == ref.size();
+}
+
+void
+expectSameInstr(const TraceInstr &got, const TraceInstr &want,
+                InstSeqNum seq)
+{
+    EXPECT_EQ(got.pc, want.pc) << "seq " << seq;
+    EXPECT_EQ(got.cls, want.cls) << "seq " << seq;
+    EXPECT_EQ(got.taken, want.taken) << "seq " << seq;
+    EXPECT_EQ(got.target, want.target) << "seq " << seq;
 }
 
 } // namespace
@@ -226,15 +260,25 @@ TEST(TraceWindow, RandomAccessGeneratesForward)
 
 TEST(TraceWindow, RetireReleasesStorage)
 {
-    auto prog = testutil::makeTightLoop();
-    SyntheticExecutor ex(*prog, miniProfile());
+    // vortex's first loop closes at instruction 114.
+    const WorkloadProfile &p = findProfile("vortex");
+    auto prog = buildProgram(p);
+    std::vector<TraceInstr> ref = referenceStream(*prog, p, 110);
+    ASSERT_TRUE(repeatsNoPc(ref));
+    SyntheticExecutor ex(*prog, p);
     TraceWindow win(ex);
     win.at(99);
     EXPECT_EQ(win.windowSize(), 100u);
     win.retireUpTo(50);
     EXPECT_EQ(win.baseSeq(), 50u);
     EXPECT_EQ(win.windowSize(), 50u);
-    EXPECT_EQ(win.at(50).pc, win.at(50).pc); // still accessible
+    for (InstSeqNum s = 50; s < 100; ++s) // still accessible
+        expectSameInstr(win.at(s), ref[s], s);
+    win.retireUpTo(104); // the 50 held and 4 not yet generated
+    EXPECT_EQ(win.baseSeq(), 104u);
+    EXPECT_EQ(win.windowSize(), 0u);
+    for (InstSeqNum s = 104; s < ref.size(); ++s)
+        expectSameInstr(win.at(s), ref[s], s);
 }
 
 TEST(TraceWindowDeath, BelowBasePanics)
@@ -249,13 +293,17 @@ TEST(TraceWindowDeath, BelowBasePanics)
 
 TEST(TraceWindow, RetireBeyondGeneratedIsSafe)
 {
-    auto prog = testutil::makeTightLoop();
-    SyntheticExecutor ex(*prog, miniProfile());
+    const WorkloadProfile &p = findProfile("vortex");
+    auto prog = buildProgram(p);
+    std::vector<TraceInstr> ref = referenceStream(*prog, p, 40);
+    ASSERT_TRUE(repeatsNoPc(ref));
+    SyntheticExecutor ex(*prog, p);
     TraceWindow win(ex);
     win.at(3);
     win.retireUpTo(10); // beyond what exists
-    EXPECT_EQ(win.at(10).pc, win.at(10).pc);
-    EXPECT_GE(win.baseSeq(), 4u);
+    EXPECT_EQ(win.baseSeq(), 10u);
+    for (InstSeqNum s = 10; s < ref.size(); ++s)
+        expectSameInstr(win.at(s), ref[s], s);
 }
 
 TEST(TraceWindow, RetirePastTheWindowKeepsNumberingDense)

@@ -206,17 +206,6 @@ TEST(Fdp, IssueRespectsBusOccupancy)
     EXPECT_GT(fdp.piq().size(), 0u); // candidate waits in the PIQ
 }
 
-TEST(Fdp, NamesIncludeMode)
-{
-    Rig rig;
-    EXPECT_EQ(rig.makeFdp(CpfMode::None).name(), "fdp-none");
-    EXPECT_EQ(rig.makeFdp(CpfMode::Ideal).name(), "fdp-ideal");
-    EXPECT_EQ(rig.makeFdp(CpfMode::Remove).name(), "fdp-remove");
-    EXPECT_EQ(rig.makeFdp(CpfMode::Enqueue).name(), "fdp-enqueue");
-    EXPECT_EQ(rig.makeFdp(CpfMode::EnqueueAggressive).name(),
-              "fdp-enqueue-aggr");
-}
-
 TEST(Fdp, AggressiveEnqueuesUnprobedWithoutPort)
 {
     Rig rig;

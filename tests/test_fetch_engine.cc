@@ -244,7 +244,6 @@ struct RecordingPrefetcher : Prefetcher
 {
     std::vector<Addr> accesses;
     std::vector<bool> misses;
-    std::string name() const override { return "recorder"; }
     void
     onDemandAccess(Addr block, const FetchAccess &a, Cycle) override
     {

@@ -189,11 +189,11 @@ namespace
 
 struct RecordingFillClient : StreamFillClient
 {
-    std::vector<std::tuple<std::uint32_t, std::uint32_t, Addr>> fills;
+    std::vector<std::pair<std::uint32_t, Addr>> fills;
     void
-    streamFill(std::uint32_t sid, std::uint32_t slot, Addr addr) override
+    streamFill(std::uint32_t sid, Addr addr) override
     {
-        fills.emplace_back(sid, slot, addr);
+        fills.emplace_back(sid, addr);
     }
 };
 
@@ -206,13 +206,12 @@ TEST(Hierarchy, StreamFillsDispatchToClient)
     mem.setStreamFillClient(&client);
     mem.tick(0);
     ASSERT_EQ(mem.issuePrefetch(0x70000, 0, FillDest::StreamBuffer,
-                                /*stream_id=*/3, /*slot_id=*/1),
+                                /*stream_id=*/3),
               MemHierarchy::PfIssue::Issued);
     drain(mem, 200);
     ASSERT_EQ(client.fills.size(), 1u);
-    EXPECT_EQ(std::get<0>(client.fills[0]), 3u);
-    EXPECT_EQ(std::get<1>(client.fills[0]), 1u);
-    EXPECT_EQ(std::get<2>(client.fills[0]), 0x70000u);
+    EXPECT_EQ(client.fills[0].first, 3u);
+    EXPECT_EQ(client.fills[0].second, 0x70000u);
 }
 
 TEST(Hierarchy, MissFillsBothLevels)

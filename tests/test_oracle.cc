@@ -134,6 +134,4 @@ TEST(Ablations, SchemeNamesCoverNewSchemes)
     EXPECT_STREQ(schemeName(PrefetchScheme::Oracle), "oracle");
     EXPECT_STREQ(schemeName(PrefetchScheme::FdpEnqueueAggressive),
                  "fdp-enqueue-aggr");
-    EXPECT_TRUE(schemeIsFdp(PrefetchScheme::FdpEnqueueAggressive));
-    EXPECT_FALSE(schemeIsFdp(PrefetchScheme::Oracle));
 }

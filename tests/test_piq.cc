@@ -12,7 +12,7 @@ using namespace fdip;
 
 TEST(Piq, PushFrontPop)
 {
-    Piq piq(4);
+    Piq piq("test", 4);
     piq.push(0x1000);
     piq.push(0x2000);
     EXPECT_EQ(piq.front().blockAddr, 0x1000u);
@@ -22,7 +22,7 @@ TEST(Piq, PushFrontPop)
 
 TEST(Piq, EntriesStartUnprobed)
 {
-    Piq piq(4);
+    Piq piq("test", 4);
     piq.push(0x1000);
     EXPECT_EQ(piq.probedPrefix(), 0u);
     piq.extendProbedPrefix();
@@ -33,7 +33,7 @@ TEST(Piq, EntriesStartUnprobed)
 
 TEST(Piq, ProbedPrefixTracksEveryRemoval)
 {
-    Piq piq(8);
+    Piq piq("test", 8);
     for (Addr a = 0x1000; a <= 0x6000; a += 0x1000)
         piq.push(a);
     piq.extendProbedPrefix();
@@ -74,7 +74,7 @@ TEST(Piq, ProbedPrefixTracksEveryRemoval)
 
 TEST(Piq, Contains)
 {
-    Piq piq(4);
+    Piq piq("test", 4);
     piq.push(0x1000);
     piq.push(0x2000);
     EXPECT_TRUE(piq.contains(0x1000));
@@ -84,7 +84,7 @@ TEST(Piq, Contains)
 
 TEST(Piq, RemoveAtCompactsInOrder)
 {
-    Piq piq(8);
+    Piq piq("test", 8);
     piq.push(0x1000);
     piq.push(0x2000);
     piq.push(0x3000);
@@ -96,7 +96,7 @@ TEST(Piq, RemoveAtCompactsInOrder)
 
 TEST(Piq, RemoveHead)
 {
-    Piq piq(8);
+    Piq piq("test", 8);
     piq.push(0x1000);
     piq.push(0x2000);
     piq.removeAt(0);
@@ -105,7 +105,7 @@ TEST(Piq, RemoveHead)
 
 TEST(Piq, FlushEmpties)
 {
-    Piq piq(8);
+    Piq piq("test", 8);
     piq.push(0x1000);
     piq.push(0x2000);
     piq.flush();
@@ -118,7 +118,7 @@ TEST(Piq, ContainsMatchesAPlainQueueUnderRandomTraffic)
     // and rare flushes; every contains() must equal a scan of a plain
     // queue given the same operations.
     for (std::uint64_t seed : {1, 2}) {
-        Piq piq(16);
+        Piq piq("test", 16);
         std::deque<Addr> ref;
         Rng rng(seed);
         for (int op = 0; op < 100000; ++op) {
@@ -164,7 +164,7 @@ TEST(Piq, ContainsMatchesAPlainQueueUnderRandomTraffic)
 
 TEST(PiqDeath, OverflowAndRange)
 {
-    Piq piq(1);
+    Piq piq("test", 1);
     piq.push(0x1000);
     EXPECT_DEATH(piq.push(0x2000), "full");
     EXPECT_DEATH(piq.removeAt(1), "out of range");

@@ -130,14 +130,6 @@ TEST(Predictors, StorageBitsAccounting)
               16384u * 2 + 4096u * 2 + 4096u * 2);
 }
 
-TEST(Predictors, Names)
-{
-    EXPECT_EQ(BimodalPredictor(16).name(), "bimodal");
-    EXPECT_EQ(GsharePredictor(16, 2).name(), "gshare");
-    EXPECT_EQ(Local2LevelPredictor(16, 4, 16).name(), "local2level");
-    EXPECT_EQ(HybridPredictor(16, 2, 16, 16).name(), "hybrid");
-}
-
 class GshareSizeSweep : public ::testing::TestWithParam<std::size_t>
 {};
 

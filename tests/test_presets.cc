@@ -104,7 +104,8 @@ TEST(Presets, SchemeNamesRoundTrip)
 {
     EXPECT_STREQ(schemeName(PrefetchScheme::None), "none");
     EXPECT_STREQ(schemeName(PrefetchScheme::FdpIdeal), "fdp-ideal");
-    EXPECT_TRUE(schemeIsFdp(PrefetchScheme::FdpEnqueue));
-    EXPECT_FALSE(schemeIsFdp(PrefetchScheme::Nlp));
-    EXPECT_FALSE(schemeIsFdp(PrefetchScheme::None));
+    for (PrefetchScheme s : allPrefetchSchemes())
+        EXPECT_EQ(schemeFromName(schemeName(s)), s) << schemeName(s);
+    // Each scheme has one name: fdp-nofilter is not also "fdp-none".
+    EXPECT_EQ(schemeFromName("fdp-none"), std::nullopt);
 }

@@ -250,6 +250,23 @@ TEST_F(Robustness, ZeroSizeQueuesRaiseSimError)
     }
 }
 
+TEST_F(Robustness, UnbuiltSchemeKnobsAreNeitherCheckedNorHashed)
+{
+    // MANA's table geometry means nothing to a machine without MANA:
+    // a set count its table would refuse is no error on a `none`
+    // machine and names the same point. MANA still refuses it.
+    setFatalMode(FatalMode::Throw);
+    SimConfig plain = smallConfig("li", PrefetchScheme::None);
+    SimConfig odd = plain;
+    odd.mana.tableSets = 3;
+    ASSERT_NO_THROW(odd.validate());
+    EXPECT_EQ(odd.fingerprint(), plain.fingerprint());
+    EXPECT_EQ(serializeResults(simulate(odd)),
+              serializeResults(simulate(plain)));
+    odd.scheme = PrefetchScheme::Mana;
+    EXPECT_THROW(simulate(odd), SimError);
+}
+
 TEST_F(Robustness, MaxCyclesIsPartOfTheConfigFingerprint)
 {
     SimConfig a = smallConfig("gcc", PrefetchScheme::None);

@@ -5,7 +5,8 @@
  *   - tick-skip bit-parity (quiescence protocol),
  *   - obs-on/obs-off parity (telemetry is passive),
  *   - fingerprint-axis distinctness (the result cache can't confuse
- *     schemes or knob settings),
+ *     schemes or knob settings) and its converse: an unbuilt scheme's
+ *     knobs name nothing,
  *   - warmup-window stat identities (attribution bookkeeping),
  *   - multi-core N=1 bit-identity (the scale-out machine degenerates
  *     to the classic one).
@@ -19,6 +20,7 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -70,6 +72,16 @@ registry()
          [](SimConfig &c) { c.shadow.bogusNoiseDenom = 64; }},
     };
     return cases;
+}
+
+/** The SimConfig block a registry knob belongs to ("fdp" for
+ *  "fdp.scanWidth"); empty for a machine-wide knob. */
+std::string_view
+knobBlock(std::string_view knob)
+{
+    std::size_t dot = knob.find('.');
+    return dot == std::string_view::npos ? std::string_view()
+                                         : knob.substr(0, dot);
 }
 
 SimConfig
@@ -174,6 +186,32 @@ TEST_P(SchemeConformance, FingerprintKnobAxis)
     SimConfig obs = smallConfig(c().scheme);
     obs.obs.samplesPath = "/tmp/never-written.jsonl";
     EXPECT_EQ(base.fingerprint(), obs.fingerprint());
+}
+
+TEST_P(SchemeConformance, FingerprintIgnoresUnbuiltSchemesKnobs)
+{
+    // A scheme-private block names a point only when the scheme builds
+    // it (the five FDP schemes share fdp): every registry knob of
+    // another block leaves the fingerprint alone, one of its own block
+    // still moves it.
+    SimConfig base = smallConfig(c().scheme);
+    std::string_view own = knobBlock(c().knobName);
+    for (const SchemeCase &other : registry()) {
+        std::string_view block = knobBlock(other.knobName);
+        if (block.empty())
+            continue;
+        SimConfig tweaked = base;
+        other.knobTweak(tweaked);
+        if (block == own) {
+            EXPECT_NE(base.fingerprint(), tweaked.fingerprint())
+                << schemeName(c().scheme) << ": own knob "
+                << other.knobName;
+        } else {
+            EXPECT_EQ(base.fingerprint(), tweaked.fingerprint())
+                << schemeName(c().scheme) << ": unbuilt knob "
+                << other.knobName;
+        }
+    }
 }
 
 TEST_P(SchemeConformance, WarmupWindowStatIdentities)

@@ -143,19 +143,18 @@ TEST(ShadowBtb, DoesNotOverwriteTrainedEntries)
 TEST(ShadowBtb, RecentFilterAndQueueBoundTheScanner)
 {
     Rig rig;
-    ShadowBtbPrefetcher::Config cfg;
-    cfg.queueEntries = 1;
-    ShadowBtbPrefetcher pf(&rig.ftb, nullptr, rig.mem, rig.prog.get(), cfg);
+    ShadowBtbPrefetcher pf(&rig.ftb, nullptr, rig.mem, rig.prog.get(), {});
 
     Addr base = rig.prog->base;
-    pf.onDemandAccess(base, rig.missAccess(), 1);
-    pf.onDemandAccess(base + 32, rig.missAccess(), 1); // queue full
+    const std::size_t lines = ShadowBtbPrefetcher::kQueueEntries;
+    for (std::size_t i = 0; i <= lines; ++i) // the last finds it full
+        pf.onDemandAccess(base + 32 * i, rig.missAccess(), 1);
     EXPECT_EQ(pf.stats.counter("shadow.queue_drops"), 1u);
 
     rig.drain(pf);
     pf.onDemandAccess(base, rig.missAccess(), 60); // already scanned
     EXPECT_EQ(pf.stats.counter("shadow.filtered"), 1u);
-    EXPECT_EQ(pf.stats.counter("shadow.lines_scanned"), 1u);
+    EXPECT_EQ(pf.stats.counter("shadow.lines_scanned"), lines);
 }
 
 TEST(ShadowBtb, NoImageMeansNoScanning)
