@@ -33,13 +33,19 @@ class CircularQueue
     std::size_t capacity() const { return cap; }
     std::size_t freeSlots() const { return cap - count; }
 
-    /** Append to the tail; the queue must not be full. */
-    void
-    push(T value)
+    /**
+     * Append one element at the tail and return its slot for the caller
+     * to write in place; the queue must not be full. A slot is reused
+     * as the ring wraps, so it holds whatever its last occupant left:
+     * the caller writes every field.
+     */
+    T &
+    append()
     {
-        panic_if(full(), "push to full CircularQueue");
-        buf[wrap(head + count)] = std::move(value);
+        panic_if(full(), "append to full CircularQueue");
+        T &slot = buf[wrap(head + count)];
         ++count;
+        return slot;
     }
 
     /** Remove the head element; the queue must not be empty. */

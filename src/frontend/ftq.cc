@@ -1,5 +1,6 @@
 #include "frontend/ftq.hh"
 
+#include "common/intmath.hh"
 #include "common/logging.hh"
 #include "obs/tracer.hh"
 
@@ -7,7 +8,7 @@ namespace fdip
 {
 
 Ftq::Ftq(std::size_t capacity, unsigned block_bytes)
-    : q(capacity), blockBytes(block_bytes), occupancy(capacity)
+    : q(capacity), blockShift(floorLog2(block_bytes)), occupancy(capacity)
 {
     fatal_if(!isPowerOf2(block_bytes), "cache block size must be 2^n");
 }
@@ -16,14 +17,14 @@ void
 Ftq::push(const FetchBlock &blk)
 {
     panic_if(full(), "push to full FTQ");
-    FtqEntry e;
+    // The slot may be a recycled one: write every field.
+    FtqEntry &e = q.append();
     e.blk = blk;
-    Addr first = alignDown(blk.startPc, blockBytes);
-    Addr last = alignDown(blk.endPc() - instBytes, blockBytes);
-    e.numBlocks = static_cast<unsigned>((last - first) / blockBytes) + 1;
-    if (tracer != nullptr)
-        e.pushedAt = tracer->now();
-    q.push(e);
+    Addr first = blk.startPc >> blockShift;
+    Addr last = (blk.endPc() - instBytes) >> blockShift;
+    e.numBlocks = static_cast<unsigned>(last - first) + 1;
+    e.fetchedInsts = 0;
+    e.pushedAt = tracer != nullptr ? tracer->now() : 0;
     stPushedBlocks.inc();
     stPushedInsts.inc(blk.numInsts);
 }

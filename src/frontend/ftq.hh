@@ -15,7 +15,6 @@
 
 #include "common/circular_queue.hh"
 #include "common/histogram.hh"
-#include "common/intmath.hh"
 #include "common/stats.hh"
 #include "bpu/bpu.hh"
 
@@ -72,8 +71,7 @@ class Ftq
     Addr
     cacheBlockAddr(std::size_t i, unsigned k) const
     {
-        return alignDown(q.at(i).blk.startPc, blockBytes) +
-               Addr(k) * blockBytes;
+        return ((q.at(i).blk.startPc >> blockShift) + k) << blockShift;
     }
 
     /** Record the current occupancy (call once per cycle; idle-cycle
@@ -108,7 +106,8 @@ class Ftq
         stats.registerCounter("ftq.flushed_blocks");
 
     CircularQueue<FtqEntry> q;
-    unsigned blockBytes;
+    /** log2 of the cache block size. */
+    unsigned blockShift;
     Histogram occupancy;
     std::uint64_t headSeq_ = 0;
     Tracer *tracer = nullptr;

@@ -28,7 +28,8 @@ setCount(const Cache::Config &cfg)
 
 Cache::Cache(const Config &config)
     : cfg(config),
-      tags("cache '" + cfg.name + "'", setCount(cfg), cfg.assoc)
+      tags("cache '" + cfg.name + "'", setCount(cfg), cfg.assoc),
+      blockShift(floorLog2(cfg.blockBytes))
 {}
 
 const char *
@@ -46,7 +47,7 @@ bool
 Cache::access(Addr addr)
 {
     stAccesses.inc();
-    if (auto *b = tags.find(addr / cfg.blockBytes)) {
+    if (auto *b = tags.find(addr >> blockShift)) {
         // FIFO ignores access recency: the stamp is fill time only.
         if (cfg.repl == ReplPolicy::Lru)
             tags.touch(*b);
@@ -60,7 +61,7 @@ Cache::access(Addr addr)
 std::optional<Addr>
 Cache::insert(Addr addr)
 {
-    std::uint64_t key = addr / cfg.blockBytes;
+    std::uint64_t key = addr >> blockShift;
     if (auto *b = tags.find(key)) {
         // Already present (e.g. duplicate fill): refresh only.
         tags.touch(*b);
@@ -83,7 +84,7 @@ Cache::insert(Addr addr)
     std::optional<Addr> evicted;
     if (victim->valid) {
         stEvictions.inc();
-        evicted = tags.keyOf(set, victim->tag) * cfg.blockBytes;
+        evicted = tags.keyOf(set, victim->tag) << blockShift;
     }
     tags.fill(*victim, tags.tagOf(key));
     stFills.inc();

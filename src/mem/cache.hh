@@ -52,7 +52,7 @@ class Cache
     bool
     probe(Addr addr) const
     {
-        return tags.find(addr / cfg.blockBytes) != nullptr;
+        return tags.find(addr >> blockShift) != nullptr;
     }
 
     /** Demand access: updates LRU and hit/miss statistics. */
@@ -80,8 +80,10 @@ class Cache
     StatSet::Counter stFills = stats.registerCounter("cache.fills");
 
     Config cfg;
-    /** Keyed by addr / blockBytes. */
+    /** Keyed by addr >> blockShift. */
     SetAssocTable<> tags;
+    /** log2(blockBytes); the constructor checks it is a power of two. */
+    unsigned blockShift;
     std::uint64_t randState = 0x243f6a8885a308d3ULL;
 };
 

@@ -9,6 +9,7 @@ MshrFile::MshrFile(unsigned n)
     : entries(n)
 {
     fatal_if(n == 0, "MSHR file needs at least one entry");
+    arrived.reserve(n);
 }
 
 MshrEntry *
@@ -72,17 +73,17 @@ MshrFile::free(MshrEntry &entry)
         earliest_ = scanEarliest();
 }
 
-std::vector<MshrEntry *>
+const std::vector<MshrEntry *> &
 MshrFile::ready(Cycle now)
 {
-    std::vector<MshrEntry *> out;
+    arrived.clear();
     if (now < earliest_)
-        return out;
+        return arrived;
     for (auto &e : entries) {
         if (e.valid && e.readyAt <= now)
-            out.push_back(&e);
+            arrived.push_back(&e);
     }
-    return out;
+    return arrived;
 }
 
 Cycle

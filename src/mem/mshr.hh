@@ -66,9 +66,10 @@ class MshrFile
 
     /**
      * Collect entries whose fill has arrived (readyAt <= now). The
-     * caller dispatches and then frees them.
+     * caller dispatches and then frees them. The list is a buffer the
+     * file reuses: it holds until the next ready().
      */
-    std::vector<MshrEntry *> ready(Cycle now);
+    const std::vector<MshrEntry *> &ready(Cycle now);
 
     /** Earliest in-flight fill completion; kNever when idle. */
     Cycle nextReadyCycle() const { return earliest_; }
@@ -86,6 +87,8 @@ class MshrFile
     Cycle scanEarliest() const;
 
     std::vector<MshrEntry> entries;
+    /** ready()'s result, kept so a landing fill allocates nothing. */
+    std::vector<MshrEntry *> arrived;
     unsigned inUse_ = 0;
     unsigned prefetches_ = 0;
     Cycle earliest_ = kNever;

@@ -26,9 +26,10 @@ void
 Piq::push(Addr block_addr)
 {
     panic_if(full(), "push to full PIQ");
-    PiqEntry e;
+    // The slot may be a recycled one: write every field.
+    PiqEntry &e = q.append();
     e.blockAddr = block_addr;
-    q.push(e);
+    e.tr = PfTranslationState{};
     present.add(block_addr);
 }
 

@@ -317,10 +317,12 @@ Simulator::step()
     // buses. A single-core machine always starts at core 0, keeping
     // its step order exactly the classic sequence.
     std::size_t n = cores_.size();
-    std::size_t first =
-        n == 1 ? 0 : static_cast<std::size_t>(curCycle % n);
-    for (std::size_t k = 0; k < n; ++k)
-        stepCore(*cores_[(first + k) % n]);
+    std::size_t i = n == 1 ? 0 : static_cast<std::size_t>(curCycle % n);
+    for (std::size_t k = 0; k < n; ++k) {
+        stepCore(*cores_[i]);
+        if (++i == n)
+            i = 0;
+    }
 
     if (sampler_ != nullptr && sampler_->due(curCycle))
         recordSample();

@@ -332,7 +332,7 @@ ChampSimTraceReader::ChampSimTraceReader(const std::string &path)
 {
     open();
     // Prime the lookahead eagerly so an empty input fails at
-    // construction, not at the first next().
+    // construction, not at the first instruction.
     if (!readRecord(lookahead)) {
         closeStream();
         throw SimError("champsim trace '" + path_ + "' holds no records");
@@ -403,14 +403,13 @@ ChampSimTraceReader::readRecord(ChampSimRecord &rec)
         sizeof(rec)));
 }
 
-TraceInstr
-ChampSimTraceReader::next()
+void
+ChampSimTraceReader::nextInto(TraceInstr &out)
 {
     while (pending.empty())
         refill();
-    TraceInstr ti = pending.front();
+    out = pending.front();
     pending.pop_front();
-    return ti;
 }
 
 void

@@ -181,7 +181,7 @@ class ChampSimTraceReader : public FileTraceSource
     ChampSimTraceReader(const ChampSimTraceReader &) = delete;
     ChampSimTraceReader &operator=(const ChampSimTraceReader &) = delete;
 
-    TraceInstr next() override;
+    void nextInto(TraceInstr &out) override;
 
     Addr codeBase() const override;
     Addr codeEnd() const override;

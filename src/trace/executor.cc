@@ -69,21 +69,21 @@ SyntheticExecutor::pickIndirect(const BasicBlock &bb)
     return bb.indTargets[idx];
 }
 
-TraceInstr
-SyntheticExecutor::next()
+void
+SyntheticExecutor::nextInto(TraceInstr &out)
 {
     const Function &fn = prog.funcs[curFn];
     const BasicBlock &bb = fn.blocks[curBb];
 
-    TraceInstr ti;
-    ti.pc = bb.start + Addr(instIdx) * instBytes;
+    out.pc = bb.start + Addr(instIdx) * instBytes;
 
     bool is_terminator =
         (instIdx + 1 == bb.numInsts) && bb.term != InstClass::NonCF;
 
     if (!is_terminator) {
-        ti.cls = InstClass::NonCF;
-        ti.taken = false;
+        out.cls = InstClass::NonCF;
+        out.target = invalidAddr;
+        out.taken = false;
         ++instIdx;
         if (instIdx == bb.numInsts) {
             // NonCF-terminated block: fall through to the next block.
@@ -91,28 +91,28 @@ SyntheticExecutor::next()
         }
         ++count;
         stNoncf.inc();
-        return ti;
+        return;
     }
 
-    ti.cls = bb.term;
+    out.cls = bb.term;
     switch (bb.term) {
       case InstClass::CondBr: {
-        ti.target = fn.blocks[bb.targetBb].start;
-        ti.taken = condOutcome(bb, ti.pc);
-        enterBlock(curFn, ti.taken ? bb.targetBb : curBb + 1);
+        out.target = fn.blocks[bb.targetBb].start;
+        out.taken = condOutcome(bb, out.pc);
+        enterBlock(curFn, out.taken ? bb.targetBb : curBb + 1);
         stCond.inc();
-        (ti.taken ? stCondTaken : stCondNottaken).inc();
+        (out.taken ? stCondTaken : stCondNottaken).inc();
         break;
       }
       case InstClass::Jump:
-        ti.target = fn.blocks[bb.targetBb].start;
-        ti.taken = true;
+        out.target = fn.blocks[bb.targetBb].start;
+        out.taken = true;
         enterBlock(curFn, bb.targetBb);
         stJump.inc();
         break;
       case InstClass::Call: {
-        ti.target = prog.funcs[bb.targetFn].entry;
-        ti.taken = true;
+        out.target = prog.funcs[bb.targetFn].entry;
+        out.taken = true;
         stack.push_back({curFn, curBb + 1});
         panic_if(stack.size() > 4096, "runaway call depth");
         enterBlock(bb.targetFn, 0);
@@ -120,15 +120,15 @@ SyntheticExecutor::next()
         break;
       }
       case InstClass::Return: {
-        ti.taken = true;
+        out.taken = true;
         if (stack.empty()) {
             // The dispatcher never returns; a stray return restarts it.
-            ti.target = prog.funcs[0].entry;
+            out.target = prog.funcs[0].entry;
             enterBlock(0, 0);
         } else {
             Frame f = stack.back();
             stack.pop_back();
-            ti.target = prog.funcs[f.fn].blocks[f.bb].start;
+            out.target = prog.funcs[f.fn].blocks[f.bb].start;
             enterBlock(f.fn, f.bb);
         }
         stRet.inc();
@@ -136,8 +136,8 @@ SyntheticExecutor::next()
       }
       case InstClass::IndCall: {
         std::uint32_t callee = pickIndirect(bb);
-        ti.target = prog.funcs[callee].entry;
-        ti.taken = true;
+        out.target = prog.funcs[callee].entry;
+        out.taken = true;
         stack.push_back({curFn, curBb + 1});
         panic_if(stack.size() > 4096, "runaway call depth");
         enterBlock(callee, 0);
@@ -146,8 +146,8 @@ SyntheticExecutor::next()
       }
       case InstClass::IndJump: {
         std::uint32_t target = pickIndirect(bb);
-        ti.target = prog.funcs[target].entry;
-        ti.taken = true;
+        out.target = prog.funcs[target].entry;
+        out.taken = true;
         enterBlock(target, 0);
         stIndjump.inc();
         break;
@@ -157,7 +157,6 @@ SyntheticExecutor::next()
     }
 
     ++count;
-    return ti;
 }
 
 const TraceInstr &
@@ -170,10 +169,10 @@ TraceWindow::generateThrough(InstSeqNum seq)
         if (buf.full()) {
             CircularQueue<TraceInstr> bigger(2 * buf.capacity());
             for (std::size_t i = 0; i < buf.size(); ++i)
-                bigger.push(buf.at(i));
+                bigger.append() = buf.at(i);
             buf = std::move(bigger);
         }
-        buf.push(src.next());
+        src.nextInto(buf.append());
     }
     return buf.at(seq - base);
 }

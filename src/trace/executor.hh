@@ -25,7 +25,22 @@ class TraceSource
 {
   public:
     virtual ~TraceSource() = default;
-    virtual TraceInstr next() = 0;
+
+    /**
+     * Write the next instruction into @p out, every field of it: @p out
+     * is usually a TraceWindow ring slot that still holds an older
+     * instruction. A source that throws leaves @p out unspecified.
+     */
+    virtual void nextInto(TraceInstr &out) = 0;
+
+    /** The next instruction, by value. */
+    TraceInstr
+    next()
+    {
+        TraceInstr ti;
+        nextInto(ti);
+        return ti;
+    }
 };
 
 /**
@@ -39,7 +54,7 @@ class SyntheticExecutor : public TraceSource
   public:
     SyntheticExecutor(const Program &prog, const WorkloadProfile &profile);
 
-    TraceInstr next() override;
+    void nextInto(TraceInstr &out) override;
 
     std::uint64_t emitted() const { return count; }
 
@@ -90,9 +105,10 @@ class SyntheticExecutor : public TraceSource
 
 /**
  * Sliding window over a TraceSource giving the simulator random access
- * by global sequence number. The window only ever grows forward;
- * retireUpTo() releases storage behind the commit point. It lives in a
- * ring that doubles when at() must generate past a full one.
+ * by global sequence number. The window only ever grows forward, one
+ * instruction per source call, each written straight into its ring
+ * slot; retireUpTo() releases storage behind the commit point. The
+ * ring doubles when at() must generate past a full one.
  */
 class TraceWindow
 {

@@ -12,9 +12,6 @@ namespace fdip
 namespace
 {
 
-/** Read-buffer size: bounded memory however long the trace is. */
-constexpr std::size_t kReadBufBytes = 64 * 1024;
-
 [[noreturn]] void
 corrupt(const std::string &path, const char *fmt, ...)
 {
@@ -202,37 +199,47 @@ TraceFileReader::readBytes(void *out, std::size_t n)
     }
 }
 
-TraceInstr
-TraceFileReader::next()
+inline void
+TraceFileReader::take(void *out, std::size_t n)
+{
+    if (bufLen - bufPos >= n) {
+        std::memcpy(out, buf.data() + bufPos, n);
+        bufPos += n;
+    } else {
+        readBytes(out, n);
+    }
+}
+
+void
+TraceFileReader::nextInto(TraceInstr &out)
 {
     if (position == header.numInsts)
         rewindToFirstRecord();
 
     TraceFileRecordV2 rec;
-    readBytes(&rec, sizeof(rec));
+    take(&rec, sizeof(rec));
     if ((rec.pcAndFlags & 0x2) != 0 || rec.reserved != 0 ||
         rec.taken > 1 ||
         rec.cls > static_cast<std::uint8_t>(InstClass::IndCall)) {
         corrupt(path_, "corrupt record %llu (flags/class/taken)",
                 static_cast<unsigned long long>(position));
     }
-    TraceInstr ti;
-    ti.pc = (rec.pcAndFlags >> 2) << 2;
-    ti.cls = static_cast<InstClass>(rec.cls);
-    ti.taken = rec.taken != 0;
+    out.pc = (rec.pcAndFlags >> 2) << 2;
+    out.cls = static_cast<InstClass>(rec.cls);
+    out.taken = rec.taken != 0;
     if (rec.pcAndFlags & traceRecordHasTarget) {
         if (rec.targetDelta == traceFarTargetSentinel) {
             std::uint64_t target;
-            readBytes(&target, sizeof(target));
+            take(&target, sizeof(target));
             if (target % instBytes != 0) {
                 corrupt(path_, "corrupt record %llu "
                         "(unaligned far target %#llx)",
                         static_cast<unsigned long long>(position),
                         static_cast<unsigned long long>(target));
             }
-            ti.target = target;
+            out.target = target;
         } else {
-            ti.target = ti.pc +
+            out.target = out.pc +
                 static_cast<std::uint64_t>(
                     static_cast<std::int64_t>(rec.targetDelta) *
                     static_cast<std::int64_t>(instBytes));
@@ -243,10 +250,9 @@ TraceFileReader::next()
                     "(delta without target-valid)",
                     static_cast<unsigned long long>(position));
         }
-        ti.target = invalidAddr;
+        out.target = invalidAddr;
     }
     ++position;
-    return ti;
 }
 
 } // namespace fdip

@@ -33,8 +33,9 @@
  *     trace as one FAIL cell (docs/TRACES.md, docs/ROBUSTNESS.md).
  *
  * The reader streams through a fixed-size buffer (bounded memory
- * regardless of trace length) and loops back to the first record at
- * end of stream — experiments need endless sources.
+ * regardless of trace length), decoding each record where it lies in
+ * that buffer, and loops back to the first record at end of stream —
+ * experiments need endless sources.
  */
 
 #ifndef FDIP_TRACE_TRACE_FILE_HH
@@ -159,7 +160,11 @@ class TraceFileReader : public FileTraceSource
     TraceFileReader(const TraceFileReader &) = delete;
     TraceFileReader &operator=(const TraceFileReader &) = delete;
 
-    TraceInstr next() override;
+    void nextInto(TraceInstr &out) override;
+
+    /** Read-buffer size: the reader fetches the file this many bytes
+     *  at a time, so its memory is bounded however long the trace. */
+    static constexpr std::size_t kReadBufBytes = 64 * 1024;
 
     std::uint64_t numInsts() const { return header.numInsts; }
     std::uint64_t loopCount() const { return loops; }
@@ -170,6 +175,9 @@ class TraceFileReader : public FileTraceSource
 
   private:
     void rewindToFirstRecord();
+    /** Copy the next @p n bytes out of the read buffer, or through
+     *  readBytes when they are not all in it. */
+    void take(void *out, std::size_t n);
     /** Copy @p n bytes out of the read buffer, refilling from the
      *  file as needed; SimError on short read. */
     void readBytes(void *out, std::size_t n);

@@ -22,9 +22,9 @@ TEST(CircularQueue, StartsEmpty)
 TEST(CircularQueue, FifoOrder)
 {
     CircularQueue<int> q(4);
-    q.push(1);
-    q.push(2);
-    q.push(3);
+    q.append() = 1;
+    q.append() = 2;
+    q.append() = 3;
     EXPECT_EQ(q.front(), 1);
     EXPECT_EQ(q.back(), 3);
     q.pop();
@@ -37,7 +37,7 @@ TEST(CircularQueue, RandomAccessFromHead)
 {
     CircularQueue<int> q(8);
     for (int i = 0; i < 5; ++i)
-        q.push(i * 10);
+        q.append() = i * 10;
     for (int i = 0; i < 5; ++i)
         EXPECT_EQ(q.at(i), i * 10);
 }
@@ -45,11 +45,11 @@ TEST(CircularQueue, RandomAccessFromHead)
 TEST(CircularQueue, WrapsAround)
 {
     CircularQueue<int> q(3);
-    q.push(1);
-    q.push(2);
+    q.append() = 1;
+    q.append() = 2;
     q.pop();
-    q.push(3);
-    q.push(4); // wraps
+    q.append() = 3;
+    q.append() = 4; // wraps
     EXPECT_TRUE(q.full());
     EXPECT_EQ(q.at(0), 2);
     EXPECT_EQ(q.at(1), 3);
@@ -60,7 +60,7 @@ TEST(CircularQueue, TruncateDropsYoungest)
 {
     CircularQueue<int> q(8);
     for (int i = 0; i < 6; ++i)
-        q.push(i);
+        q.append() = i;
     q.truncate(2);
     EXPECT_EQ(q.size(), 2u);
     EXPECT_EQ(q.at(0), 0);
@@ -70,22 +70,22 @@ TEST(CircularQueue, TruncateDropsYoungest)
 TEST(CircularQueue, TruncateToZeroEqualsClear)
 {
     CircularQueue<int> q(4);
-    q.push(1);
-    q.push(2);
+    q.append() = 1;
+    q.append() = 2;
     q.truncate(0);
     EXPECT_TRUE(q.empty());
-    q.push(9);
+    q.append() = 9;
     EXPECT_EQ(q.front(), 9);
 }
 
 TEST(CircularQueue, ClearResets)
 {
     CircularQueue<int> q(4);
-    q.push(1);
-    q.push(2);
+    q.append() = 1;
+    q.append() = 2;
     q.clear();
     EXPECT_TRUE(q.empty());
-    q.push(7);
+    q.append() = 7;
     EXPECT_EQ(q.front(), 7);
     EXPECT_EQ(q.back(), 7);
 }
@@ -96,7 +96,7 @@ TEST(CircularQueue, StressWrapManyTimes)
     int next_in = 0, next_out = 0;
     for (int round = 0; round < 1000; ++round) {
         while (!q.full())
-            q.push(next_in++);
+            q.append() = next_in++;
         while (!q.empty()) {
             EXPECT_EQ(q.front(), next_out++);
             q.pop();
@@ -107,7 +107,7 @@ TEST(CircularQueue, StressWrapManyTimes)
 
 TEST(CircularQueue, MatchesDequeModelAcrossWraps)
 {
-    // Random push/pop/truncate/clear against a std::deque model, at
+    // Random append/pop/truncate/clear against a std::deque model, at
     // capacities that put the wrap point at every offset: at(i) and
     // back() must address the same element as the model after every
     // step, whatever the head position and occupancy.
@@ -126,7 +126,12 @@ TEST(CircularQueue, MatchesDequeModelAcrossWraps)
                 q.truncate(from);
                 model.resize(from);
             } else if (op < 11 && !q.full()) {
-                q.push(next);
+                // The slot append() returns is the new tail, and what
+                // is written through it is what the queue holds.
+                int &slot = q.append();
+                ASSERT_EQ(&slot, &q.back()) << "cap " << cap;
+                ASSERT_EQ(&slot, &q.at(q.size() - 1)) << "cap " << cap;
+                slot = next;
                 model.push_back(next++);
             } else if (!q.empty()) {
                 q.pop();
@@ -144,11 +149,24 @@ TEST(CircularQueue, MatchesDequeModelAcrossWraps)
     }
 }
 
+TEST(CircularQueue, AppendLeavesARecycledSlotAsItWas)
+{
+    // append() hands back a reused slot as its last occupant left it,
+    // so a caller must write every field of its element.
+    CircularQueue<int> q(2);
+    q.append() = 7;
+    q.pop();
+    q.append() = 8;
+    q.append(); // wraps onto the slot that held 7
+    EXPECT_EQ(q.front(), 8);
+    EXPECT_EQ(q.back(), 7);
+}
+
 TEST(CircularQueueDeath, Overflow)
 {
     CircularQueue<int> q(1);
-    q.push(1);
-    EXPECT_DEATH(q.push(2), "full");
+    q.append() = 1;
+    EXPECT_DEATH(q.append() = 2, "full");
 }
 
 TEST(CircularQueueDeath, UnderflowAndRange)
@@ -156,7 +174,7 @@ TEST(CircularQueueDeath, UnderflowAndRange)
     CircularQueue<int> q(2);
     EXPECT_DEATH(q.pop(), "empty");
     EXPECT_DEATH(q.front(), "empty");
-    q.push(1);
+    q.append() = 1;
     EXPECT_DEATH(q.at(1), "at");
     EXPECT_DEATH(q.truncate(2), "truncate");
 }

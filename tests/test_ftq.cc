@@ -63,6 +63,22 @@ TEST(Ftq, EntryBookkeepingStartsAtZero)
     EXPECT_EQ(ftq.head().fetchedInsts, 0u);
 }
 
+TEST(Ftq, EntryInARecycledSlotStartsAtZero)
+{
+    // The ring reuses a popped entry's slot: the fetch engine's
+    // progress through the old block must not carry over.
+    Ftq ftq(2, 32);
+    ftq.push(mkBlock(0x1000, 8));
+    ftq.head().fetchedInsts = 5;
+    ftq.popHead();
+    ftq.push(mkBlock(0x2000, 8));
+    ftq.push(mkBlock(0x3000, 4)); // wraps onto the popped slot
+    EXPECT_EQ(ftq.at(1).blk.startPc, 0x3000u);
+    EXPECT_EQ(ftq.at(1).fetchedInsts, 0u);
+    EXPECT_EQ(ftq.at(1).numBlocks, 1u);
+    EXPECT_EQ(ftq.at(1).pushedAt, 0u);
+}
+
 TEST(Ftq, BlockCountStoredAtPush)
 {
     Ftq ftq(4, 32);

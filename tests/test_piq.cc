@@ -7,6 +7,7 @@
 
 #include "prefetch/piq.hh"
 #include "test_helpers.hh"
+#include "vm/mmu.hh"
 
 using namespace fdip;
 
@@ -29,6 +30,41 @@ TEST(Piq, EntriesStartUnprobed)
     EXPECT_EQ(piq.probedPrefix(), 1u);
     piq.push(0x2000); // appended unprobed, behind the prefix
     EXPECT_EQ(piq.probedPrefix(), 1u);
+}
+
+TEST(Piq, EntryPushedOverATranslatedSlotStartsUntranslated)
+{
+    // Under VM with the Wait policy a queued candidate caches its
+    // translation and the page walk it waits on. A new candidate in
+    // that reused slot must probe the MMU afresh, not inherit them.
+    constexpr Addr kBase = 0x400000;
+    VmConfig vm;
+    vm.enable = true;
+    vm.prefetchPolicy = TlbPrefetchPolicy::Wait;
+    Mmu mmu(vm, kBase, kBase + 4 * vm.pageBytes);
+    PfTranslation walk = mmu.prefetchTranslate(kBase, 100);
+    ASSERT_EQ(walk.status, PfTranslation::Status::Walking);
+    ASSERT_NE(walk.walkId, 0u);
+
+    Piq piq("test", 2);
+    piq.push(kBase);
+    PfTranslationState &tr = piq.front().tr;
+    tr.translated = true;
+    tr.paddr = walk.paddr;
+    tr.readyAt = walk.readyAt;
+    tr.vpn = walk.vpn;
+    tr.walkId = walk.walkId;
+    piq.popFront();
+    piq.push(kBase + 0x40);
+    piq.push(kBase + 0x80); // wraps onto the translated slot
+
+    const PiqEntry &e = piq.at(1);
+    EXPECT_EQ(e.blockAddr, kBase + 0x80);
+    EXPECT_FALSE(e.tr.translated);
+    EXPECT_EQ(e.tr.walkId, 0u);
+    EXPECT_EQ(e.tr.paddr, invalidAddr);
+    EXPECT_EQ(e.tr.vpn, invalidAddr);
+    EXPECT_EQ(e.tr.readyAt, 0u);
 }
 
 TEST(Piq, ProbedPrefixTracksEveryRemoval)

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "common/error.hh"
 #include "test_helpers.hh"
@@ -97,17 +98,94 @@ TEST(TraceFile, ReaderLoopsAtEnd)
 
 TEST(TraceFile, ReaderIsATraceSource)
 {
+    // A window over a file-backed source serves exactly what a second
+    // reader of the same file reads: across a retire, a ring doubling
+    // (the ring starts at 256 entries) and the file's loop at its end.
     TempPath tmp("source");
-    auto prog = testutil::makeTightLoop();
+    auto prog = testutil::makeCallPattern();
     SyntheticExecutor src(*prog, miniProfile());
-    writeTraceFile(tmp.path, src, 64);
+    writeTraceFile(tmp.path, src, 100);
+
+    TraceFileReader ref_reader(tmp.path);
+    std::vector<TraceInstr> ref;
+    for (int i = 0; i < 700; ++i)
+        ref.push_back(ref_reader.next());
 
     TraceFileReader reader(tmp.path);
     TraceWindow win(reader);
-    // Window semantics work over a file-backed source.
-    EXPECT_EQ(win.at(10).pc, win.at(10).pc);
-    win.retireUpTo(5);
-    EXPECT_EQ(win.baseSeq(), 5u);
+    auto expect_window = [&](InstSeqNum from, InstSeqNum to) {
+        for (InstSeqNum s = from; s < to; ++s) {
+            const TraceInstr &got = win.at(s);
+            ASSERT_EQ(got.pc, ref[s].pc) << "seq " << s;
+            ASSERT_EQ(got.cls, ref[s].cls) << "seq " << s;
+            ASSERT_EQ(got.taken, ref[s].taken) << "seq " << s;
+            ASSERT_EQ(got.target, ref[s].target) << "seq " << s;
+        }
+    };
+    expect_window(0, 40);
+    win.retireUpTo(30);
+    EXPECT_EQ(win.baseSeq(), 30u);
+    expect_window(30, 400);
+    EXPECT_EQ(win.windowSize(), 370u); // more than the first ring holds
+    EXPECT_EQ(reader.loopCount(), 3u);
+    win.retireUpTo(650); // past the generated window
+    expect_window(650, 700);
+}
+
+TEST(TraceFile, RecordsAcrossTheReadBufferEdgeReadBackExactly)
+{
+    // Records are 16 bytes and a far target adds 8, so each far record
+    // moves every later record by half a record against the reader's
+    // buffer. Make a record far exactly where its body ends on a
+    // buffer edge (its target opens the next fill) or straddles one
+    // (8 bytes each side): the two cases then alternate, edge after
+    // edge, through six fills, and again after the loop to the start.
+    constexpr std::size_t kBuf = TraceFileReader::kReadBufBytes;
+    constexpr std::size_t kRec = sizeof(TraceFileRecordV2);
+    constexpr Addr kFar = Addr(1) << 40;
+    TempPath tmp("buffer_edges");
+    std::vector<TraceInstr> insts;
+    unsigned body_straddles = 0;
+    unsigned target_at_edge = 0;
+    std::size_t offset = 0; // of the record, in bytes past the header
+    for (Addr pc = 0x10000; offset < 6 * kBuf; pc += instBytes) {
+        std::size_t to_edge = kBuf - offset % kBuf;
+        bool far = to_edge == kRec || to_edge == kRec / 2;
+        body_straddles += to_edge < kRec;
+        target_at_edge += far && to_edge == kRec;
+        TraceInstr ti;
+        ti.pc = pc;
+        if (far) {
+            ti.cls = InstClass::Call;
+            ti.taken = true;
+            ti.target = pc + kFar;
+        } else if (insts.size() % 3 == 1) {
+            ti.cls = InstClass::CondBr;
+            ti.taken = insts.size() % 2 == 0;
+            ti.target = pc - 64;
+        }
+        insts.push_back(ti);
+        offset += kRec + (far ? sizeof(Addr) : 0);
+    }
+    ASSERT_GE(body_straddles, 3u);
+    ASSERT_GE(target_at_edge, 3u);
+    {
+        TraceFileWriter w(tmp.path);
+        for (const TraceInstr &ti : insts)
+            w.append(ti);
+        w.close();
+    }
+
+    TraceFileReader reader(tmp.path);
+    for (std::size_t i = 0; i < 2 * insts.size() + 10; ++i) {
+        const TraceInstr &want = insts[i % insts.size()];
+        TraceInstr got = reader.next();
+        ASSERT_EQ(got.pc, want.pc) << "record " << i;
+        ASSERT_EQ(got.cls, want.cls) << "record " << i;
+        ASSERT_EQ(got.taken, want.taken) << "record " << i;
+        ASSERT_EQ(got.target, want.target) << "record " << i;
+    }
+    EXPECT_EQ(reader.loopCount(), 2u);
 }
 
 // Corrupt inputs raise SimError in every fatal mode (not the Abort

@@ -517,6 +517,70 @@ TEST(TraceRoi, SkipNEqualsDiscardNRecords)
 }
 
 // ---------------------------------------------------------------------
+// Every source kind through a TraceWindow
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/**
+ * A TraceWindow over @p windowed serves, seq by seq, what next() on
+ * @p same (a second source of the same stream) returns. Retiring to
+ * 500 behind every 1000th instruction lets the window reach 1500
+ * entries, so the ring doubles three times and then wraps about once
+ * per 2048 instructions.
+ */
+void
+expectWindowServesNext(TraceSource &windowed, TraceSource &same,
+                       InstSeqNum n)
+{
+    TraceWindow win(windowed);
+    for (InstSeqNum s = 0; s < n; ++s) {
+        if (s % 1000 == 999)
+            win.retireUpTo(s - 500);
+        TraceInstr want = same.next();
+        const TraceInstr &got = win.at(s);
+        ASSERT_EQ(got.pc, want.pc) << "seq " << s;
+        ASSERT_EQ(got.cls, want.cls) << "seq " << s;
+        ASSERT_EQ(got.taken, want.taken) << "seq " << s;
+        ASSERT_EQ(got.target, want.target) << "seq " << s;
+    }
+}
+
+} // namespace
+
+TEST(TraceSources, WindowServesTheStreamOfNextForEverySourceKind)
+{
+    constexpr InstSeqNum kInsts = 20 * 1000;
+    WorkloadProfile profile = findProfile("gcc");
+    auto prog = buildProgram(profile);
+    {
+        SCOPED_TRACE("synthetic");
+        SyntheticExecutor a(*prog, profile);
+        SyntheticExecutor b(*prog, profile);
+        expectWindowServesNext(a, b, kInsts);
+    }
+    {
+        // Shorter than the run, so both readers loop.
+        SCOPED_TRACE("v2 file");
+        TempPath tmp("window_sources");
+        SyntheticExecutor exec(*prog, profile);
+        writeTraceFile(tmp.path, exec, 7 * 1000);
+        TraceFileReader a(tmp.path);
+        TraceFileReader b(tmp.path);
+        expectWindowServesNext(a, b, kInsts);
+        EXPECT_EQ(a.loopCount(), 2u);
+    }
+    {
+        SCOPED_TRACE("champsim fixture");
+        ChampSimTraceReader a(kFixturePath);
+        ChampSimTraceReader b(kFixturePath);
+        expectWindowServesNext(a, b, kInsts);
+        EXPECT_GT(a.sourcePasses(), 100u);
+    }
+}
+
+// ---------------------------------------------------------------------
 // Differential replay parity (live executor vs streaming reader)
 // ---------------------------------------------------------------------
 
