@@ -54,9 +54,6 @@ Bpu::Bpu(TraceWindow &trace_window, const BpuConfig &config)
       case TargetBuffer::Ftb:
         ftb_ = std::make_unique<Ftb>(config.ftb);
         break;
-      case TargetBuffer::Btb:
-        btb_ = std::make_unique<Btb>(config.btb);
-        break;
       case TargetBuffer::Partitioned:
         btb_ = std::make_unique<PartitionedBtb>(config.pbtb);
         break;
@@ -268,14 +265,6 @@ Bpu::redirect()
     specHist = archHist;
     specRas = archRas;
     stRedirects.inc();
-}
-
-std::uint64_t
-Bpu::targetStructBits() const
-{
-    if (ftb_)
-        return ftb_->storageBits();
-    return btb_->storageBits();
 }
 
 } // namespace fdip

@@ -22,7 +22,6 @@
 
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "bpu/btb.hh"
 #include "bpu/direction_predictor.hh"
 #include "bpu/ftb.hh"
 #include "bpu/partitioned_btb.hh"
@@ -85,8 +84,8 @@ const char *predictorKindName(PredictorKind kind);
 enum class TargetBuffer : std::uint8_t
 {
     Ftb,         ///< basic-block fetch target buffer (the paper)
-    Btb,         ///< unified instruction-indexed BTB
-    Partitioned, ///< offset-partitioned BTB (FDIP Revisited)
+    Partitioned, ///< offset-partitioned BTB (FDIP Revisited); a unified
+                 ///< BTB is one full-width partition
 };
 
 struct BpuConfig
@@ -96,7 +95,6 @@ struct BpuConfig
 
     /** Geometry of each target buffer; only the chosen one is built. */
     Ftb::Config ftb;
-    Btb::Config btb;
     PartitionedBtb::Config pbtb;
 };
 
@@ -138,14 +136,10 @@ class Bpu
      */
     Cycle nextEventCycle(Cycle now) const { return kNever; }
 
-    DirectionPredictor &predictor() { return *dirPred; }
     /** The FTB, or null unless targetBuffer is Ftb. */
     Ftb *ftb() { return ftb_.get(); }
-    /** The unified or partitioned BTB, or null when the FTB is used. */
-    BtbIface *btb() { return btb_.get(); }
-
-    /** Storage in the target structure (FTB or BTB), in bits. */
-    std::uint64_t targetStructBits() const;
+    /** The conventional BTB, or null when the FTB is used. */
+    PartitionedBtb *btb() { return btb_.get(); }
 
     StatSet stats;
 
@@ -176,7 +170,7 @@ class Bpu
     TraceWindow &trace;
     std::unique_ptr<DirectionPredictor> dirPred;
     std::unique_ptr<Ftb> ftb_;
-    std::unique_ptr<BtbIface> btb_;
+    std::unique_ptr<PartitionedBtb> btb_;
     ReturnAddressStack specRas;
     ReturnAddressStack archRas;
     std::uint64_t specHist = 0;

@@ -47,13 +47,10 @@ Btb::find(Addr pc)
 std::optional<BtbHit>
 Btb::lookup(Addr pc)
 {
-    stLookups.inc();
     if (auto *e = find(pc)) {
         tags.touch(*e);
-        stHits.inc();
         return e->payload;
     }
-    stMisses.inc();
     return std::nullopt;
 }
 
@@ -80,34 +77,24 @@ Btb::canHold(Addr pc, InstClass cls, Addr target) const
 void
 Btb::insert(Addr pc, InstClass cls, Addr target)
 {
-    if (!canHold(pc, cls, target)) {
-        stInsertRejected.inc();
-        return;
-    }
     // Update in place on tag match.
     if (auto *e = find(pc)) {
         e->payload = BtbHit{cls, target};
         tags.touch(*e);
-        stUpdates.inc();
         return;
     }
     // Otherwise fill an invalid way, or evict the LRU way.
     auto &victim = tags.victim(tags.setOf(pc / instBytes));
-    if (victim.valid)
-        stEvictions.inc();
     tags.fill(victim, tagOf(pc));
     victim.payload = BtbHit{cls, target};
-    stInserts.inc();
 }
 
 void
 Btb::invalidate(Addr pc)
 {
     // insert() finds before it fills, so a tag sits in one way at most.
-    if (auto *e = find(pc)) {
+    if (auto *e = find(pc))
         tags.invalidate(*e);
-        stInvalidations.inc();
-    }
 }
 
 unsigned

@@ -1,7 +1,9 @@
 /**
  * @file btb.hh
- * Conventional (instruction-indexed) branch target buffer, plus the
- * abstract interface shared with the partitioned-BTB extension.
+ * One partition of the conventional (instruction-indexed) branch
+ * target buffer. PartitionedBtb is the conventional BTB: an ensemble
+ * of these that differ only in the width of their target-offset field.
+ * A unified BTB is the ensemble with one full-width partition.
  *
  * A hit means "the instruction at this PC is a control-flow instruction
  * of this type with this (last-seen) target". Entries are allocated for
@@ -15,7 +17,6 @@
 #include <string>
 
 #include "common/set_assoc_table.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "trace/instr.hh"
 
@@ -28,25 +29,7 @@ struct BtbHit
     Addr target;
 };
 
-/** Interface common to the unified and partitioned BTBs. */
-class BtbIface
-{
-  public:
-    virtual ~BtbIface() = default;
-
-    /** Probe for a branch at @p pc; touches LRU on hit. */
-    virtual std::optional<BtbHit> lookup(Addr pc) = 0;
-
-    /** Allocate/update the entry for a taken branch. */
-    virtual void insert(Addr pc, InstClass cls, Addr target) = 0;
-
-    virtual std::uint64_t storageBits() const = 0;
-    virtual std::string name() const = 0;
-
-    StatSet stats;
-};
-
-class Btb : public BtbIface
+class Btb
 {
   public:
     struct Config
@@ -63,18 +46,19 @@ class Btb : public BtbIface
         /**
          * Width of the target-offset field in bits (offsets counted in
          * instructions, sign tracked separately); 0 stores full
-         * targets. Branches whose offset does not fit are rejected by
-         * insert() unless the target field is full width.
+         * targets. canHold() says which branches fit.
          */
         unsigned offsetBits = 0;
     };
 
     explicit Btb(const Config &config);
 
-    std::optional<BtbHit> lookup(Addr pc) override;
-    void insert(Addr pc, InstClass cls, Addr target) override;
-    std::uint64_t storageBits() const override;
-    std::string name() const override;
+    /** Probe for a branch at @p pc; touches LRU on hit. */
+    std::optional<BtbHit> lookup(Addr pc);
+
+    /** Allocate/update the entry for a taken branch; the caller has
+     *  checked canHold(). */
+    void insert(Addr pc, InstClass cls, Addr target);
 
     /** Drop any entry for @p pc. */
     void invalidate(Addr pc);
@@ -89,22 +73,14 @@ class Btb : public BtbIface
     unsigned fullTagBits() const;
 
     unsigned numEntries() const { return cfg.sets * cfg.ways; }
+    std::uint64_t storageBits() const;
+    /** Geometry label, e.g. "btb[128x8,tag=16,off=8]". */
+    std::string name() const;
 
     /** Count of currently valid entries (for tests/occupancy stats). */
     unsigned validEntries() const { return tags.validCount(); }
 
   private:
-    StatSet::Counter stLookups = stats.registerCounter("btb.lookups");
-    StatSet::Counter stHits = stats.registerCounter("btb.hits");
-    StatSet::Counter stMisses = stats.registerCounter("btb.misses");
-    StatSet::Counter stInsertRejected =
-        stats.registerCounter("btb.insert_rejected");
-    StatSet::Counter stUpdates = stats.registerCounter("btb.updates");
-    StatSet::Counter stEvictions = stats.registerCounter("btb.evictions");
-    StatSet::Counter stInserts = stats.registerCounter("btb.inserts");
-    StatSet::Counter stInvalidations =
-        stats.registerCounter("btb.invalidations");
-
     /** The stored tag: the full tag, or its compressed form. */
     std::uint64_t tagOf(Addr pc) const;
     SetAssocTable<BtbHit>::Way *find(Addr pc);

@@ -29,8 +29,6 @@ class GsharePredictor : public DirectionPredictor
     void update(Addr pc, std::uint64_t ghist, bool taken) override;
     std::uint64_t storageBits() const override;
 
-    unsigned historyBits() const { return histBits; }
-
   private:
     std::size_t index(Addr pc, std::uint64_t ghist) const;
 

@@ -9,12 +9,11 @@ namespace fdip
 {
 
 PartitionedBtb::PartitionedBtb(const Config &config)
-    : cfg(config)
 {
-    fatal_if(cfg.partitions.empty(), "partitioned BTB with no partitions");
+    fatal_if(config.partitions.empty(), "partitioned BTB with no partitions");
     // Sort ascending by offset width so partitionFor picks the
     // smallest adequate one; a zero (full) width sorts last.
-    std::vector<PartitionSpec> specs = cfg.partitions;
+    std::vector<PartitionSpec> specs = config.partitions;
     std::sort(specs.begin(), specs.end(),
               [](const PartitionSpec &a, const PartitionSpec &b) {
                   unsigned wa = a.offsetBits == 0 ? ~0u : a.offsetBits;
@@ -22,8 +21,8 @@ PartitionedBtb::PartitionedBtb(const Config &config)
                   return wa < wb;
               });
     for (const auto &spec : specs) {
-        parts.push_back(std::make_unique<Btb>(Btb::Config{
-            spec.sets, spec.ways, cfg.tagBits, spec.offsetBits}));
+        parts.emplace_back(Btb::Config{spec.sets, spec.ways,
+                                       config.tagBits, spec.offsetBits});
     }
     for (std::size_t i = 0; i < parts.size(); ++i) {
         stInsertByPartition.push_back(stats.registerCounter(
@@ -57,7 +56,7 @@ int
 PartitionedBtb::partitionFor(Addr pc, InstClass cls, Addr target) const
 {
     for (std::size_t i = 0; i < parts.size(); ++i) {
-        if (parts[i]->canHold(pc, cls, target))
+        if (parts[i].canHold(pc, cls, target))
             return static_cast<int>(i);
     }
     return -1;
@@ -69,7 +68,7 @@ PartitionedBtb::lookup(Addr pc)
     stLookups.inc();
     // All partitions are probed in parallel in hardware.
     for (auto &p : parts) {
-        if (auto hit = p->lookup(pc)) {
+        if (auto hit = p.lookup(pc)) {
             stHits.inc();
             return hit;
         }
@@ -90,9 +89,9 @@ PartitionedBtb::insert(Addr pc, InstClass cls, Addr target)
     // another partition, or lookups could see a stale target.
     for (std::size_t i = 0; i < parts.size(); ++i) {
         if (static_cast<int>(i) != pi)
-            parts[i]->invalidate(pc);
+            parts[i].invalidate(pc);
     }
-    parts[pi]->insert(pc, cls, target);
+    parts[pi].insert(pc, cls, target);
     stInsertByPartition[static_cast<std::size_t>(pi)].inc();
 }
 
@@ -101,18 +100,8 @@ PartitionedBtb::storageBits() const
 {
     std::uint64_t bits = 0;
     for (const auto &p : parts)
-        bits += p->storageBits();
+        bits += p.storageBits();
     return bits;
-}
-
-std::string
-PartitionedBtb::name() const
-{
-    std::string n = "pbtb{";
-    for (const auto &p : parts)
-        n += p->name() + ",";
-    n += "}";
-    return n;
 }
 
 unsigned
@@ -120,7 +109,7 @@ PartitionedBtb::numEntries() const
 {
     unsigned n = 0;
     for (const auto &p : parts)
-        n += p->numEntries();
+        n += p.numEntries();
     return n;
 }
 

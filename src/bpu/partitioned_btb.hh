@@ -1,24 +1,27 @@
 /**
  * @file partitioned_btb.hh
- * EXTENSION (from the 2020 "FDIP Revisited" follow-up): one logical BTB
- * split into several physical BTBs that differ only in the width of the
- * target-offset field. A branch is allocated in the smallest partition
- * whose offset field can encode its target, cutting target-storage cost
- * dramatically because short offsets dominate.
+ * The conventional (instruction-indexed) BTB, built as in the 2020
+ * "FDIP Revisited" follow-up: one logical BTB split into several
+ * physical BTBs that differ only in the width of the target-offset
+ * field. A branch is allocated in the smallest partition whose offset
+ * field can encode its target, cutting target-storage cost
+ * dramatically because short offsets dominate. A unified BTB is the
+ * one-partition ensemble with a full-width target field:
+ * Config{{{0, sets, ways}}, 0}.
  */
 
 #ifndef FDIP_BPU_PARTITIONED_BTB_HH
 #define FDIP_BPU_PARTITIONED_BTB_HH
 
-#include <memory>
 #include <vector>
 
 #include "bpu/btb.hh"
+#include "common/stats.hh"
 
 namespace fdip
 {
 
-class PartitionedBtb : public BtbIface
+class PartitionedBtb
 {
   public:
     struct PartitionSpec
@@ -31,7 +34,7 @@ class PartitionedBtb : public BtbIface
     struct Config
     {
         std::vector<PartitionSpec> partitions;
-        unsigned tagBits = 16;
+        unsigned tagBits = 16; ///< 0 = full tag
     };
 
     explicit PartitionedBtb(const Config &config);
@@ -50,18 +53,25 @@ class PartitionedBtb : public BtbIface
      */
     static Config makeDefaultConfig(unsigned unified_entries);
 
-    std::optional<BtbHit> lookup(Addr pc) override;
-    void insert(Addr pc, InstClass cls, Addr target) override;
-    std::uint64_t storageBits() const override;
-    std::string name() const override;
+    /** Probe every partition for a branch at @p pc; touches LRU on
+     *  hit. */
+    std::optional<BtbHit> lookup(Addr pc);
+
+    /** Allocate/update the entry for a taken branch in the smallest
+     *  partition that can hold it. */
+    void insert(Addr pc, InstClass cls, Addr target);
+
+    std::uint64_t storageBits() const;
 
     unsigned numPartitions() const
     {
         return static_cast<unsigned>(parts.size());
     }
 
-    const Btb &partition(unsigned i) const { return *parts.at(i); }
+    const Btb &partition(unsigned i) const { return parts.at(i); }
     unsigned numEntries() const;
+
+    StatSet stats;
 
   private:
     StatSet::Counter stLookups = stats.registerCounter("pbtb.lookups");
@@ -75,8 +85,7 @@ class PartitionedBtb : public BtbIface
     /** Smallest partition index whose offset field fits the branch. */
     int partitionFor(Addr pc, InstClass cls, Addr target) const;
 
-    Config cfg;
-    std::vector<std::unique_ptr<Btb>> parts;
+    std::vector<Btb> parts;
 };
 
 } // namespace fdip

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "bpu/btb.hh"
 #include "bpu/ftb.hh"
+#include "bpu/partitioned_btb.hh"
 #include "common/fnv.hh"
 #include "common/logging.hh"
 
@@ -24,7 +24,8 @@ slotHash(Addr pc)
 
 } // namespace
 
-ShadowBtbPrefetcher::ShadowBtbPrefetcher(Ftb *ftb_ptr, BtbIface *btb_ptr,
+ShadowBtbPrefetcher::ShadowBtbPrefetcher(Ftb *ftb_ptr,
+                                         PartitionedBtb *btb_ptr,
                                          MemHierarchy &mem_ref,
                                          const Program *prog,
                                          const Config &config)

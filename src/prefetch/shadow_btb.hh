@@ -30,7 +30,7 @@ namespace fdip
 {
 
 class Ftb;
-class BtbIface;
+class PartitionedBtb;
 
 class ShadowBtbPrefetcher : public Prefetcher
 {
@@ -64,7 +64,7 @@ class ShadowBtbPrefetcher : public Prefetcher
      *  conventional front-end). The decoder reads a CodeImage built
      *  from @p prog; @p prog may be null (trace replay), in which case
      *  nothing is ever decoded or pre-filled. */
-    ShadowBtbPrefetcher(Ftb *ftb, BtbIface *btb, MemHierarchy &mem,
+    ShadowBtbPrefetcher(Ftb *ftb, PartitionedBtb *btb, MemHierarchy &mem,
                         const Program *prog, const Config &config);
 
     void tick(Cycle now) override;
@@ -100,7 +100,7 @@ class ShadowBtbPrefetcher : public Prefetcher
     StatSet::Counter stNoImage = stats.registerCounter("shadow.no_image");
 
     Ftb *ftb;
-    BtbIface *btb;
+    PartitionedBtb *btb;
     MemHierarchy &mem;
     /** Empty on trace replay. */
     std::optional<CodeImage> image;

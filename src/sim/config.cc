@@ -141,10 +141,6 @@ SimConfig::fingerprint() const
     f.u64(static_cast<std::uint64_t>(bpu.predictor));
     f.u64(bpu.ftb.sets);
     f.u64(bpu.ftb.ways);
-    f.u64(bpu.btb.sets);
-    f.u64(bpu.btb.ways);
-    f.u64(bpu.btb.tagBits);
-    f.u64(bpu.btb.offsetBits);
     f.u64(bpu.pbtb.partitions.size());
     for (const auto &part : bpu.pbtb.partitions) {
         f.u64(part.offsetBits);

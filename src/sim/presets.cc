@@ -55,19 +55,6 @@ applyPartitionedBudget(SimConfig &cfg, unsigned unified_entries)
 }
 
 void
-applyUnifiedBtbBudget(SimConfig &cfg, unsigned entries)
-{
-    fatal_if(entries < 8, "BTB budget too small");
-    cfg.bpu.targetBuffer = TargetBuffer::Btb;
-    cfg.bpu.btb.ways = 8;
-    cfg.bpu.btb.sets = std::max(1u, entries / cfg.bpu.btb.ways);
-    cfg.bpu.btb.tagBits = 0;
-    cfg.bpu.btb.offsetBits = 0;
-    fatal_if(!isPowerOf2(cfg.bpu.btb.sets),
-             "BTB entries must give a power-of-two set count");
-}
-
-void
 applyVmConfig(SimConfig &cfg, TlbPrefetchPolicy policy,
               PageMapKind mapping, unsigned itlb_entries)
 {

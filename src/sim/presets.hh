@@ -46,12 +46,6 @@ void applyFtbBudget(SimConfig &cfg, unsigned entries);
 void applyPartitionedBudget(SimConfig &cfg, unsigned unified_entries);
 
 /**
- * Configure the conventional front-end with a unified full-tag,
- * full-target BTB of @p entries (8-way).
- */
-void applyUnifiedBtbBudget(SimConfig &cfg, unsigned entries);
-
-/**
  * Enable the virtual-memory subsystem on any preset: 4KB pages,
  * 30-cycle page walks, and a 4-way (fully-associative below 4
  * entries) ITLB of @p itlb_entries. Every existing workload runs

@@ -165,12 +165,11 @@ void
 PcCanonicalizer::emitTrampoline(std::deque<TraceInstr> &out, Addr slot,
                                 Addr target)
 {
-    TraceInstr ti;
+    TraceInstr &ti = out.emplace_back();
     ti.pc = slot;
     ti.cls = InstClass::Jump;
     ti.target = target;
     ti.taken = true;
-    out.push_back(ti);
 }
 
 PcCanonicalizer::FallThroughResult
@@ -227,17 +226,16 @@ PcCanonicalizer::emit(const ChampSimRecord &cur, InstClass cls,
 {
     Addr pc = place(cur.ip, cls);
 
-    TraceInstr ti;
-    ti.pc = pc;
-
     // A trampoline on this record's fall-through/return path executes
-    // *after* it; collect separately and append behind ti.
-    std::deque<TraceInstr> after;
+    // *after* it: fallInto appends it behind ti. A deque append keeps
+    // the reference valid.
+    TraceInstr &ti = out.emplace_back();
+    ti.pc = pc;
 
     switch (cls) {
       case InstClass::NonCF: {
         FallThroughResult r =
-            fallInto(pc + instBytes, false, next_ip, next_cls, after);
+            fallInto(pc + instBytes, false, next_ip, next_cls, out);
         if (r.adjacent && noncfJump.count(cur.ip) == 0) {
             ti.cls = InstClass::NonCF;
         } else {
@@ -259,7 +257,7 @@ PcCanonicalizer::emit(const ChampSimRecord &cur, InstClass cls,
             ti.taken = true;
         } else {
             FallThroughResult r =
-                fallInto(pc + instBytes, true, next_ip, next_cls, after);
+                fallInto(pc + instBytes, true, next_ip, next_cls, out);
             if (r.adjacent) {
                 auto ct = condTarget.find(cur.ip);
                 // Not-taken conditionals still advertise their static
@@ -306,7 +304,7 @@ PcCanonicalizer::emit(const ChampSimRecord &cur, InstClass cls,
             Addr ret = callStack.back();
             callStack.pop_back();
             FallThroughResult r =
-                fallInto(ret, true, next_ip, next_cls, after);
+                fallInto(ret, true, next_ip, next_cls, out);
             ti.target = r.adjacent ? ret : r.entry;
         } else {
             // Underflow (trace starts mid-call or streams are
@@ -316,10 +314,6 @@ PcCanonicalizer::emit(const ChampSimRecord &cur, InstClass cls,
         break;
       }
     }
-
-    out.push_back(ti);
-    for (const TraceInstr &t : after)
-        out.push_back(t);
 }
 
 // ---------------------------------------------------------------------

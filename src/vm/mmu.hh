@@ -201,8 +201,6 @@ class Mmu
     /** Walks waiting for a free walker. */
     std::size_t walksQueued() const { return walkQueue.size(); }
 
-    Tlb &itlb() { return itlb_; }
-    const Tlb &itlb() const { return itlb_; }
     /** nullptr when the L2 TLB is disabled (l2TlbEntries == 0). */
     Tlb *l2Tlb() { return l2_.get(); }
     const Tlb *l2Tlb() const { return l2_.get(); }

@@ -48,7 +48,6 @@ class PageTable
      */
     Addr translate(Addr vaddr) const;
 
-    unsigned pageBytes() const { return bytes; }
     std::size_t numPages() const { return frames.size(); }
 
   private:

@@ -157,10 +157,10 @@ TEST(Bpu, VerifySeqAdvancesDenselyOnCorrectPath)
 
 TEST(Bpu, BtbModeLearnsTightLoop)
 {
+    // A unified BTB: one full-width partition, full tags.
     BpuConfig cfg;
-    cfg.targetBuffer = TargetBuffer::Btb;
-    cfg.btb.sets = 64;
-    cfg.btb.ways = 4;
+    cfg.targetBuffer = TargetBuffer::Partitioned;
+    cfg.pbtb = {{{0, 64, 4}}, /*tagBits=*/0};
     Harness h(testutil::makeTightLoop(), cfg);
     h.trainBlocks(3);
     EXPECT_EQ(h.trainBlocks(100), 0u);
@@ -176,11 +176,12 @@ TEST(Bpu, BtbModeAcceptsPartitionedBtb)
     cfg.pbtb = PartitionedBtb::makeDefaultConfig(1024);
     Harness h(testutil::makeCallPattern(), cfg);
     EXPECT_EQ(h.bpu->ftb(), nullptr);
-    auto *raw = dynamic_cast<PartitionedBtb *>(h.bpu->btb());
-    ASSERT_NE(raw, nullptr);
+    PartitionedBtb *btb = h.bpu->btb();
+    ASSERT_NE(btb, nullptr);
+    EXPECT_EQ(btb->numPartitions(), 4u);
     h.trainBlocks(500);
-    EXPECT_GT(raw->stats.counter("pbtb.lookups"), 0u);
-    EXPECT_GT(raw->stats.counter("pbtb.hits"), 0u);
+    EXPECT_GT(btb->stats.counter("pbtb.lookups"), 0u);
+    EXPECT_GT(btb->stats.counter("pbtb.hits"), 0u);
     unsigned div = h.trainBlocks(500);
     EXPECT_LT(div, 500u / 10);
 }
@@ -256,17 +257,6 @@ TEST(Bpu, PredictorKindNames)
     EXPECT_STREQ(predictorKindName(PredictorKind::Local2Level),
                  "local2level");
     EXPECT_STREQ(predictorKindName(PredictorKind::Hybrid), "hybrid");
-}
-
-TEST(Bpu, StorageAccountingPositive)
-{
-    Harness ftb_mode(testutil::makeTightLoop());
-    EXPECT_GT(ftb_mode.bpu->targetStructBits(), 0u);
-
-    BpuConfig cfg;
-    cfg.targetBuffer = TargetBuffer::Btb;
-    Harness btb_mode(testutil::makeTightLoop(), cfg);
-    EXPECT_GT(btb_mode.bpu->targetStructBits(), 0u);
 }
 
 TEST(BpuDeath, RedirectWithoutDivergence)

@@ -1,8 +1,9 @@
-/** Tests for the conventional BTB. */
+/** Tests for one partition of the conventional BTB. */
 
 #include <gtest/gtest.h>
 
 #include "bpu/btb.hh"
+#include "bpu/partitioned_btb.hh"
 
 using namespace fdip;
 
@@ -24,7 +25,7 @@ TEST(Btb, MissOnEmpty)
 {
     Btb btb(smallCfg());
     EXPECT_FALSE(btb.lookup(0x1000).has_value());
-    EXPECT_EQ(btb.stats.counter("btb.misses"), 1u);
+    EXPECT_EQ(btb.validEntries(), 0u);
 }
 
 TEST(Btb, InsertThenHit)
@@ -61,7 +62,8 @@ TEST(Btb, LruEviction)
     EXPECT_TRUE(btb.lookup(a).has_value());
     EXPECT_FALSE(btb.lookup(b).has_value());
     EXPECT_TRUE(btb.lookup(c).has_value());
-    EXPECT_EQ(btb.stats.counter("btb.evictions"), 1u);
+    // c replaced b: the set still holds exactly its two ways.
+    EXPECT_EQ(btb.validEntries(), 2u);
 }
 
 TEST(Btb, Invalidate)
@@ -131,9 +133,14 @@ TEST(Btb, OffsetFieldRejectsFarBranches)
     // Backward offsets use the separate direction bit.
     EXPECT_TRUE(btb.canHold(pc, InstClass::Jump, pc - 255 * instBytes));
 
-    btb.insert(pc, InstClass::Jump, pc + 256 * instBytes);
-    EXPECT_FALSE(btb.lookup(pc).has_value());
-    EXPECT_EQ(btb.stats.counter("btb.insert_rejected"), 1u);
+    // An ensemble whose only partition is this one rejects the branch:
+    // it leaves no entry and counts the rejection.
+    PartitionedBtb only8({{{8, 16, 2}}, 0});
+    only8.insert(pc, InstClass::Jump, pc + 256 * instBytes);
+    EXPECT_FALSE(only8.lookup(pc).has_value());
+    EXPECT_EQ(only8.partition(0).validEntries(), 0u);
+    EXPECT_EQ(only8.stats.counter("pbtb.insert_rejected"), 1u);
+    EXPECT_EQ(only8.stats.counter("pbtb.insert_p0"), 0u);
 }
 
 TEST(Btb, IndirectNeedsFullWidth)

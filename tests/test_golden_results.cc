@@ -83,8 +83,9 @@ renderGrid()
         out += serializeResults(simulate(cfg));
     }
 
-    // The tag stores no section above runs: the conventional BTB, the
-    // partitioned BTB (FDIP-X) and the L2 TLB. Appended like the zoo.
+    // The tag stores no section above runs: the conventional BTB as a
+    // unified (one-partition) and a partitioned (FDIP-X) ensemble, and
+    // the L2 TLB. Appended like the zoo.
     auto tag_store_point = [&out](const char *label, auto &&configure) {
         SimConfig cfg = makeBaselineConfig("gcc",
                                            PrefetchScheme::FdpRemove);
@@ -96,7 +97,9 @@ renderGrid()
         out += serializeResults(simulate(cfg));
     };
     tag_store_point("unified-btb-1k", [](SimConfig &cfg) {
-        applyUnifiedBtbBudget(cfg, 1024);
+        // One full-width partition of 128 sets x 8 ways, full tags.
+        cfg.bpu.targetBuffer = TargetBuffer::Partitioned;
+        cfg.bpu.pbtb = {{{0, 128, 8}}, /*tagBits=*/0};
     });
     tag_store_point("partitioned-btb-1k", [](SimConfig &cfg) {
         applyPartitionedBudget(cfg, 1024);

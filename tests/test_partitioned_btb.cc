@@ -92,12 +92,8 @@ TEST(PartitionedBtb, StorageBeatsUnifiedPerEntry)
     auto cfg = PartitionedBtb::makeDefaultConfig(1024);
     PartitionedBtb pbtb(cfg);
 
-    Btb::Config unified;
-    unified.sets = 128;
-    unified.ways = 8;          // 1K entries
-    unified.tagBits = 0;       // full tag
-    unified.offsetBits = 0;    // full target
-    Btb ubtb(unified);
+    // 1K entries, full tags, one full-width target field.
+    PartitionedBtb ubtb({{{0, 128, 8}}, /*tagBits=*/0});
 
     double pb_per_entry = static_cast<double>(pbtb.storageBits()) /
         pbtb.numEntries();
@@ -117,6 +113,26 @@ TEST(PartitionedBtb, RejectsUnencodableNever)
     pbtb.insert(pc, InstClass::Jump, 0xFFFFFFFFF0ull);
     EXPECT_EQ(pbtb.stats.counter("pbtb.insert_rejected"), 0u);
     EXPECT_TRUE(pbtb.lookup(pc).has_value());
+}
+
+TEST(PartitionedBtb, UnifiedIsOnePartitionAndCountsEveryProbe)
+{
+    PartitionedBtb unified({{{0, 16, 2}}, /*tagBits=*/0});
+    Addr pc = 0x600000;
+    EXPECT_FALSE(unified.lookup(pc).has_value());
+    unified.insert(pc, InstClass::IndCall, 0x40000000);
+    unified.insert(pc, InstClass::IndCall, 0x50000000); // update
+    auto hit = unified.lookup(pc);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->target, 0x50000000u);
+    EXPECT_EQ(unified.partition(0).validEntries(), 1u);
+    EXPECT_EQ(unified.partition(0).fullTagBits(), 42u);
+    EXPECT_EQ(unified.stats.counter("pbtb.lookups"), 2u);
+    EXPECT_EQ(unified.stats.counter("pbtb.hits"), 1u);
+    EXPECT_EQ(unified.stats.counter("pbtb.misses"), 1u);
+    // Fills and in-place updates both count as inserts.
+    EXPECT_EQ(unified.stats.counter("pbtb.insert_p0"), 2u);
+    EXPECT_EQ(unified.stats.counter("pbtb.insert_rejected"), 0u);
 }
 
 TEST(PartitionedBtbDeath, EmptyConfig)

@@ -91,15 +91,6 @@ TEST(Presets, ApplyPartitionedBudgetSwitchesFrontEnd)
     EXPECT_NO_FATAL_FAILURE(cfg.validate());
 }
 
-TEST(Presets, ApplyUnifiedBtbBudget)
-{
-    SimConfig cfg = makeBaselineConfig("gcc");
-    applyUnifiedBtbBudget(cfg, 4096);
-    EXPECT_EQ(cfg.bpu.targetBuffer, TargetBuffer::Btb);
-    EXPECT_EQ(cfg.bpu.btb.sets * cfg.bpu.btb.ways, 4096u);
-    EXPECT_NO_FATAL_FAILURE(cfg.validate());
-}
-
 TEST(Presets, SchemeNamesRoundTrip)
 {
     EXPECT_STREQ(schemeName(PrefetchScheme::None), "none");

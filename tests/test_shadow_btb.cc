@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "bpu/btb.hh"
 #include "bpu/ftb.hh"
+#include "bpu/partitioned_btb.hh"
 #include "prefetch/shadow_btb.hh"
 #include "test_helpers.hh"
 
@@ -88,7 +88,7 @@ TEST(ShadowBtb, FindsPlantedBranchesAndPrefillsFtb)
 TEST(ShadowBtb, PrefillsConventionalBtbByBranchPc)
 {
     Rig rig;
-    Btb btb(Btb::Config{16, 2, 0, 0});
+    PartitionedBtb btb({{{0, 16, 2}}, /*tagBits=*/0}); // unified
     ShadowBtbPrefetcher pf(nullptr, &btb, rig.mem, rig.prog.get(), {});
 
     Addr base = rig.prog->base;

@@ -134,6 +134,19 @@ matrixConfig(int i)
         cfg.vm.numWalkers = pick(rng, {0u, 1u, 2u});
         cfg.vm.tlbPrefetch = (i % 3) == 0;
     }
+
+    // A third of the matrix runs the conventional front-end, so parity
+    // also covers Bpu::formBlockBtb and shadow-btb's prefill by branch
+    // PC (config 10 is shadow-btb): the partitioned ensemble at two
+    // budgets, and on config 13 the one-partition unified BTB.
+    if (i % 3 == 1) {
+        if (i == 13) {
+            cfg.bpu.targetBuffer = TargetBuffer::Partitioned;
+            cfg.bpu.pbtb = {{{0, 128, 8}}, /*tagBits=*/0};
+        } else {
+            applyPartitionedBudget(cfg, i % 2 ? 1024 : 4096);
+        }
+    }
     return cfg;
 }
 
@@ -178,9 +191,19 @@ TEST(TickSkip, MatrixCoversAllSchemesAndPolicies)
     bool l2_seen = false, bounded_seen = false, tlbpf_seen = false;
     bool single_seen = false, dual_seen = false, quad_seen = false;
     bool hetero_seen = false;
+    bool pbtb_seen = false, unified_seen = false;
+    bool shadow_on_btb = false, fdp_on_btb = false;
     for (int i = 0; i < 20; ++i) {
         SimConfig cfg = matrixConfig(i);
         scheme_seen[static_cast<int>(cfg.scheme)] = true;
+        if (cfg.bpu.targetBuffer == TargetBuffer::Partitioned) {
+            bool unified = cfg.bpu.pbtb.partitions.size() == 1;
+            unified_seen |= unified;
+            pbtb_seen |= !unified;
+            shadow_on_btb |= cfg.scheme == PrefetchScheme::ShadowBtb;
+            fdp_on_btb |= cfg.scheme >= PrefetchScheme::FdpNone &&
+                cfg.scheme <= PrefetchScheme::FdpIdeal;
+        }
         single_seen |= cfg.numCores == 1;
         dual_seen |= cfg.numCores == 2;
         quad_seen |= cfg.numCores == 4;
@@ -207,6 +230,10 @@ TEST(TickSkip, MatrixCoversAllSchemesAndPolicies)
     EXPECT_TRUE(l2_seen) << "no config exercised the L2 TLB";
     EXPECT_TRUE(bounded_seen) << "no config bounded the walkers";
     EXPECT_TRUE(tlbpf_seen) << "no config ran the TLB prefetcher";
+    EXPECT_TRUE(pbtb_seen && unified_seen)
+        << "the BTB front-end must run partitioned and unified";
+    EXPECT_TRUE(shadow_on_btb) << "shadow-btb never prefilled a BTB";
+    EXPECT_TRUE(fdp_on_btb) << "no FDP scheme ran on a BTB";
 }
 
 TEST(TickSkip, ForceTickDisablesSkipping)
