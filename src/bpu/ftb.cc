@@ -48,7 +48,7 @@ Ftb::insert(Addr start_pc, unsigned num_insts, InstClass cls, Addr target)
         return;
     }
     auto &victim = tags.victim(tags.setOf(key));
-    if (victim.valid)
+    if (victim.valid())
         stEvictions.inc();
     tags.fill(victim, tags.tagOf(key));
     victim.payload = blk;

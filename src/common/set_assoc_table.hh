@@ -3,7 +3,8 @@
  * The set-associative tag store behind the FTB, the BTB (and so every
  * partition of the partitioned BTB), the L1-I and L2 caches, both TLB
  * levels and MANA's region table: power-of-two sets of N ways, each
- * way a valid bit, a tag, a recency stamp and the owner's payload.
+ * way a tag, a recency stamp and the owner's payload. A stamp of 0
+ * marks an invalid way.
  *
  * A plain key splits into set (low bits) and tag (the rest); owners
  * that compress tags pass their own. find() leaves recency alone and
@@ -36,10 +37,12 @@ class SetAssocTable
   public:
     struct Way
     {
-        bool valid = false;
         std::uint64_t tag = 0;
+        /** Last fill or touch; 0 while the way is invalid. */
         std::uint64_t stamp = 0;
         [[no_unique_address]] Payload payload{};
+
+        bool valid() const { return stamp != 0; }
     };
 
     /** @p owner names the table in geometry errors. */
@@ -73,7 +76,7 @@ class SetAssocTable
     {
         Way *w = &table[set * ways_];
         for (Way *end = w + ways_; w != end; ++w) {
-            if (w->valid && w->tag == tag)
+            if (w->valid() && w->tag == tag)
                 return w;
         }
         return nullptr;
@@ -96,15 +99,14 @@ class SetAssocTable
     void touch(Way &way) { way.stamp = ++clock; }
 
     /** The way a fill of @p set replaces: the first invalid way, else
-     *  the oldest stamp, the lowest way winning a tie. */
+     *  the oldest stamp, the lowest way winning a tie. An invalid way
+     *  holds the smallest stamp, 0, so one min-stamp scan is both. */
     Way &
     victim(std::size_t set)
     {
         Way *w = &table[set * ways_];
         Way *oldest = w;
         for (Way *end = w + ways_; w != end; ++w) {
-            if (!w->valid)
-                return *w;
             if (w->stamp < oldest->stamp)
                 oldest = w;
         }
@@ -119,19 +121,18 @@ class SetAssocTable
     void
     fill(Way &way, std::uint64_t tag)
     {
-        way.valid = true;
         way.tag = tag;
         touch(way);
     }
 
-    void invalidate(Way &way) { way.valid = false; }
+    void invalidate(Way &way) { way.stamp = 0; }
 
     unsigned
     validCount() const
     {
         unsigned n = 0;
         for (const Way &w : table)
-            n += w.valid;
+            n += w.valid();
         return n;
     }
 
@@ -140,6 +141,8 @@ class SetAssocTable
     unsigned ways_;
     unsigned setBits = 0;
     std::vector<Way> table;
+    /** The last stamp handed out; touch() pre-increments, so stamps
+     *  start at 1 and 0 stays free to mean invalid. */
     std::uint64_t clock = 0;
 };
 

@@ -73,7 +73,7 @@ Cache::insert(Addr addr)
     // refreshes it.
     std::size_t set = tags.setOf(key);
     auto *victim = &tags.victim(set);
-    if (victim->valid && cfg.repl == ReplPolicy::Random) {
+    if (victim->valid() && cfg.repl == ReplPolicy::Random) {
         // xorshift64 way choice: cheap and deterministic per run.
         randState ^= randState << 13;
         randState ^= randState >> 7;
@@ -82,7 +82,7 @@ Cache::insert(Addr addr)
     }
 
     std::optional<Addr> evicted;
-    if (victim->valid) {
+    if (victim->valid()) {
         stEvictions.inc();
         evicted = tags.keyOf(set, victim->tag) << blockShift;
     }

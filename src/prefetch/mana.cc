@@ -71,7 +71,7 @@ ManaPrefetcher::recordRegion(std::uint64_t region,
         return;
     }
     auto &victim = table.victim(table.setOf(region));
-    if (victim.valid) {
+    if (victim.valid()) {
         stEvictions.inc();
     } else {
         // Live-metadata accounting: bytes grow only while cold ways

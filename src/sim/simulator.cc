@@ -105,7 +105,7 @@ Simulator::buildCore(Core &c, unsigned id)
         // streams: each core's seed is offset by its id (identity for
         // core 0, so a single-core machine is unchanged).
         profile.seed += cfg.seedOffset + id;
-        c.prog = buildProgram(profile);
+        c.prog = sharedProgram(profile);
         c.exec = std::make_unique<SyntheticExecutor>(*c.prog, profile);
     }
     // Fast-forward happens before any component sees the stream, so

@@ -145,8 +145,10 @@ class Simulator
          *  coreWorkloads entry on a heterogeneous mix). */
         std::string workload;
 
-        /** Synthetic workloads only; null when replaying a trace. */
-        std::unique_ptr<Program> prog;
+        /** Synthetic workloads only; null when replaying a trace.
+         *  Shared with every simulator of the same profile and seed
+         *  (sharedProgram()), so it is never written. */
+        std::shared_ptr<const Program> prog;
         std::unique_ptr<TraceSource> exec;
         std::unique_ptr<TraceWindow> trace;
         std::unique_ptr<Bpu> bpu;

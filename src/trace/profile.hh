@@ -61,6 +61,9 @@ struct WorkloadProfile
 
     /** Number of call sites in the top-level dispatcher loop. */
     unsigned dispatcherSites = 48;
+
+    /** Field by field, so sharedProgram() tells every field apart. */
+    bool operator==(const WorkloadProfile &) const = default;
 };
 
 /** The ten-workload suite used by every experiment in this repo. */

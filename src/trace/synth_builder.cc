@@ -1,6 +1,9 @@
 #include "trace/synth_builder.hh"
 
 #include <algorithm>
+#include <mutex>
+#include <utility>
+#include <vector>
 
 #include "common/intmath.hh"
 #include "common/logging.hh"
@@ -242,6 +245,22 @@ buildProgram(const WorkloadProfile &p)
 
     prog->layout();
     prog->validate();
+    return prog;
+}
+
+std::shared_ptr<const Program>
+sharedProgram(const WorkloadProfile &profile)
+{
+    static std::mutex mtx;
+    static std::vector<std::pair<WorkloadProfile,
+                                 std::shared_ptr<const Program>>> built;
+    std::lock_guard<std::mutex> lock(mtx);
+    for (const auto &[p, prog] : built) {
+        if (p == profile)
+            return prog;
+    }
+    std::shared_ptr<const Program> prog = buildProgram(profile);
+    built.emplace_back(profile, prog);
     return prog;
 }
 

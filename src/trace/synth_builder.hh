@@ -22,6 +22,16 @@ namespace fdip
  */
 std::unique_ptr<Program> buildProgram(const WorkloadProfile &profile);
 
+/**
+ * The program for @p profile, built once per process and shared: every
+ * caller with an equal profile gets the same immutable program.
+ * Thread-safe. A build that raises SimError stores nothing, so the
+ * next call builds again. Programs live until the process exits: one
+ * per distinct (profile, seed) the process simulates, 19 for a full
+ * reproduction (`fdip_experiments run --all`).
+ */
+std::shared_ptr<const Program> sharedProgram(const WorkloadProfile &profile);
+
 } // namespace fdip
 
 #endif // FDIP_TRACE_SYNTH_BUILDER_HH

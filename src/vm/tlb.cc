@@ -52,7 +52,7 @@ Tlb::insert(Addr vpn)
         return;
     }
     auto &victim = tags.victim(tags.setOf(vpn));
-    if (victim.valid)
+    if (victim.valid())
         stEvictions.inc();
     tags.fill(victim, tags.tagOf(vpn));
     stFills.inc();

@@ -27,9 +27,14 @@ TlbPrefetcher::tick(Cycle now)
         if (started >= cfg.width)
             return false;
         Addr vpn = mmu.pageTable().vpn(vaddr);
-        if (recentVpns.contains(vpn))
+        if (vpn == heldVpn)
             return true;
+        if (recentVpns.contains(vpn)) {
+            heldVpn = vpn;
+            return true;
+        }
         evicted |= recentVpns.insert(vpn) != invalidAddr;
+        heldVpn = vpn;
         stProbes.inc();
         PfTranslation tr = mmu.tlbPrefetchTranslate(vaddr, now);
         if (tr.status == PfTranslation::Status::Ready) {
@@ -52,7 +57,8 @@ TlbPrefetcher::nextEventCycle(Cycle now) const
     FtqCursor from = cursor;
     bool unfiltered = false;
     from.scan(ftq, [&](Addr vaddr) {
-        unfiltered = !recentVpns.contains(mmu.pageTable().vpn(vaddr));
+        Addr vpn = mmu.pageTable().vpn(vaddr);
+        unfiltered = vpn != heldVpn && !recentVpns.contains(vpn);
         return !unfiltered;
     });
     return unfiltered ? now + 1 : kNever;

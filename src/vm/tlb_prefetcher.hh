@@ -83,6 +83,11 @@ class TlbPrefetcher
     Mmu &mmu;
     Config cfg;
     RecentFilter recentVpns;
+    /** A page known to be in recentVpns: the last one a check found
+     *  there or tick() inserted. Pages leave the filter only on an
+     *  insert, which holds the inserted page, so most blocks, being in
+     *  the previous block's page, skip the filter's scan. */
+    Addr heldVpn = invalidAddr;
     /** The next block to check: every block before it has its page
      *  in recentVpns. */
     FtqCursor cursor;

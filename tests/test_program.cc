@@ -4,9 +4,13 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/fnv.hh"
+#include "sim/presets.hh"
 #include "test_helpers.hh"
 #include "trace/profile.hh"
 #include "trace/synth_builder.hh"
@@ -45,6 +49,48 @@ programDigest(const Program &prog)
         }
     }
     return f.h;
+}
+
+/**
+ * @p base with one member changed, one profile per member. The
+ * structured binding names every member of WorkloadProfile, so a member
+ * added later fails to compile here until it gets its own mutation.
+ */
+std::vector<WorkloadProfile>
+oneFieldMutations(const WorkloadProfile &base)
+{
+    WorkloadProfile p = base;
+    auto &[name, seed, footprint, block_insts, blocks_per_fn, levels,
+           zipf, w_cond, w_jump, w_call, w_ind_call, w_fallthrough,
+           loop_fraction, trip_count, pattern_fraction, bias_lo, bias_hi,
+           phase_len, dispatcher_sites] = p;
+    std::vector<WorkloadProfile> out;
+    auto mutate = [&](auto &field, auto value) {
+        auto saved = field;
+        field = value;
+        out.push_back(p);
+        field = saved;
+    };
+    mutate(name, name + "'");
+    mutate(seed, seed + 1);
+    mutate(footprint, footprint + 4096);
+    mutate(block_insts, block_insts + 0.01);
+    mutate(blocks_per_fn, blocks_per_fn + 0.01);
+    mutate(levels, levels + 1);
+    mutate(zipf, zipf + 0.01);
+    mutate(w_cond, w_cond + 0.01);
+    mutate(w_jump, w_jump + 0.01);
+    mutate(w_call, w_call + 0.01);
+    mutate(w_ind_call, w_ind_call + 0.01);
+    mutate(w_fallthrough, w_fallthrough + 0.01);
+    mutate(loop_fraction, loop_fraction + 0.01);
+    mutate(trip_count, trip_count + 0.01);
+    mutate(pattern_fraction, pattern_fraction + 0.01);
+    mutate(bias_lo, bias_lo + 0.01);
+    mutate(bias_hi, bias_hi - 0.01);
+    mutate(phase_len, phase_len + 1000);
+    mutate(dispatcher_sites, dispatcher_sites + 1);
+    return out;
 }
 
 } // namespace
@@ -284,4 +330,68 @@ TEST(SynthBuilder, CallLevelExtremes)
         EXPECT_EQ(programDigest(*prog), c.digest)
             << std::hex << "0x" << programDigest(*prog);
     }
+}
+
+// ---------------------------------------------------------------------
+// sharedProgram: one immutable program per distinct profile.
+// ---------------------------------------------------------------------
+
+TEST(SharedProgram, EqualProfilesShareOneProgram)
+{
+    const WorkloadProfile &gcc = findProfile("gcc");
+    std::shared_ptr<const Program> prog = sharedProgram(gcc);
+    WorkloadProfile copy = gcc;
+    EXPECT_EQ(sharedProgram(copy), prog);
+
+    // The shared program is the one buildProgram builds.
+    auto fresh = buildProgram(gcc);
+    EXPECT_EQ(prog->codeEnd(), fresh->codeEnd());
+    EXPECT_EQ(programDigest(*prog), programDigest(*fresh));
+}
+
+TEST(SharedProgram, EveryProfileFieldSeparatesPrograms)
+{
+    const WorkloadProfile &gcc = findProfile("gcc");
+    std::vector<WorkloadProfile> profiles = oneFieldMutations(gcc);
+    profiles.push_back(gcc);
+
+    // Each profile gets its own program, and its own fingerprint as a
+    // custom profile: hashProfile() lists every field too.
+    std::set<const Program *> programs;
+    std::set<std::uint64_t> fingerprints;
+    SimConfig cfg = makeBaselineConfig("gcc", PrefetchScheme::None);
+    for (const WorkloadProfile &p : profiles) {
+        programs.insert(sharedProgram(p).get());
+        cfg.customProfile = p;
+        fingerprints.insert(cfg.fingerprint());
+    }
+    EXPECT_EQ(programs.size(), profiles.size());
+    EXPECT_EQ(fingerprints.size(), profiles.size());
+}
+
+TEST(SharedProgram, ConcurrentCallersGetOneProgram)
+{
+    // Seeds no other test asks for, so the first callers race to build.
+    WorkloadProfile gcc = findProfile("gcc");
+    WorkloadProfile li = findProfile("li");
+    gcc.seed += 1000;
+    li.seed += 1000;
+
+    std::vector<std::vector<const Program *>> seen(8);
+    std::vector<std::thread> threads;
+    for (std::vector<const Program *> &mine : seen) {
+        threads.emplace_back([&mine, &gcc, &li] {
+            for (int i = 0; i < 20; ++i) {
+                mine.push_back(sharedProgram(gcc).get());
+                mine.push_back(sharedProgram(li).get());
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+
+    std::set<const Program *> distinct;
+    for (const std::vector<const Program *> &mine : seen)
+        distinct.insert(mine.begin(), mine.end());
+    EXPECT_EQ(distinct.size(), 2u);
 }

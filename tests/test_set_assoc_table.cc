@@ -171,9 +171,9 @@ TEST_P(TableVsModel, RandomSequencesMatch)
                 unsigned mv = m.victim(key);
                 ASSERT_EQ(wayIndex(t, set, v), mv) << "op " << op;
                 std::uint64_t evicted =
-                    v.valid ? t.keyOf(set, v.tag) : ~std::uint64_t(0);
+                    v.valid() ? t.keyOf(set, v.tag) : ~std::uint64_t(0);
                 ASSERT_EQ(evicted, m.keyAt(key, mv)) << "op " << op;
-                evictions += v.valid;
+                evictions += v.valid();
                 t.fill(v, t.tagOf(key));
                 v.payload = key;
                 m.fill(key, mv);
@@ -214,6 +214,26 @@ TEST(SetAssocTable, FirstInvalidWayFillsFirst)
     EXPECT_EQ(wayIndex(t, 0, t.victim(0)), 1u);
     t.fill(t.victim(0), 9);
     EXPECT_EQ(wayIndex(t, 0, t.victim(0)), 2u);
+}
+
+TEST(SetAssocTable, InvalidatedWayIsNextVictimAheadOfOlderWays)
+{
+    Table t("t", 1, 4);
+    for (std::uint64_t k = 0; k < 4; ++k)
+        t.fill(t.victim(0), k);
+    ASSERT_EQ(t.validCount(), 4u);
+    // Way 3 holds the newest fill; invalidated, it goes before the
+    // three older valid ways.
+    Table::Way &w = *t.find(0, 3);
+    t.invalidate(w);
+    EXPECT_FALSE(w.valid());
+    EXPECT_EQ(t.find(0, 3), nullptr);
+    EXPECT_EQ(t.validCount(), 3u);
+    EXPECT_EQ(&t.victim(0), &w);
+    t.fill(t.victim(0), 7);
+    EXPECT_TRUE(w.valid());
+    EXPECT_EQ(t.validCount(), 4u);
+    EXPECT_EQ(t.victim(0).tag, 0u);
 }
 
 TEST(SetAssocTable, OldestStampIsEvicted)

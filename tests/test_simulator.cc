@@ -230,6 +230,23 @@ TEST(Simulator, VmDeterministicAcrossRuns)
     EXPECT_EQ(a.stats.counter("mmu.walks"), b.stats.counter("mmu.walks"));
 }
 
+TEST(Simulator, SimulatorsOfOneProfileShareItsProgram)
+{
+    SimConfig cfg = quickCfg("gcc", PrefetchScheme::FdpRemove);
+    Simulator a(cfg);
+    Simulator b(cfg);
+    ASSERT_NE(a.core(0).prog, nullptr);
+    EXPECT_EQ(a.core(0).prog, b.core(0).prog);
+
+    // Each core of a homogeneous mix offsets its seed by its id, so a
+    // 2-core gcc machine holds two programs, core 0's the one above.
+    applyMultiCore(cfg, 2);
+    Simulator mix(cfg);
+    EXPECT_EQ(mix.core(0).prog, a.core(0).prog);
+    ASSERT_NE(mix.core(1).prog, nullptr);
+    EXPECT_NE(mix.core(1).prog, mix.core(0).prog);
+}
+
 TEST(SimulatorDeath, InvalidConfigRejected)
 {
     SimConfig cfg = quickCfg("li", PrefetchScheme::None);
