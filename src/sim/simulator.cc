@@ -89,12 +89,18 @@ Simulator::buildCore(Core &c, unsigned id)
     std::string trace_path = cfg.coreWorkloads.empty()
         ? cfg.tracePath : traceLabelPath(c.workload);
 
+    // Fast-forward happens before any component sees the stream, so
+    // skip-N positions the region of interest identically for trace
+    // and synthetic sources. A synthetic core copies a start the
+    // process fast-forwarded once for its profile and skip.
     Addr trace_code_base = 0;
     Addr trace_code_end = 0;
     if (!trace_path.empty()) {
         auto src = openTraceWorkload(trace_path);
         trace_code_base = src->codeBase();
         trace_code_end = src->codeEnd();
+        for (std::uint64_t i = 0; i < cfg.skipInsts; ++i)
+            src->next();
         c.exec = std::move(src);
     } else {
         WorkloadProfile profile =
@@ -106,13 +112,9 @@ Simulator::buildCore(Core &c, unsigned id)
         // core 0, so a single-core machine is unchanged).
         profile.seed += cfg.seedOffset + id;
         c.prog = sharedProgram(profile);
-        c.exec = std::make_unique<SyntheticExecutor>(*c.prog, profile);
+        c.exec = std::make_unique<SyntheticExecutor>(
+            *sharedStart(profile, cfg.skipInsts));
     }
-    // Fast-forward happens before any component sees the stream, so
-    // skip-N positions the region of interest identically for trace
-    // and synthetic sources.
-    for (std::uint64_t i = 0; i < cfg.skipInsts; ++i)
-        c.exec->next();
     c.trace = std::make_unique<TraceWindow>(*c.exec);
 
     c.bpu = std::make_unique<Bpu>(*c.trace, cfg.bpu);

@@ -1,6 +1,7 @@
 #include "trace/executor.hh"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "common/logging.hh"
@@ -90,7 +91,7 @@ SyntheticExecutor::nextInto(TraceInstr &out)
             enterBlock(curFn, curBb + 1);
         }
         ++count;
-        stNoncf.inc();
+        ++classCount[static_cast<std::size_t>(InstClass::NonCF)];
         return;
     }
 
@@ -100,15 +101,13 @@ SyntheticExecutor::nextInto(TraceInstr &out)
         out.target = fn.blocks[bb.targetBb].start;
         out.taken = condOutcome(bb, out.pc);
         enterBlock(curFn, out.taken ? bb.targetBb : curBb + 1);
-        stCond.inc();
-        (out.taken ? stCondTaken : stCondNottaken).inc();
+        condTaken += out.taken;
         break;
       }
       case InstClass::Jump:
         out.target = fn.blocks[bb.targetBb].start;
         out.taken = true;
         enterBlock(curFn, bb.targetBb);
-        stJump.inc();
         break;
       case InstClass::Call: {
         out.target = prog.funcs[bb.targetFn].entry;
@@ -116,7 +115,6 @@ SyntheticExecutor::nextInto(TraceInstr &out)
         stack.push_back({curFn, curBb + 1});
         panic_if(stack.size() > 4096, "runaway call depth");
         enterBlock(bb.targetFn, 0);
-        stCall.inc();
         break;
       }
       case InstClass::Return: {
@@ -131,7 +129,6 @@ SyntheticExecutor::nextInto(TraceInstr &out)
             out.target = prog.funcs[f.fn].blocks[f.bb].start;
             enterBlock(f.fn, f.bb);
         }
-        stRet.inc();
         break;
       }
       case InstClass::IndCall: {
@@ -141,7 +138,6 @@ SyntheticExecutor::nextInto(TraceInstr &out)
         stack.push_back({curFn, curBb + 1});
         panic_if(stack.size() > 4096, "runaway call depth");
         enterBlock(callee, 0);
-        stIndcall.inc();
         break;
       }
       case InstClass::IndJump: {
@@ -149,7 +145,6 @@ SyntheticExecutor::nextInto(TraceInstr &out)
         out.target = prog.funcs[target].entry;
         out.taken = true;
         enterBlock(target, 0);
-        stIndjump.inc();
         break;
       }
       case InstClass::NonCF:
@@ -157,6 +152,24 @@ SyntheticExecutor::nextInto(TraceInstr &out)
     }
 
     ++count;
+    ++classCount[static_cast<std::size_t>(bb.term)];
+}
+
+StatSet
+SyntheticExecutor::classStats() const
+{
+    StatSet s;
+    auto add = [&s](const std::string &name, std::uint64_t n) {
+        if (n != 0)
+            s.inc("dyn." + name, n);
+    };
+    for (std::size_t c = 0; c < classCount.size(); ++c)
+        add(instClassName(static_cast<InstClass>(c)), classCount[c]);
+    std::uint64_t cond =
+        classCount[static_cast<std::size_t>(InstClass::CondBr)];
+    add("cond_taken", condTaken);
+    add("cond_nottaken", cond - condTaken);
+    return s;
 }
 
 const TraceInstr &

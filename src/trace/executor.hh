@@ -8,6 +8,7 @@
 #ifndef FDIP_TRACE_EXECUTOR_HH
 #define FDIP_TRACE_EXECUTOR_HH
 
+#include <array>
 #include <unordered_map>
 #include <vector>
 
@@ -41,6 +42,12 @@ class TraceSource
         nextInto(ti);
         return ti;
     }
+
+  protected:
+    // A source copies only as its whole derived type, never sliced.
+    TraceSource() = default;
+    TraceSource(const TraceSource &) = default;
+    TraceSource &operator=(const TraceSource &) = default;
 };
 
 /**
@@ -48,6 +55,12 @@ class TraceSource
  * seed. Loop branches follow per-activation trip counts, pattern
  * branches follow their bit patterns, biased branches flip i.i.d.
  * coins, and indirect calls rotate target popularity across phases.
+ *
+ * A copy is an independent executor at the same point of the same
+ * stream: every member copies by value, and the only thing a copy
+ * shares with its original is the immutable program, which must
+ * outlive both. Copying reads the original and nothing else, so
+ * threads may copy one executor concurrently (sharedStart()).
  */
 class SyntheticExecutor : public TraceSource
 {
@@ -58,8 +71,12 @@ class SyntheticExecutor : public TraceSource
 
     std::uint64_t emitted() const { return count; }
 
-    /** Dynamic instruction-class counts (for characterization). */
-    const StatSet &classStats() const { return stats; }
+    /**
+     * Dynamic instruction-class counts (for characterization): one
+     * `dyn.<class>` counter per class, plus `dyn.cond_taken` and
+     * `dyn.cond_nottaken`, each listed only once it is nonzero.
+     */
+    StatSet classStats() const;
 
   private:
     struct Frame
@@ -85,18 +102,11 @@ class SyntheticExecutor : public TraceSource
     std::vector<Frame> stack;
     std::unordered_map<Addr, BranchState> branchState;
     std::uint64_t count = 0;
-    StatSet stats;
-
-    StatSet::Counter stNoncf = stats.registerCounter("dyn.noncf");
-    StatSet::Counter stCond = stats.registerCounter("dyn.cond");
-    StatSet::Counter stCondTaken = stats.registerCounter("dyn.cond_taken");
-    StatSet::Counter stCondNottaken =
-        stats.registerCounter("dyn.cond_nottaken");
-    StatSet::Counter stJump = stats.registerCounter("dyn.jump");
-    StatSet::Counter stCall = stats.registerCounter("dyn.call");
-    StatSet::Counter stRet = stats.registerCounter("dyn.ret");
-    StatSet::Counter stIndcall = stats.registerCounter("dyn.indcall");
-    StatSet::Counter stIndjump = stats.registerCounter("dyn.indjump");
+    /** Emitted instructions by InstClass, and taken conditionals. */
+    std::array<std::uint64_t,
+               static_cast<std::size_t>(InstClass::IndCall) + 1>
+        classCount{};
+    std::uint64_t condTaken = 0;
 
     bool condOutcome(const BasicBlock &bb, Addr pc);
     std::uint32_t pickIndirect(const BasicBlock &bb);

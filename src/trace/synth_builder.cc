@@ -248,20 +248,76 @@ buildProgram(const WorkloadProfile &p)
     return prog;
 }
 
+namespace
+{
+
+/**
+ * The process's shared programs and start points, under one mutex.
+ * Nothing is ever removed, and the starts are declared after the
+ * programs so they are destroyed first: every start's program
+ * outlives it.
+ */
+struct Registry
+{
+    struct Start
+    {
+        WorkloadProfile profile;
+        std::uint64_t skip;
+        std::shared_ptr<const SyntheticExecutor> exec;
+    };
+
+    std::mutex mtx;
+    std::vector<std::pair<WorkloadProfile,
+                          std::shared_ptr<const Program>>> programs;
+    std::vector<Start> starts;
+
+    /** sharedProgram() with mtx held. */
+    std::shared_ptr<const Program>
+    program(const WorkloadProfile &profile)
+    {
+        for (const auto &[p, prog] : programs) {
+            if (p == profile)
+                return prog;
+        }
+        std::shared_ptr<const Program> prog = buildProgram(profile);
+        programs.emplace_back(profile, prog);
+        return prog;
+    }
+};
+
+Registry &
+registry()
+{
+    static Registry r;
+    return r;
+}
+
+} // namespace
+
 std::shared_ptr<const Program>
 sharedProgram(const WorkloadProfile &profile)
 {
-    static std::mutex mtx;
-    static std::vector<std::pair<WorkloadProfile,
-                                 std::shared_ptr<const Program>>> built;
-    std::lock_guard<std::mutex> lock(mtx);
-    for (const auto &[p, prog] : built) {
-        if (p == profile)
-            return prog;
+    Registry &r = registry();
+    std::lock_guard<std::mutex> lock(r.mtx);
+    return r.program(profile);
+}
+
+std::shared_ptr<const SyntheticExecutor>
+sharedStart(const WorkloadProfile &profile, std::uint64_t skip)
+{
+    Registry &r = registry();
+    std::lock_guard<std::mutex> lock(r.mtx);
+    for (const Registry::Start &s : r.starts) {
+        if (s.skip == skip && s.profile == profile)
+            return s.exec;
     }
-    std::shared_ptr<const Program> prog = buildProgram(profile);
-    built.emplace_back(profile, prog);
-    return prog;
+    auto exec =
+        std::make_shared<SyntheticExecutor>(*r.program(profile), profile);
+    TraceInstr scratch;
+    for (std::uint64_t i = 0; i < skip; ++i)
+        exec->nextInto(scratch);
+    r.starts.push_back({profile, skip, exec});
+    return exec;
 }
 
 } // namespace fdip

@@ -12,6 +12,7 @@
 #include "common/fnv.hh"
 #include "sim/presets.hh"
 #include "test_helpers.hh"
+#include "trace/executor.hh"
 #include "trace/profile.hh"
 #include "trace/synth_builder.hh"
 
@@ -394,4 +395,114 @@ TEST(SharedProgram, ConcurrentCallersGetOneProgram)
     for (const std::vector<const Program *> &mine : seen)
         distinct.insert(mine.begin(), mine.end());
     EXPECT_EQ(distinct.size(), 2u);
+}
+
+// ---------------------------------------------------------------------
+// sharedStart: one fast-forwarded executor per (profile, skip), copied.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** FNV-1a over the next @p n instructions @p src emits. */
+std::uint64_t
+streamDigest(TraceSource &src, int n)
+{
+    Fnv1a f;
+    TraceInstr ti;
+    for (int i = 0; i < n; ++i) {
+        src.nextInto(ti);
+        f.u64(ti.pc);
+        f.u64(static_cast<std::uint64_t>(ti.cls));
+        f.u64(ti.target);
+        f.b(ti.taken);
+    }
+    return f.h;
+}
+
+constexpr std::uint64_t kStartSkip = 12345;
+
+} // namespace
+
+TEST(SharedStart, EqualKeysShareOneStart)
+{
+    const WorkloadProfile &gcc = findProfile("gcc");
+    std::shared_ptr<const SyntheticExecutor> start =
+        sharedStart(gcc, kStartSkip);
+    WorkloadProfile copy = gcc;
+    EXPECT_EQ(sharedStart(copy, kStartSkip), start);
+    EXPECT_EQ(start->emitted(), kStartSkip);
+
+    EXPECT_NE(sharedStart(gcc, kStartSkip + 1), start);
+    copy.seed += 1;
+    EXPECT_NE(sharedStart(copy, kStartSkip), start);
+}
+
+TEST(SharedStart, CopyContinuesAFreshFastForward)
+{
+    const WorkloadProfile &gcc = findProfile("gcc");
+    auto prog = buildProgram(gcc);
+    SyntheticExecutor fresh(*prog, gcc);
+    for (std::uint64_t i = 0; i < kStartSkip; ++i)
+        fresh.next();
+
+    SyntheticExecutor copy(*sharedStart(gcc, kStartSkip));
+    EXPECT_EQ(copy.classStats().dump(), fresh.classStats().dump());
+    EXPECT_EQ(streamDigest(copy, 20000), streamDigest(fresh, 20000));
+    EXPECT_EQ(copy.emitted(), fresh.emitted());
+    EXPECT_EQ(copy.classStats().dump(), fresh.classStats().dump());
+}
+
+TEST(SharedStart, AdvancingACopyLeavesTheStartUnchanged)
+{
+    std::shared_ptr<const SyntheticExecutor> start =
+        sharedStart(findProfile("gcc"), kStartSkip);
+    std::string before = start->classStats().dump();
+
+    SyntheticExecutor first(*start);
+    std::uint64_t digest = streamDigest(first, 20000);
+    EXPECT_EQ(start->emitted(), kStartSkip);
+    EXPECT_EQ(start->classStats().dump(), before);
+
+    SyntheticExecutor second(*start);
+    EXPECT_EQ(streamDigest(second, 20000), digest);
+}
+
+TEST(SharedStart, ConcurrentCallersGetOneStartPerKey)
+{
+    // A seed no other test asks for, so the first callers race to
+    // build the program and fast-forward both starts.
+    WorkloadProfile gcc = findProfile("gcc");
+    gcc.seed += 2000;
+    const std::uint64_t skips[2] = {kStartSkip, 2 * kStartSkip};
+
+    struct Seen
+    {
+        std::vector<const SyntheticExecutor *> starts;
+        std::uint64_t digest[2] = {0, 0};
+    };
+    std::vector<Seen> seen(8);
+    std::vector<std::thread> threads;
+    for (Seen &mine : seen) {
+        threads.emplace_back([&mine, &gcc, &skips] {
+            for (int k = 0; k < 2; ++k) {
+                std::shared_ptr<const SyntheticExecutor> start =
+                    sharedStart(gcc, skips[k]);
+                mine.starts.push_back(start.get());
+                SyntheticExecutor copy(*start);
+                mine.digest[k] = streamDigest(copy, 5000);
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+
+    std::set<const SyntheticExecutor *> distinct;
+    for (const Seen &mine : seen) {
+        distinct.insert(mine.starts.begin(), mine.starts.end());
+        EXPECT_EQ(mine.digest[0], seen[0].digest[0]);
+        EXPECT_EQ(mine.digest[1], seen[0].digest[1]);
+    }
+    EXPECT_EQ(distinct.size(), 2u);
+    EXPECT_NE(seen[0].digest[0], seen[0].digest[1]);
 }

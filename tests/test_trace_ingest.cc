@@ -8,8 +8,10 @@
  *  - v2 format: delta-encoding edge cases (far-target sentinel,
  *    alignment rejection), truncated/corrupt inputs rejected with
  *    SimError.
- *  - Warmup/ROI phases: ROI instruction accounting and the
- *    skip-N == discard-N-records equivalence.
+ *  - Warmup/ROI phases: ROI instruction accounting, the
+ *    skip-N == discard-N-records equivalence, and a synthetic skip
+ *    (served from the process's shared start) against the same skip
+ *    over a replayed trace.
  *  - Differential replay: a recorded synthetic workload replayed
  *    through the streaming reader is bit-identical (serializeResults)
  *    to the live executor, in both tick modes.
@@ -514,6 +516,49 @@ TEST(TraceRoi, SkipNEqualsDiscardNRecords)
         return serializeResults(simulate(cfg));
     };
     EXPECT_EQ(run(full.path, kSkip), run(suffix.path, 0));
+}
+
+// A synthetic core enters at skipInsts from a copy of the process's
+// shared start (sharedStart()); a trace core reads its way there record
+// by record. Both must reach the same instruction: a live run of gcc
+// skipping N is bit-identical to skipping N records of a trace captured
+// from a fresh executor, in both tick modes. The live config is
+// simulated twice per point, so the first run also checks the start it
+// fast-forwards and every later one a start the memo already held.
+TEST(TraceRoi, SyntheticSkipMatchesTraceSkipBothTickModes)
+{
+    TempPath tmp("synthetic_skip");
+    constexpr std::uint64_t kSkip = 20 * 1000;
+    const std::string workload = "gcc";
+    WorkloadProfile profile = findProfile(workload);
+    auto prog = buildProgram(profile);
+    {
+        SyntheticExecutor exec(*prog, profile);
+        // Far more than skip+warmup+measure, so the replay never wraps.
+        writeTraceFile(tmp.path, exec, 100 * 1000, prog->base,
+                       prog->codeEnd());
+    }
+
+    for (PrefetchScheme scheme :
+         {PrefetchScheme::FdpRemove, PrefetchScheme::None}) {
+        for (bool force_tick : {false, true}) {
+            SimConfig live = makeBaselineConfig(workload, scheme);
+            live.skipInsts = kSkip;
+            live.warmupInsts = 5 * 1000;
+            live.measureInsts = 20 * 1000;
+            live.forceTick = force_tick;
+            SimConfig replay = live;
+            replay.tracePath = tmp.path;
+
+            std::string want = serializeResults(simulate(replay));
+            for (int build = 0; build < 2; ++build) {
+                ASSERT_EQ(serializeResults(simulate(live)), want)
+                    << "live skip vs trace skip diverged: scheme="
+                    << schemeName(scheme) << " forceTick=" << force_tick
+                    << " build=" << build;
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
